@@ -275,23 +275,13 @@ impl ArchParams {
     /// Stable across processes and runs; safe to embed in cache keys
     /// and file names.
     pub fn stable_hash(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        wwt_store::fnv1a(self.canonical().as_bytes())
     }
 
     /// Whether this is exactly the paper's machine.
     pub fn is_paper(&self) -> bool {
         *self == ArchParams::default()
     }
-}
-
-/// 64-bit FNV-1a over raw bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One sweep axis: a key and the values it takes, as parsed from
@@ -512,6 +502,13 @@ mod tests {
         // And sensitive to every value.
         let c = ArchParams::parse("net_latency=51,dram=5").unwrap();
         assert_ne!(a.stable_hash(), c.stable_hash());
+    }
+
+    #[test]
+    fn paper_machine_hash_is_pinned() {
+        // Recorded as `arch_hash` in every BENCH_grid.json row since the
+        // field was introduced; a change here orphans that history.
+        assert_eq!(ArchParams::default().stable_hash(), 0x5e0a_bc33_8b71_20c6);
     }
 
     #[test]

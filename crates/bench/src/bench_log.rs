@@ -2,18 +2,21 @@
 //!
 //! Every `make_tables` grid invocation appends one single-line JSON
 //! record (`{"runs":[...]}` overall) so successive runs — `--jobs 1` vs
-//! `--jobs 4`, `--sim-threads 1` vs `--sim-threads 8`, before vs after an
-//! engine change — can be compared from one file.
+//! `--jobs 4`, before vs after an engine change — can be compared from
+//! one file.
 //!
 //! # Schema
 //!
-//! The current record schema is [`SCHEMA`] (3). Relative to schema 2 it
-//! adds the `"sim_threads"` field (the engine's scheduler shard count).
+//! The current record schema is [`SCHEMA`] (4). Relative to schema 3 it
+//! drops the `"sim_threads"` field: the engine has one scheduler queue.
 //! On every append the whole file is normalized:
 //!
-//! * **schema-2 records are migrated in place** — they gain
-//!   `"sim_threads":1` (the only value those builds could run) and their
-//!   schema number is bumped, so one file never mixes field layouts;
+//! * **schema-2 and schema-3 records are migrated in place** — a
+//!   `"sim_threads":1` field is stripped and the schema number is bumped,
+//!   so one file never mixes field layouts;
+//! * **schema-3 records with `"sim_threads"` above 1 are dropped**: they
+//!   timed a sharded scheduler that no longer exists, so they compare
+//!   with nothing this build can run;
 //! * **legacy records** (no `"schema"` field at all — the pre-schema era
 //!   that also lacked `"arch_hash"` and `"faults"`) **are dropped**: they
 //!   cannot be attributed to an architecture point or fault plan, which
@@ -29,44 +32,42 @@ use wwt_core::arch::ArchParams;
 use wwt_core::{ExperimentArtifacts, Scale};
 
 /// The record schema this build writes.
-pub const SCHEMA: u32 = 3;
+pub const SCHEMA: u32 = 4;
 
 /// Compaction: keep only the latest this-many records per
-/// (scale, jobs, sim_threads, cache, experiment-set) key, so the log
-/// stays bounded no matter how many invocations accumulate.
+/// (scale, jobs, cache, experiment-set) key, so the log stays bounded no
+/// matter how many invocations accumulate.
 pub const KEEP_PER_KEY: usize = 8;
 
-/// The compaction key of one record line. Extracted textually (records
-/// are single-line JSON this module wrote itself).
+/// The raw value of a top-level scalar field in one record line.
+/// Extracted textually (records are single-line JSON this module wrote
+/// itself).
+fn field<'a>(rec: &'a str, name: &str) -> Option<&'a str> {
+    let rest = rec.split(&format!("\"{name}\":")).nth(1)?;
+    Some(&rest[..rest.find([',', '}']).unwrap_or(rest.len())])
+}
+
+/// The compaction key of one record line.
 fn bench_key(rec: &str) -> String {
-    let field = |name: &str| -> String {
-        rec.split(&format!("\"{name}\":"))
-            .nth(1)
-            .map(|r| r.chars().take_while(|c| !",}".contains(*c)).collect())
-            .unwrap_or_default()
-    };
     let ids: Vec<&str> = rec
         .split("\"id\":\"")
         .skip(1)
         .filter_map(|r| r.split('"').next())
         .collect();
     format!(
-        "{}|{}|{}|{}|{}",
-        field("scale"),
-        field("jobs"),
-        field("sim_threads"),
-        field("cache"),
+        "{}|{}|{}|{}",
+        field(rec, "scale").unwrap_or_default(),
+        field(rec, "jobs").unwrap_or_default(),
+        field(rec, "cache").unwrap_or_default(),
         ids.join(",")
     )
 }
 
 /// Renders one invocation's timing record (single-line JSON, schema
 /// [`SCHEMA`]).
-#[allow(clippy::too_many_arguments)]
 pub fn bench_record(
     scale: Scale,
     jobs: usize,
-    sim_threads: usize,
     cache: bool,
     arch: &ArchParams,
     faults_spec: Option<&str>,
@@ -78,7 +79,7 @@ pub fn bench_record(
         None => "null".to_string(),
     };
     let mut rec = format!(
-        "{{\"schema\":{SCHEMA},\"scale\":\"{}\",\"jobs\":{jobs},\"sim_threads\":{sim_threads},\"cache\":{cache},\"arch_hash\":\"{:016x}\",\"faults\":{faults},\"total_wall_secs\":{total_secs:.6},\"experiments\":[",
+        "{{\"schema\":{SCHEMA},\"scale\":\"{}\",\"jobs\":{jobs},\"cache\":{cache},\"arch_hash\":\"{:016x}\",\"faults\":{faults},\"total_wall_secs\":{total_secs:.6},\"experiments\":[",
         scale.name(),
         arch.stable_hash()
     );
@@ -105,20 +106,12 @@ pub fn bench_record(
 /// attributed to a configuration, so they are dropped rather than given
 /// invented values. Records stamped with a **future** schema (a newer
 /// build wrote them) are skipped with a stderr warning instead of being
-/// reinterpreted — this build cannot know what their fields mean. A
-/// record at or below the current schema that lacks `"sim_threads"`
-/// (schema 2, or a hand-damaged schema-3 line) gains `"sim_threads":1`
-/// — the only value those builds could run — and a restamped schema
-/// number; current records pass through unchanged.
+/// reinterpreted — this build cannot know what their fields mean.
+/// Records that timed more than one scheduler shard are dropped. Older
+/// single-queue records lose their `"sim_threads":1` field and gain the
+/// current schema number; current records pass through unchanged.
 fn migrate(rec: &str) -> Option<String> {
-    let schema: u32 = rec
-        .split("\"schema\":")
-        .nth(1)?
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .ok()?;
+    let schema: u32 = field(rec, "schema")?.parse().ok()?;
     if schema > SCHEMA {
         eprintln!(
             "warning: BENCH_grid.json record with schema {schema} was written by a \
@@ -126,16 +119,14 @@ fn migrate(rec: &str) -> Option<String> {
         );
         return None;
     }
-    if rec.contains("\"sim_threads\":") {
-        return Some(rec.to_string());
+    if field(rec, "sim_threads").is_some_and(|n| n != "1") {
+        return None;
     }
-    // Schema 2: single-threaded engine, so sim_threads was always 1.
-    // Splice the field in right after "jobs" (every schema-2 record has
-    // it) and restamp the schema number.
-    let migrated = rec
-        .replacen("\"schema\":2,", &format!("\"schema\":{SCHEMA},"), 1)
-        .replacen("\"cache\":", "\"sim_threads\":1,\"cache\":", 1);
-    Some(migrated)
+    Some(rec.replacen("\"sim_threads\":1,", "", 1).replacen(
+        &format!("\"schema\":{schema},"),
+        &format!("\"schema\":{SCHEMA},"),
+        1,
+    ))
 }
 
 /// Appends `record` to the log at `path`, migrating or dropping old
@@ -204,7 +195,11 @@ mod tests {
          \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
     const LEGACY: &str = "{\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
          \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
-    const SCHEMA3: &str = "{\"schema\":3,\"scale\":\"test\",\"jobs\":4,\"sim_threads\":2,\
+    const SCHEMA3: &str = "{\"schema\":3,\"scale\":\"test\",\"jobs\":4,\"sim_threads\":1,\
+         \"cache\":true,\"arch_hash\":\"00deadbeef000000\",\"faults\":null,\
+         \"total_wall_secs\":1.5,\
+         \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
+    const SCHEMA4: &str = "{\"schema\":4,\"scale\":\"test\",\"jobs\":4,\
          \"cache\":true,\"arch_hash\":\"00deadbeef000000\",\"faults\":null,\
          \"total_wall_secs\":1.5,\
          \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
@@ -212,33 +207,62 @@ mod tests {
     #[test]
     fn bench_records_accumulate_as_one_json_document() {
         let (dir, path) = temp_log("accumulate");
-        append_bench_record(&path, "{\"schema\":3,\"jobs\":1}").unwrap();
-        append_bench_record(&path, "{\"schema\":3,\"jobs\":4}").unwrap();
+        append_bench_record(&path, "{\"schema\":4,\"jobs\":1}").unwrap();
+        append_bench_record(&path, "{\"schema\":4,\"jobs\":4}").unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             s,
-            "{\"runs\":[\n{\"schema\":3,\"jobs\":1},\n{\"schema\":3,\"jobs\":4}]}\n"
+            "{\"runs\":[\n{\"schema\":4,\"jobs\":1},\n{\"schema\":4,\"jobs\":4}]}\n"
         );
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn schema2_records_gain_sim_threads_on_append() {
+    fn schema2_records_are_restamped_on_append() {
         let (dir, path) = temp_log("migrate2");
         std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA2}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
-        // The old record survives, migrated in place…
-        assert!(
-            s.contains(
-                "\"schema\":3,\"scale\":\"test\",\"jobs\":4,\"sim_threads\":1,\"cache\":true"
-            ),
-            "{s}"
-        );
-        // …and nothing in the file is left at schema 2.
-        assert!(!s.contains("\"schema\":2"), "{s}");
-        assert_eq!(s.matches("\"sim_threads\":").count(), 2, "{s}");
+        // The old record survives, restamped in place: both lines now
+        // read exactly like the current record.
+        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema3_single_queue_records_are_restamped_on_append() {
+        let (dir, path) = temp_log("migrate3");
+        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA3}]}}\n")).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
+        let s = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
+        assert!(!s.contains("sim_threads"), "{s}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema3_sharded_records_are_dropped_on_append() {
+        let (dir, path) = temp_log("sharded");
+        let sharded = SCHEMA3.replace("\"sim_threads\":1", "\"sim_threads\":8");
+        std::fs::write(&path, format!("{{\"runs\":[\n{sharded},\n{SCHEMA3}]}}\n")).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
+        let s = std::fs::read_to_string(&path).unwrap();
+        // The 8-shard row is gone; the single-queue row was migrated.
+        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema3_record_missing_its_shard_count_is_restamped() {
+        let (dir, path) = temp_log("missing-field");
+        // A schema-3 line whose sim_threads field went missing (hand
+        // edit, partial write) ran the schema-2 default of one queue.
+        let damaged = SCHEMA3.replace("\"sim_threads\":1,", "");
+        std::fs::write(&path, format!("{{\"runs\":[\n{damaged}]}}\n")).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
+        let s = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -250,12 +274,11 @@ mod tests {
             format!("{{\"runs\":[\n{LEGACY},\n{SCHEMA2},\n{LEGACY}]}}\n"),
         )
         .unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
         // Legacy rows (no arch/fault attribution) are gone; the schema-2
         // row was migrated; the new row was appended.
-        assert!(!s.contains("\"total_wall_secs\":1.5,\"experiments\"") || s.contains("arch_hash"));
-        assert_eq!(s.matches("\"schema\":3").count(), 2, "{s}");
+        assert_eq!(s.matches("\"schema\":4").count(), 2, "{s}");
         assert_eq!(s.matches("arch_hash").count(), 2, "{s}");
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         let _ = std::fs::remove_dir_all(&dir);
@@ -264,18 +287,17 @@ mod tests {
     #[test]
     fn migration_is_idempotent_across_appends() {
         let (dir, path) = temp_log("idempotent");
-        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA2}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
+        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA3}]}}\n")).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let once = std::fs::read_to_string(&path).unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let twice = std::fs::read_to_string(&path).unwrap();
-        // The migrated row is byte-stable; only the duplicate new row and
-        // compaction differ.
-        assert_eq!(once.matches("\"sim_threads\":1,").count(), 1);
-        assert_eq!(twice.matches("\"sim_threads\":1,").count(), 1);
-        assert!(
-            !twice.contains("\"sim_threads\":1,\"sim_threads\":1"),
-            "{twice}"
+        // The migrated row is byte-stable; the second append only adds
+        // one more copy of the new row.
+        assert_eq!(once, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
+        assert_eq!(
+            twice,
+            format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4},\n{SCHEMA4}]}}\n")
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -285,7 +307,7 @@ mod tests {
         let (dir, path) = temp_log("compact");
         for i in 0..(KEEP_PER_KEY + 5) {
             let rec = format!(
-                "{{\"schema\":3,\"scale\":\"test\",\"jobs\":4,\"sim_threads\":1,\"cache\":true,\"seq\":{i},\
+                "{{\"schema\":4,\"scale\":\"test\",\"jobs\":4,\"cache\":true,\"seq\":{i},\
                  \"experiments\":[{{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}}]}}"
             );
             append_bench_record(&path, &rec).unwrap();
@@ -294,7 +316,7 @@ mod tests {
         // first key's overflow.
         append_bench_record(
             &path,
-            "{\"schema\":3,\"scale\":\"test\",\"jobs\":1,\"sim_threads\":1,\"cache\":true,\
+            "{\"schema\":4,\"scale\":\"test\",\"jobs\":1,\"cache\":true,\
              \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.2,\"cached\":false}]}",
         )
         .unwrap();
@@ -310,50 +332,34 @@ mod tests {
     #[test]
     fn future_schema_records_are_skipped_not_mangled() {
         let (dir, path) = temp_log("future");
-        // A hypothetical schema-4 record without sim_threads: a naive
-        // migration would splice fields into a layout it cannot know.
-        let future = "{\"schema\":4,\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
+        // A hypothetical schema-5 record: a naive migration would rewrite
+        // fields in a layout it cannot know.
+        let future = "{\"schema\":5,\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
              \"new_field\":\"?\",\"experiments\":[]}";
         std::fs::write(&path, format!("{{\"runs\":[\n{future},\n{SCHEMA2}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
-        assert!(!s.contains("\"schema\":4"), "future record kept: {s}");
+        assert!(!s.contains("\"schema\":5"), "future record kept: {s}");
         assert!(!s.contains("new_field"), "{s}");
         // The rest of the file is still normalized as usual.
-        assert_eq!(s.matches("\"schema\":3").count(), 2, "{s}");
+        assert_eq!(s.matches("\"schema\":4").count(), 2, "{s}");
         assert_eq!(s.matches('{').count(), s.matches('}').count());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn current_schema_record_missing_sim_threads_gains_the_default() {
-        let (dir, path) = temp_log("missing-field");
-        // A schema-3 line whose sim_threads field went missing (hand
-        // edit, partial write): degrade to the schema-2 default rather
-        // than leaving the file with mixed layouts.
-        let damaged = SCHEMA3.replace("\"sim_threads\":2,", "");
-        std::fs::write(&path, format!("{{\"runs\":[\n{damaged}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA3).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"sim_threads\":1,\"cache\":true"), "{s}");
-        assert_eq!(s.matches("\"sim_threads\":").count(), 2, "{s}");
-        assert!(!s.contains("\"schema\":2"), "{s}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_log_recovers_with_just_the_new_record() {
         let (dir, path) = temp_log("truncated");
-        append_bench_record(&path, SCHEMA3).unwrap();
+        append_bench_record(&path, SCHEMA4).unwrap();
         let healthy = std::fs::read_to_string(&path).unwrap();
         // A crash mid-write under the old non-atomic scheme could leave
         // any prefix of the document. Every truncation point must
         // recover: the next append starts the log over with its record.
         for cut in [0, 1, healthy.len() / 2, healthy.len() - 2] {
             std::fs::write(&path, &healthy[..cut]).unwrap();
-            append_bench_record(&path, SCHEMA3).unwrap();
+            append_bench_record(&path, SCHEMA4).unwrap();
             let s = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(s.matches("\"schema\":3").count(), 1, "cut at {cut}: {s}");
+            assert_eq!(s.matches("\"schema\":4").count(), 1, "cut at {cut}: {s}");
             assert!(s.starts_with("{\"runs\":[\n"), "cut at {cut}: {s}");
             assert!(s.ends_with("]}\n"), "cut at {cut}: {s}");
             assert_eq!(s.matches('{').count(), s.matches('}').count());
@@ -370,13 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_separates_compaction_keys() {
-        let one = SCHEMA3.replace("\"sim_threads\":2", "\"sim_threads\":1");
-        assert_ne!(bench_key(SCHEMA3), bench_key(&one));
-        let other_jobs = SCHEMA3.replace("\"jobs\":4", "\"jobs\":1");
-        assert_ne!(bench_key(SCHEMA3), bench_key(&other_jobs));
-        let other_ids = SCHEMA3.replace("em3d-mp", "em3d-sm");
-        assert_ne!(bench_key(SCHEMA3), bench_key(&other_ids));
-        assert_eq!(bench_key(SCHEMA3), bench_key(SCHEMA3));
+    fn compaction_keys_separate_jobs_and_experiment_sets() {
+        let other_jobs = SCHEMA4.replace("\"jobs\":4", "\"jobs\":1");
+        assert_ne!(bench_key(SCHEMA4), bench_key(&other_jobs));
+        let other_ids = SCHEMA4.replace("em3d-mp", "em3d-sm");
+        assert_ne!(bench_key(SCHEMA4), bench_key(&other_ids));
+        assert_eq!(bench_key(SCHEMA4), bench_key(SCHEMA4));
+        // A migrated schema-3 row shares its key with the current row.
+        assert_eq!(bench_key(SCHEMA4), bench_key(&migrate(SCHEMA3).unwrap()));
     }
 }

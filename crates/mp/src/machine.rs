@@ -371,7 +371,7 @@ impl MpMachine {
                     }
                     let this = Rc::clone(self);
                     self.sim
-                        .call_at_for(pkt.dest, arrival + extra, move || this.deliver(pkt))
+                        .call_at(arrival + extra, move || this.deliver(pkt))
                         .expect("arrival is clamped to the present");
                 }
                 PacketFate::Deliver { extra } => {
@@ -391,7 +391,7 @@ impl MpMachine {
         }
         let this = Rc::clone(self);
         self.sim
-            .call_at_for(pkt.dest, arrival, move || this.deliver(pkt))
+            .call_at(arrival, move || this.deliver(pkt))
             .expect("arrival is clamped to the present");
     }
 
@@ -465,7 +465,7 @@ impl MpMachine {
             let this = Rc::clone(self);
             let dest = pkt.dest;
             self.sim
-                .call_at_for(src, deadline, move || this.retransmit_timer(src, dest))
+                .call_at(deadline, move || this.retransmit_timer(src, dest))
                 .expect("deadline is in the future");
         }
     }
@@ -579,14 +579,14 @@ impl MpMachine {
             Step::Rearm(at) => {
                 let this = Rc::clone(self);
                 self.sim
-                    .call_at_for(src, at, move || this.retransmit_timer(src, dest))
+                    .call_at(at, move || this.retransmit_timer(src, dest))
                     .expect("deadline is in the future");
             }
             Step::Fire(at) => {
                 self.retransmit_unacked(src, dest);
                 let this = Rc::clone(self);
                 self.sim
-                    .call_at_for(src, at, move || this.retransmit_timer(src, dest))
+                    .call_at(at, move || this.retransmit_timer(src, dest))
                     .expect("deadline is in the future");
             }
         }

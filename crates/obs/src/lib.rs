@@ -3,17 +3,17 @@
 //!
 //! The guest side of the reproduction is thoroughly instrumented —
 //! `wwt-sim`'s trace sink attributes every simulated cycle — but the
-//! simulator itself was a black box: no events/sec per scheduler shard,
-//! no calendar-queue depths, no run-cache hit rates, no `ParEngine`
-//! barrier-stall share. This crate is the process-global metrics registry
-//! those numbers live in, plus the machinery to get them out:
+//! simulator itself was a black box: no events/sec, no calendar-queue
+//! depth, no run-cache hit rates. This crate is the process-global
+//! metrics registry those numbers live in, plus the machinery to get them
+//! out:
 //!
-//! * **Instruments.** Named counters ([`Ctr`]), per-shard counters
-//!   ([`ShardCtr`]) and high-water gauges ([`ShardGauge`]), and one log2
-//!   histogram of per-experiment wall time (the same bucket scheme as
-//!   `wwt-sim`'s guest latency histograms). Everything is a plain
-//!   `AtomicU64` updated with `Relaxed` ordering — no locks anywhere near
-//!   an engine hot path.
+//! * **Instruments.** Named counters ([`Ctr`]), one calendar-queue depth
+//!   high-water gauge, and one log2 [`Histogram`] of per-experiment wall
+//!   time (the same type `wwt-sim` uses for guest latencies). Counters
+//!   and the gauge are plain `AtomicU64`s updated with `Relaxed`
+//!   ordering — no locks anywhere near an engine hot path; the histogram
+//!   sits behind a mutex, written once per experiment.
 //! * **Gating.** The registry is off by default. Gated update paths load
 //!   one `AtomicBool` and branch — the same zero-cost-when-disabled
 //!   discipline as `SimConfig::trace`. The run-cache counters are the one
@@ -31,21 +31,20 @@
 //!
 //! Host metrics are strictly off the determinism path: nothing in the
 //! simulation ever *reads* this registry, so simulated output is
-//! byte-identical whether observability is enabled or not, at any shard
-//! count, clean or faulted.
+//! byte-identical whether observability is enabled or not, clean or
+//! faulted.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+mod histogram;
+
+pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Per-shard instruments track up to this many scheduler shards; higher
-/// shard indices clamp onto the last slot (runs that wide are aggregate
-/// anyway).
-pub const MAX_SHARDS: usize = 64;
 
 /// Snapshots the flight recorder retains (oldest evicted first).
 pub const FLIGHT_RECORDER_CAP: usize = 8;
@@ -53,6 +52,10 @@ pub const FLIGHT_RECORDER_CAP: usize = 8;
 /// Process-global scalar counters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Ctr {
+    /// Events pushed onto the engine's calendar queue.
+    SimEventsPushed,
+    /// Events popped from the engine's calendar queue.
+    SimEventsPopped,
     /// Scheduled callbacks whose captures fit `SmallCall`'s inline buffer.
     SimCallInline,
     /// Scheduled callbacks that fell back to a boxed closure.
@@ -65,10 +68,6 @@ pub enum Ctr {
     SimPoolPutRecycled,
     /// `CellPool::put` calls that dropped an escaped cell instead.
     SimPoolPutDropped,
-    /// `ParEngine` envelopes delivered to the sending shard.
-    ParMsgsSameShard,
-    /// `ParEngine` envelopes that crossed a shard boundary.
-    ParMsgsCrossShard,
     /// Run-cache lookups served from disk.
     CacheHits,
     /// Run-cache lookups that missed (absent entry or damage).
@@ -102,14 +101,14 @@ pub enum Ctr {
 impl Ctr {
     /// Every counter, in index order.
     pub const ALL: [Ctr; 20] = [
+        Ctr::SimEventsPushed,
+        Ctr::SimEventsPopped,
         Ctr::SimCallInline,
         Ctr::SimCallBoxed,
         Ctr::SimPoolTakeRecycled,
         Ctr::SimPoolTakeFresh,
         Ctr::SimPoolPutRecycled,
         Ctr::SimPoolPutDropped,
-        Ctr::ParMsgsSameShard,
-        Ctr::ParMsgsCrossShard,
         Ctr::CacheHits,
         Ctr::CacheMisses,
         Ctr::CacheBytesRead,
@@ -127,14 +126,14 @@ impl Ctr {
     /// Stable snake_case name (the JSON/Prometheus key).
     pub fn label(&self) -> &'static str {
         match self {
+            Ctr::SimEventsPushed => "sim_events_pushed",
+            Ctr::SimEventsPopped => "sim_events_popped",
             Ctr::SimCallInline => "sim_call_inline",
             Ctr::SimCallBoxed => "sim_call_boxed",
             Ctr::SimPoolTakeRecycled => "sim_pool_take_recycled",
             Ctr::SimPoolTakeFresh => "sim_pool_take_fresh",
             Ctr::SimPoolPutRecycled => "sim_pool_put_recycled",
             Ctr::SimPoolPutDropped => "sim_pool_put_dropped",
-            Ctr::ParMsgsSameShard => "par_msgs_same_shard",
-            Ctr::ParMsgsCrossShard => "par_msgs_cross_shard",
             Ctr::CacheHits => "cache_hits",
             Ctr::CacheMisses => "cache_misses",
             Ctr::CacheBytesRead => "cache_bytes_read",
@@ -151,100 +150,33 @@ impl Ctr {
     }
 }
 
-/// Per-scheduler-shard counters.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ShardCtr {
-    /// Events pushed onto this shard's calendar queue.
-    SimEventsPushed,
-    /// Events popped from this shard's calendar queue.
-    SimEventsPopped,
-    /// Quantum windows this `ParEngine` shard processed.
-    ParQuanta,
-    /// Nanoseconds this `ParEngine` shard spent inside barrier waits.
-    ParBarrierWaitNs,
-    /// Nanoseconds this `ParEngine` shard spent processing its window.
-    ParBusyNs,
-}
-
-impl ShardCtr {
-    /// Every per-shard counter, in index order.
-    pub const ALL: [ShardCtr; 5] = [
-        ShardCtr::SimEventsPushed,
-        ShardCtr::SimEventsPopped,
-        ShardCtr::ParQuanta,
-        ShardCtr::ParBarrierWaitNs,
-        ShardCtr::ParBusyNs,
-    ];
-
-    /// Stable snake_case name (the JSON/Prometheus key).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShardCtr::SimEventsPushed => "sim_events_pushed",
-            ShardCtr::SimEventsPopped => "sim_events_popped",
-            ShardCtr::ParQuanta => "par_quanta",
-            ShardCtr::ParBarrierWaitNs => "par_barrier_wait_ns",
-            ShardCtr::ParBusyNs => "par_busy_ns",
-        }
-    }
-}
-
-/// Per-scheduler-shard high-water gauges (monotone max).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ShardGauge {
-    /// Calendar-queue depth high-water mark.
-    SimQueueDepthHwm,
-}
-
-impl ShardGauge {
-    /// Every per-shard gauge, in index order.
-    pub const ALL: [ShardGauge; 1] = [ShardGauge::SimQueueDepthHwm];
-
-    /// Stable snake_case name (the JSON/Prometheus key).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShardGauge::SimQueueDepthHwm => "sim_queue_depth_hwm",
-        }
-    }
-}
-
-// Deliberately `const`, not `static`: these exist only as repeatable
-// array initializers for the registry below — each use site gets its own
+// Deliberately `const`, not `static`: this exists only as a repeatable
+// array initializer for the registry below — each use site gets its own
 // fresh atomic, which is exactly the semantics clippy warns about.
 #[allow(clippy::declare_interior_mutable_const)]
 const Z: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const ZROW: [AtomicU64; MAX_SHARDS] = [Z; MAX_SHARDS];
 
 struct Registry {
     enabled: AtomicBool,
     started: Mutex<Option<Instant>>,
     counters: [AtomicU64; Ctr::ALL.len()],
-    shard_counters: [[AtomicU64; MAX_SHARDS]; ShardCtr::ALL.len()],
-    shard_gauges: [[AtomicU64; MAX_SHARDS]; ShardGauge::ALL.len()],
+    /// Calendar-queue depth high-water mark.
+    queue_depth_hwm: AtomicU64,
     /// Grid runner: workers currently inside an experiment, and the peak.
     jobs_active: AtomicU64,
     jobs_peak: AtomicU64,
-    /// Log2 histogram of per-experiment wall time, in microseconds (same
-    /// bucket scheme as the guest-side `wwt_sim::Histogram`: bucket 0
-    /// holds zero, bucket i holds values of bit length i).
-    wall_us_buckets: [AtomicU64; 65],
-    wall_us_count: AtomicU64,
-    wall_us_sum: AtomicU64,
-    wall_us_max: AtomicU64,
+    /// Per-experiment wall time, in microseconds.
+    wall_us: Mutex<Histogram>,
 }
 
 static REGISTRY: Registry = Registry {
     enabled: AtomicBool::new(false),
     started: Mutex::new(None),
     counters: [Z; Ctr::ALL.len()],
-    shard_counters: [ZROW; ShardCtr::ALL.len()],
-    shard_gauges: [ZROW; ShardGauge::ALL.len()],
+    queue_depth_hwm: AtomicU64::new(0),
     jobs_active: AtomicU64::new(0),
     jobs_peak: AtomicU64::new(0),
-    wall_us_buckets: [Z; 65],
-    wall_us_count: AtomicU64::new(0),
-    wall_us_sum: AtomicU64::new(0),
-    wall_us_max: AtomicU64::new(0),
+    wall_us: Mutex::new(Histogram::new()),
 };
 
 static RECORDER: Mutex<Vec<ObsSnapshot>> = Mutex::new(Vec::new());
@@ -281,24 +213,10 @@ pub fn reset() {
     for c in &REGISTRY.counters {
         c.store(0, Ordering::Relaxed);
     }
-    for row in &REGISTRY.shard_counters {
-        for c in row {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-    for row in &REGISTRY.shard_gauges {
-        for c in row {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
+    REGISTRY.queue_depth_hwm.store(0, Ordering::Relaxed);
     REGISTRY.jobs_active.store(0, Ordering::Relaxed);
     REGISTRY.jobs_peak.store(0, Ordering::Relaxed);
-    for b in &REGISTRY.wall_us_buckets {
-        b.store(0, Ordering::Relaxed);
-    }
-    REGISTRY.wall_us_count.store(0, Ordering::Relaxed);
-    REGISTRY.wall_us_sum.store(0, Ordering::Relaxed);
-    REGISTRY.wall_us_max.store(0, Ordering::Relaxed);
+    *REGISTRY.wall_us.lock().unwrap() = Histogram::new();
     RECORDER.lock().unwrap().clear();
     *REGISTRY.started.lock().unwrap() = Some(Instant::now());
 }
@@ -334,34 +252,18 @@ pub fn counter(c: Ctr) -> u64 {
     REGISTRY.counters[c as usize].load(Ordering::Relaxed)
 }
 
-/// Adds `n` to a per-shard counter. No-op while disabled; shard indices
-/// past [`MAX_SHARDS`] clamp onto the last slot.
+/// Raises the calendar-queue depth high-water mark to at least `depth`.
+/// No-op while disabled.
 #[inline]
-pub fn shard_count(c: ShardCtr, shard: usize, n: u64) {
+pub fn max_queue_depth(depth: u64) {
     if enabled() {
-        REGISTRY.shard_counters[c as usize][shard.min(MAX_SHARDS - 1)]
-            .fetch_add(n, Ordering::Relaxed);
+        REGISTRY.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
     }
 }
 
-/// Current value of a per-shard counter.
-pub fn shard_counter(c: ShardCtr, shard: usize) -> u64 {
-    REGISTRY.shard_counters[c as usize][shard.min(MAX_SHARDS - 1)].load(Ordering::Relaxed)
-}
-
-/// Raises a per-shard high-water gauge to at least `v`. No-op while
-/// disabled.
-#[inline]
-pub fn shard_max(g: ShardGauge, shard: usize, v: u64) {
-    if enabled() {
-        REGISTRY.shard_gauges[g as usize][shard.min(MAX_SHARDS - 1)]
-            .fetch_max(v, Ordering::Relaxed);
-    }
-}
-
-/// Current value of a per-shard gauge.
-pub fn shard_gauge(g: ShardGauge, shard: usize) -> u64 {
-    REGISTRY.shard_gauges[g as usize][shard.min(MAX_SHARDS - 1)].load(Ordering::Relaxed)
+/// Current calendar-queue depth high-water mark.
+pub fn queue_depth_hwm() -> u64 {
+    REGISTRY.queue_depth_hwm.load(Ordering::Relaxed)
 }
 
 /// Marks a grid worker as inside an experiment, maintaining the
@@ -390,47 +292,16 @@ pub fn job_exit() {
 /// disabled.
 pub fn record_wall_us(v: u64) {
     if enabled() {
-        let bucket = (u64::BITS - v.leading_zeros()) as usize;
-        REGISTRY.wall_us_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        REGISTRY.wall_us_count.fetch_add(1, Ordering::Relaxed);
-        REGISTRY.wall_us_sum.fetch_add(v, Ordering::Relaxed);
-        REGISTRY.wall_us_max.fetch_max(v, Ordering::Relaxed);
+        REGISTRY.wall_us.lock().unwrap().record(v);
     }
 }
 
-/// Approximate percentile (0..=100) of the wall-time histogram: the
-/// midpoint of the log2 bucket the target rank falls in. Zero when empty.
-fn wall_us_percentile(q: u64) -> u64 {
-    let count = REGISTRY.wall_us_count.load(Ordering::Relaxed);
-    if count == 0 {
-        return 0;
-    }
-    let target = (count * q).div_ceil(100).max(1);
-    let mut cum = 0;
-    for (i, b) in REGISTRY.wall_us_buckets.iter().enumerate() {
-        cum += b.load(Ordering::Relaxed);
-        if cum >= target {
-            if i == 0 {
-                return 0;
-            }
-            let lo = 1u64 << (i - 1);
-            let hi = 1u64.checked_shl(i as u32).unwrap_or(u64::MAX);
-            // The bucket midpoint can overshoot the largest recorded
-            // value; a reported percentile must never exceed the max.
-            return (lo + (hi - lo) / 2).min(REGISTRY.wall_us_max.load(Ordering::Relaxed));
-        }
-    }
-    REGISTRY.wall_us_max.load(Ordering::Relaxed)
-}
-
-/// One metric in a snapshot: a stable name, an optional shard index, and
-/// the value at snapshot time.
+/// One metric in a snapshot: a stable name and its value at snapshot
+/// time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsSample {
     /// Stable snake_case metric name.
     pub name: &'static str,
-    /// Scheduler shard, for per-shard instruments.
-    pub shard: Option<usize>,
     /// Value at snapshot time.
     pub value: u64,
 }
@@ -440,9 +311,8 @@ pub struct ObsSample {
 pub struct ObsSnapshot {
     /// Milliseconds since [`enable`] when the snapshot was taken.
     pub elapsed_ms: u64,
-    /// Nonzero instruments, in registry order (scalar counters, then
-    /// per-shard counters by shard, then gauges, then derived histogram
-    /// and occupancy stats).
+    /// Nonzero instruments, in registry order (counters, then the queue
+    /// depth gauge, then derived occupancy and histogram stats).
     pub samples: Vec<ObsSample>,
 }
 
@@ -450,44 +320,23 @@ pub struct ObsSnapshot {
 /// the flight recorder — see [`record_snapshot`]).
 pub fn snapshot_now() -> ObsSnapshot {
     let mut samples = Vec::new();
-    let mut push = |name: &'static str, shard: Option<usize>, value: u64| {
+    let mut push = |name: &'static str, value: u64| {
         if value != 0 {
-            samples.push(ObsSample { name, shard, value });
+            samples.push(ObsSample { name, value });
         }
     };
     for c in Ctr::ALL {
-        push(c.label(), None, counter(c));
+        push(c.label(), counter(c));
     }
-    for c in ShardCtr::ALL {
-        for shard in 0..MAX_SHARDS {
-            push(c.label(), Some(shard), shard_counter(c, shard));
-        }
-    }
-    for g in ShardGauge::ALL {
-        for shard in 0..MAX_SHARDS {
-            push(g.label(), Some(shard), shard_gauge(g, shard));
-        }
-    }
-    push(
-        "grid_jobs_peak",
-        None,
-        REGISTRY.jobs_peak.load(Ordering::Relaxed),
-    );
-    let count = REGISTRY.wall_us_count.load(Ordering::Relaxed);
-    push("grid_exp_wall_us_count", None, count);
-    if count > 0 {
-        push(
-            "grid_exp_wall_us_sum",
-            None,
-            REGISTRY.wall_us_sum.load(Ordering::Relaxed),
-        );
-        push("grid_exp_wall_us_p50", None, wall_us_percentile(50));
-        push("grid_exp_wall_us_p90", None, wall_us_percentile(90));
-        push(
-            "grid_exp_wall_us_max",
-            None,
-            REGISTRY.wall_us_max.load(Ordering::Relaxed),
-        );
+    push("sim_queue_depth_hwm", queue_depth_hwm());
+    push("grid_jobs_peak", REGISTRY.jobs_peak.load(Ordering::Relaxed));
+    let wall = REGISTRY.wall_us.lock().unwrap().clone();
+    push("grid_exp_wall_us_count", wall.count());
+    if wall.count() > 0 {
+        push("grid_exp_wall_us_sum", wall.sum());
+        push("grid_exp_wall_us_p50", wall.percentile(0.5).round() as u64);
+        push("grid_exp_wall_us_p90", wall.percentile(0.9).round() as u64);
+        push("grid_exp_wall_us_max", wall.max());
     }
     ObsSnapshot {
         elapsed_ms: elapsed_ms(),
@@ -542,18 +391,11 @@ pub fn start_sampler(period_ms: u64) {
 }
 
 /// Renders one snapshot as the single flight-recorder line:
-/// `[t+MSms] name=value name{shard=N}=value ...` (nonzero metrics only).
+/// `[t+MSms] name=value ...` (nonzero metrics only).
 pub fn render_snapshot_line(s: &ObsSnapshot) -> String {
     let mut out = format!("[t+{}ms]", s.elapsed_ms);
     for smp in &s.samples {
-        match smp.shard {
-            Some(sh) => {
-                let _ = write!(out, " {}{{shard={sh}}}={}", smp.name, smp.value);
-            }
-            None => {
-                let _ = write!(out, " {}={}", smp.name, smp.value);
-            }
-        }
+        let _ = write!(out, " {}={}", smp.name, smp.value);
     }
     if s.samples.is_empty() {
         out.push_str(" (all metrics zero)");
@@ -577,11 +419,11 @@ pub fn render_flight_recorder(snaps: &[ObsSnapshot]) -> String {
     out
 }
 
-/// Value of `name` (with optional shard) in a snapshot; zero if absent.
-fn get(s: &ObsSnapshot, name: &str, shard: Option<usize>) -> u64 {
+/// Value of `name` in a snapshot; zero if absent.
+fn get(s: &ObsSnapshot, name: &str) -> u64 {
     s.samples
         .iter()
-        .find(|m| m.name == name && m.shard == shard)
+        .find(|m| m.name == name)
         .map_or(0, |m| m.value)
 }
 
@@ -604,40 +446,19 @@ pub fn render_table(s: &ObsSnapshot) -> String {
         s.elapsed_ms
     );
 
-    // Engine: per-shard event throughput and queue depths.
-    let shards_used: Vec<usize> = (0..MAX_SHARDS)
-        .filter(|&sh| {
-            get(s, "sim_events_popped", Some(sh)) != 0 || get(s, "sim_events_pushed", Some(sh)) != 0
-        })
-        .collect();
-    if !shards_used.is_empty() {
-        let popped: u64 = shards_used
-            .iter()
-            .map(|&sh| get(s, "sim_events_popped", Some(sh)))
-            .sum();
-        let pushed: u64 = shards_used
-            .iter()
-            .map(|&sh| get(s, "sim_events_pushed", Some(sh)))
-            .sum();
+    let popped = get(s, "sim_events_popped");
+    let pushed = get(s, "sim_events_pushed");
+    if popped + pushed > 0 {
         let _ = writeln!(
             out,
-            "  engine     events popped {popped} ({:.0}/s), pushed {pushed}, shards {}",
+            "  engine     events popped {popped} ({:.0}/s), pushed {pushed}, depth high-water {}",
             popped as f64 / secs,
-            shards_used.len()
+            get(s, "sim_queue_depth_hwm")
         );
-        for &sh in &shards_used {
-            let p = get(s, "sim_events_popped", Some(sh));
-            let _ = writeln!(
-                out,
-                "             shard {sh}: popped {p} ({:.0}/s), depth high-water {}",
-                p as f64 / secs,
-                get(s, "sim_queue_depth_hwm", Some(sh))
-            );
-        }
     }
 
-    let inline = get(s, "sim_call_inline", None);
-    let boxed = get(s, "sim_call_boxed", None);
+    let inline = get(s, "sim_call_inline");
+    let boxed = get(s, "sim_call_boxed");
     if inline + boxed > 0 {
         let _ = writeln!(
             out,
@@ -646,10 +467,10 @@ pub fn render_table(s: &ObsSnapshot) -> String {
         );
     }
 
-    let take_r = get(s, "sim_pool_take_recycled", None);
-    let take_f = get(s, "sim_pool_take_fresh", None);
-    let put_r = get(s, "sim_pool_put_recycled", None);
-    let put_d = get(s, "sim_pool_put_dropped", None);
+    let take_r = get(s, "sim_pool_take_recycled");
+    let take_f = get(s, "sim_pool_take_fresh");
+    let put_r = get(s, "sim_pool_put_recycled");
+    let put_d = get(s, "sim_pool_put_dropped");
     if take_r + take_f + put_r + put_d > 0 {
         let _ = writeln!(
             out,
@@ -661,62 +482,34 @@ pub fn render_table(s: &ObsSnapshot) -> String {
         );
     }
 
-    // ParEngine: barrier-wait share of shard time, per shard.
-    let par_shards: Vec<usize> = (0..MAX_SHARDS)
-        .filter(|&sh| get(s, "par_quanta", Some(sh)) != 0)
-        .collect();
-    if !par_shards.is_empty() {
-        let same = get(s, "par_msgs_same_shard", None);
-        let cross = get(s, "par_msgs_cross_shard", None);
-        let quanta: u64 = par_shards
-            .iter()
-            .map(|&sh| get(s, "par_quanta", Some(sh)))
-            .sum();
-        let _ = writeln!(
-            out,
-            "  parengine  quanta {quanta}, mailbox traffic same-shard {same} / cross-shard {cross}",
-        );
-        for &sh in &par_shards {
-            let wait = get(s, "par_barrier_wait_ns", Some(sh));
-            let busy = get(s, "par_busy_ns", Some(sh));
-            let _ = writeln!(
-                out,
-                "             shard {sh}: quanta {}, barrier wait {:.1}ms ({:.1}% of shard time)",
-                get(s, "par_quanta", Some(sh)),
-                wait as f64 / 1e6,
-                pct(wait, wait + busy)
-            );
-        }
-    }
-
-    let hits = get(s, "cache_hits", None);
-    let misses = get(s, "cache_misses", None);
+    let hits = get(s, "cache_hits");
+    let misses = get(s, "cache_misses");
     if hits + misses > 0 {
         let _ = writeln!(
             out,
             "  cache      hits {hits}, misses {misses}, bytes read {}, corrupt recovered {}",
-            get(s, "cache_bytes_read", None),
-            get(s, "cache_corrupt_recovered", None)
+            get(s, "cache_bytes_read"),
+            get(s, "cache_corrupt_recovered")
         );
     }
 
-    let runs = get(s, "grid_experiments_run", None);
+    let runs = get(s, "grid_experiments_run");
     if runs > 0 {
         let _ = writeln!(
             out,
             "  grid       experiments {runs} (cached {}), peak jobs {}, wall/exp p50 {}us p90 {}us max {}us",
-            get(s, "grid_experiments_cached", None),
-            get(s, "grid_jobs_peak", None),
-            get(s, "grid_exp_wall_us_p50", None),
-            get(s, "grid_exp_wall_us_p90", None),
-            get(s, "grid_exp_wall_us_max", None)
+            get(s, "grid_experiments_cached"),
+            get(s, "grid_jobs_peak"),
+            get(s, "grid_exp_wall_us_p50"),
+            get(s, "grid_exp_wall_us_p90"),
+            get(s, "grid_exp_wall_us_max")
         );
     }
     out
 }
 
 /// Renders flight-recorder snapshots as machine-readable JSON:
-/// `{"snapshots":[{"elapsed_ms":N,"samples":[{"name":..,"shard":..,"value":..},..]},..]}`.
+/// `{"snapshots":[{"elapsed_ms":N,"samples":[{"name":..,"value":..},..]},..]}`.
 pub fn render_json(snaps: &[ObsSnapshot]) -> String {
     let mut out = String::from("{\"snapshots\":[");
     for (i, s) in snaps.iter().enumerate() {
@@ -728,18 +521,7 @@ pub fn render_json(snaps: &[ObsSnapshot]) -> String {
             if j > 0 {
                 out.push(',');
             }
-            match m.shard {
-                Some(sh) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"shard\":{sh},\"value\":{}}}",
-                        m.name, m.value
-                    );
-                }
-                None => {
-                    let _ = write!(out, "{{\"name\":\"{}\",\"value\":{}}}", m.name, m.value);
-                }
-            }
+            let _ = write!(out, "{{\"name\":\"{}\",\"value\":{}}}", m.name, m.value);
         }
         out.push_str("]}");
     }
@@ -748,23 +530,12 @@ pub fn render_json(snaps: &[ObsSnapshot]) -> String {
 }
 
 /// Renders one snapshot as Prometheus text exposition (`wwt_`-prefixed
-/// gauges; per-shard instruments become a `shard` label).
+/// gauges).
 pub fn render_prometheus(s: &ObsSnapshot) -> String {
     let mut out = String::new();
-    let mut last_name = "";
     for m in &s.samples {
-        if m.name != last_name {
-            let _ = writeln!(out, "# TYPE wwt_{} gauge", m.name);
-            last_name = m.name;
-        }
-        match m.shard {
-            Some(sh) => {
-                let _ = writeln!(out, "wwt_{}{{shard=\"{sh}\"}} {}", m.name, m.value);
-            }
-            None => {
-                let _ = writeln!(out, "wwt_{} {}", m.name, m.value);
-            }
-        }
+        let _ = writeln!(out, "# TYPE wwt_{} gauge", m.name);
+        let _ = writeln!(out, "wwt_{} {}", m.name, m.value);
     }
     let _ = writeln!(out, "wwt_obs_elapsed_ms {}", s.elapsed_ms);
     out
@@ -782,11 +553,15 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         disable();
         let before = counter(Ctr::SimCallInline);
+        let popped = counter(Ctr::SimEventsPopped);
+        let hwm = queue_depth_hwm();
         count(Ctr::SimCallInline, 5);
-        shard_count(ShardCtr::SimEventsPopped, 0, 5);
-        shard_max(ShardGauge::SimQueueDepthHwm, 0, 999_999);
+        count(Ctr::SimEventsPopped, 5);
+        max_queue_depth(999_999);
         record_wall_us(123);
         assert_eq!(counter(Ctr::SimCallInline), before);
+        assert_eq!(counter(Ctr::SimEventsPopped), popped);
+        assert_eq!(queue_depth_hwm(), hwm);
         // Ungated cache counters tick anyway.
         let cb = counter(Ctr::CacheHits);
         count_always(Ctr::CacheHits, 2);
@@ -799,15 +574,12 @@ mod tests {
         enable();
         reset();
         count(Ctr::SimCallBoxed, 3);
-        shard_count(ShardCtr::SimEventsPushed, 2, 7);
-        shard_max(ShardGauge::SimQueueDepthHwm, 2, 40);
-        shard_max(ShardGauge::SimQueueDepthHwm, 2, 10); // below HWM: no-op
+        count(Ctr::SimEventsPushed, 7);
+        max_queue_depth(40);
+        max_queue_depth(10); // below HWM: no-op
         assert_eq!(counter(Ctr::SimCallBoxed), 3);
-        assert_eq!(shard_counter(ShardCtr::SimEventsPushed, 2), 7);
-        assert_eq!(shard_gauge(ShardGauge::SimQueueDepthHwm, 2), 40);
-        // Out-of-range shards clamp instead of panicking.
-        shard_count(ShardCtr::SimEventsPushed, MAX_SHARDS + 10, 1);
-        assert_eq!(shard_counter(ShardCtr::SimEventsPushed, MAX_SHARDS - 1), 1);
+        assert_eq!(counter(Ctr::SimEventsPushed), 7);
+        assert_eq!(queue_depth_hwm(), 40);
         disable();
     }
 
@@ -817,12 +589,19 @@ mod tests {
         enable();
         reset();
         count(Ctr::SimCallInline, 10);
-        shard_count(ShardCtr::SimEventsPopped, 1, 4);
+        count(Ctr::SimEventsPopped, 4);
         let s = snapshot_now();
         assert!(s.samples.iter().all(|m| m.value != 0), "{s:?}");
-        assert_eq!(get(&s, "sim_call_inline", None), 10);
-        assert_eq!(get(&s, "sim_events_popped", Some(1)), 4);
-        assert_eq!(get(&s, "sim_events_popped", Some(0)), 0);
+        assert_eq!(get(&s, "sim_call_inline"), 10);
+        assert_eq!(get(&s, "sim_events_popped"), 4);
+        assert_eq!(
+            s.samples
+                .iter()
+                .filter(|m| m.name == "sim_events_popped")
+                .count(),
+            1,
+            "one sample per metric: {s:?}"
+        );
         disable();
     }
 
@@ -842,7 +621,7 @@ mod tests {
         // Oldest first: the retained run counts are the *last* N.
         let runs: Vec<u64> = snaps
             .iter()
-            .map(|s| get(s, "grid_experiments_run", None))
+            .map(|s| get(s, "grid_experiments_run"))
             .collect();
         assert!(runs.windows(2).all(|w| w[0] < w[1]), "{runs:?}");
         assert_eq!(*runs.last().unwrap(), (FLIGHT_RECORDER_CAP + 3) as u64);
@@ -871,19 +650,17 @@ mod tests {
             samples: vec![
                 ObsSample {
                     name: "sim_events_popped",
-                    shard: Some(0),
                     value: 42,
                 },
                 ObsSample {
                     name: "cache_hits",
-                    shard: None,
                     value: 3,
                 },
             ],
         };
         assert_eq!(
             render_snapshot_line(&s),
-            "[t+120ms] sim_events_popped{shard=0}=42 cache_hits=3"
+            "[t+120ms] sim_events_popped=42 cache_hits=3"
         );
         assert_eq!(
             render_snapshot_line(&ObsSnapshot::default()),
@@ -898,24 +675,22 @@ mod tests {
             samples: vec![
                 ObsSample {
                     name: "cache_hits",
-                    shard: None,
                     value: 3,
                 },
                 ObsSample {
                     name: "sim_events_popped",
-                    shard: Some(1),
                     value: 9,
                 },
             ],
         };
         let json = render_json(std::slice::from_ref(&s));
         assert!(json.starts_with("{\"snapshots\":["));
-        assert!(json.contains("\"name\":\"sim_events_popped\",\"shard\":1,\"value\":9"));
+        assert!(json.contains("{\"name\":\"sim_events_popped\",\"value\":9}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let prom = render_prometheus(&s);
         assert!(prom.contains("# TYPE wwt_cache_hits gauge"));
         assert!(prom.contains("wwt_cache_hits 3"));
-        assert!(prom.contains("wwt_sim_events_popped{shard=\"1\"} 9"));
+        assert!(prom.contains("wwt_sim_events_popped 9"));
     }
 
     #[test]
@@ -926,12 +701,16 @@ mod tests {
         for v in [100u64, 200, 400, 800, 100_000] {
             record_wall_us(v);
         }
-        let p50 = wall_us_percentile(50);
-        let p90 = wall_us_percentile(90);
-        assert!(p50 > 0 && p50 <= p90, "p50={p50} p90={p90}");
         let s = snapshot_now();
-        assert_eq!(get(&s, "grid_exp_wall_us_count", None), 5);
-        assert!(get(&s, "grid_exp_wall_us_max", None) >= 100_000);
+        let (p50, p90) = (
+            get(&s, "grid_exp_wall_us_p50"),
+            get(&s, "grid_exp_wall_us_p90"),
+        );
+        assert!(p50 > 0 && p50 <= p90, "p50={p50} p90={p90}");
+        assert_eq!(get(&s, "grid_exp_wall_us_count"), 5);
+        assert_eq!(get(&s, "grid_exp_wall_us_sum"), 101_500);
+        assert_eq!(get(&s, "grid_exp_wall_us_max"), 100_000);
+        assert!(p90 <= 100_000, "a percentile never exceeds the max");
         disable();
     }
 
@@ -945,7 +724,7 @@ mod tests {
         job_exit();
         job_enter();
         let s = snapshot_now();
-        assert_eq!(get(&s, "grid_jobs_peak", None), 2);
+        assert_eq!(get(&s, "grid_jobs_peak"), 2);
         job_exit();
         job_exit();
         job_exit(); // extra exits saturate at zero

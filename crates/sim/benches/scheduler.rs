@@ -1,7 +1,6 @@
 //! Scheduler microbenchmarks: the legacy binary-heap [`EventQueue`]
-//! against the engine's [`CalendarQueue`] and its quantum-synchronized
-//! sharded composition, driven by an EM3D-like event stream, plus the
-//! threaded parallel engine across shard counts on the ring workload.
+//! against the engine's [`CalendarQueue`], driven by an EM3D-like event
+//! stream.
 //!
 //! The event stream mirrors what the em3d experiments feed the
 //! scheduler: the overwhelming majority of events land one network
@@ -13,9 +12,8 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use wwt_sim::event::{Action, CalendarQueue, EventQueue, ShardedQueue};
-use wwt_sim::parallel::workloads::install_ring;
-use wwt_sim::{ParConfig, ParEngine, ProcId};
+use wwt_sim::event::{Action, CalendarQueue, Event, EventQueue};
+use wwt_sim::ProcId;
 
 const NPROCS: usize = 32;
 const EVENTS: u64 = 100_000;
@@ -34,132 +32,62 @@ fn next_delay(state: &mut u64) -> u64 {
     }
 }
 
-/// Pop-schedule churn on the binary-heap reference queue; returns an
-/// order-sensitive checksum of the pop sequence.
+/// Pop-schedule churn on one scheduler (given as its empty queue and its
+/// `push`/`pop` methods); returns an order-sensitive checksum of the pop
+/// sequence.
+fn churn<Q>(
+    mut q: Q,
+    push: impl Fn(&mut Q, u64, Action),
+    pop: impl Fn(&mut Q) -> Option<Event>,
+) -> u64 {
+    for p in 0..NPROCS {
+        push(&mut q, p as u64, Action::Resume(ProcId::new(p)));
+    }
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut fold = 0u64;
+    for _ in 0..EVENTS {
+        let ev = pop(&mut q).expect("queue never drains");
+        fold = fold
+            .rotate_left(7)
+            .wrapping_add(ev.time)
+            .wrapping_add(ev.seq);
+        let p = match ev.action {
+            Action::Resume(p) => p,
+            Action::Call(_) => unreachable!("bench schedules only resumes"),
+        };
+        push(&mut q, ev.time + next_delay(&mut rng), Action::Resume(p));
+    }
+    fold
+}
+
 fn churn_heap() -> u64 {
-    let mut q = EventQueue::new();
-    for p in 0..NPROCS {
-        q.push(p as u64, Action::Resume(ProcId::new(p)));
-    }
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut fold = 0u64;
-    for _ in 0..EVENTS {
-        let ev = q.pop().expect("queue never drains");
-        fold = fold
-            .rotate_left(7)
-            .wrapping_add(ev.time)
-            .wrapping_add(ev.seq);
-        let p = match ev.action {
-            Action::Resume(p) => p,
-            Action::Call(_) => unreachable!("bench schedules only resumes"),
-        };
-        q.push(ev.time + next_delay(&mut rng), Action::Resume(p));
-    }
-    fold
+    churn(EventQueue::new(), EventQueue::push, EventQueue::pop)
 }
 
-/// The same churn on a scheduler with explicit sequence numbers (the
-/// calendar queue) or shard routing (the sharded composition).
 fn churn_calendar() -> u64 {
-    let mut q = CalendarQueue::new();
-    let mut seq = 0u64;
-    for p in 0..NPROCS {
-        q.push(p as u64, seq, Action::Resume(ProcId::new(p)));
-        seq += 1;
-    }
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut fold = 0u64;
-    for _ in 0..EVENTS {
-        let ev = q.pop().expect("queue never drains");
-        fold = fold
-            .rotate_left(7)
-            .wrapping_add(ev.time)
-            .wrapping_add(ev.seq);
-        let p = match ev.action {
-            Action::Resume(p) => p,
-            Action::Call(_) => unreachable!("bench schedules only resumes"),
-        };
-        q.push(ev.time + next_delay(&mut rng), seq, Action::Resume(p));
-        seq += 1;
-    }
-    fold
-}
-
-fn churn_sharded(nshards: usize) -> u64 {
-    let mut q = ShardedQueue::new(nshards);
-    for p in 0..NPROCS {
-        q.push_to(
-            p * nshards / NPROCS,
-            p as u64,
-            Action::Resume(ProcId::new(p)),
-        );
-    }
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut fold = 0u64;
-    for _ in 0..EVENTS {
-        let ev = q.pop().expect("queue never drains");
-        fold = fold
-            .rotate_left(7)
-            .wrapping_add(ev.time)
-            .wrapping_add(ev.seq);
-        let p = match ev.action {
-            Action::Resume(p) => p,
-            Action::Call(_) => unreachable!("bench schedules only resumes"),
-        };
-        q.push_to(
-            p.index() * nshards / NPROCS,
-            ev.time + next_delay(&mut rng),
-            Action::Resume(p),
-        );
-    }
-    fold
+    churn(
+        CalendarQueue::new(),
+        CalendarQueue::push,
+        CalendarQueue::pop,
+    )
 }
 
 fn bench_schedulers(c: &mut Criterion) {
-    // The three schedulers implement one ordering contract: identical
-    // pop sequences (and therefore identical simulations) — the bench
-    // only compares their speed.
-    let reference = churn_heap();
-    assert_eq!(reference, churn_calendar(), "calendar pop order diverged");
-    for n in [1, 4] {
-        assert_eq!(
-            reference,
-            churn_sharded(n),
-            "sharded({n}) pop order diverged"
-        );
-    }
+    // Both schedulers implement one ordering contract: identical pop
+    // sequences (and therefore identical simulations) — the bench only
+    // compares their speed.
+    assert_eq!(
+        churn_heap(),
+        churn_calendar(),
+        "calendar pop order diverged"
+    );
 
     let mut g = c.benchmark_group("scheduler");
     g.sample_size(10);
     g.bench_function("binary-heap", |b| b.iter(|| black_box(churn_heap())));
     g.bench_function("calendar", |b| b.iter(|| black_box(churn_calendar())));
-    g.bench_function("sharded-1", |b| b.iter(|| black_box(churn_sharded(1))));
-    g.bench_function("sharded-4", |b| b.iter(|| black_box(churn_sharded(4))));
     g.finish();
 }
 
-fn bench_par_engine(c: &mut Criterion) {
-    let ring = |shards: usize| {
-        let cfg = ParConfig {
-            shards,
-            ..ParConfig::default()
-        };
-        let mut eng = ParEngine::new(NPROCS, cfg);
-        install_ring(&mut eng, NPROCS, 50, 500);
-        eng.run()
-    };
-    let baseline = ring(1);
-    let mut g = c.benchmark_group("par-engine-ring");
-    g.sample_size(5);
-    for shards in [1usize, 2, 4, 8] {
-        let report = ring(shards);
-        assert_eq!(baseline, report, "shards={shards} changed the results");
-        g.bench_function(&format!("shards-{shards}"), |b| {
-            b.iter(|| black_box(ring(shards).elapsed()))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_schedulers, bench_par_engine);
+criterion_group!(benches, bench_schedulers);
 criterion_main!(benches);

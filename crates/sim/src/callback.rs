@@ -1,10 +1,10 @@
 //! A heap-avoiding `FnOnce()` container for scheduled simulator actions.
 //!
 //! Every coherence transaction, message delivery, and replacement hint
-//! schedules a callback through [`crate::Sim::call_at`] /
-//! [`crate::Sim::call_at_for`]. Boxing each closure put tens of millions
-//! of 32–40 byte heap allocations on the paper-scale runs' hot path;
-//! allocator time alone was close to a quarter of wall clock.
+//! schedules a callback through [`crate::Sim::call_at`]. Boxing each
+//! closure put tens of millions of 32–40 byte heap allocations on the
+//! paper-scale runs' hot path; allocator time alone was close to a
+//! quarter of wall clock.
 //! [`SmallCall`] stores closures of up to [`INLINE_BYTES`] captured bytes
 //! inline in the event entry itself and falls back to `Box` only for
 //! larger captures, so the common case allocates nothing.

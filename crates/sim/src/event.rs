@@ -1,23 +1,15 @@
-//! Event scheduling: the calendar-queue scheduler, its sharded
-//! (quantum-synchronized) composition, and the legacy binary-heap queue.
+//! Event scheduling: the calendar-queue scheduler and the legacy
+//! binary-heap queue it is tested against.
 //!
 //! Events are ordered by (timestamp, sequence number); the sequence number
 //! makes processing order deterministic for simultaneous events (FIFO).
-//! Three schedulers implement that contract:
+//! Two schedulers implement that contract:
 //!
 //! * [`CalendarQueue`] — the engine's scheduler. A ring of per-cycle FIFO
 //!   slots covering the near future plus an overflow heap for far-future
 //!   events. Simulated events overwhelmingly land within a few network
 //!   latencies of the present, so push and pop are O(1) instead of the
 //!   heap's O(log n).
-//! * [`ShardedQueue`] — one [`CalendarQueue`] per shard of the simulated
-//!   machine, sharing a single global sequence counter. Cross-processor
-//!   events are routed to the owning shard and popped by a deterministic
-//!   (time, seq) merge across shard heads, which makes the pop order —
-//!   and therefore every simulation result — byte-identical to a single
-//!   global queue for **any** shard count. This is the WWT discipline's
-//!   event-queue half: each shard's queue can be advanced independently
-//!   up to a quantum boundary, and the merge is the boundary exchange.
 //! * [`EventQueue`] — the original `BinaryHeap` scheduler, kept as the
 //!   reference implementation and the baseline for the scheduler benches
 //!   (`benches/scheduler.rs`).
@@ -128,31 +120,6 @@ const RING_MASK: u64 = (RING as u64) - 1;
 /// One occupancy bit per slot, one summary bit per 64-slot word.
 const WORDS: usize = RING / 64;
 
-/// A far-future event parked in the overflow heap, ordered like [`Event`].
-struct Parked {
-    time: Cycles,
-    seq: u64,
-    action: Action,
-}
-
-impl PartialEq for Parked {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Parked {}
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Parked {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behaviour inside BinaryHeap.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 /// One calendar slot: the FIFO of events scheduled for one exact cycle.
 /// `head` indexes the next event to pop; the vector is cleared (not
 /// shifted) once fully drained, so a slot's allocation is reused across
@@ -186,24 +153,15 @@ pub struct CalendarQueue {
     words: [u64; WORDS],
     /// Summary bit per word of `words`.
     summary: u64,
-    /// Lower bound on every ring event's time; advanced by pops and by
+    /// Lower bound on every pending event's time; advanced by pops and by
     /// sparse-gap jumps. Never rewound: the ring's slot→time mapping is
     /// anchored to it.
     cursor: Cycles,
-    /// Events in the ring (excludes overflow and front).
+    /// Events in the ring (excludes overflow).
     ring_len: usize,
-    overflow: BinaryHeap<Parked>,
-    /// Events that arrived *behind* the cursor. In a sharded queue a
-    /// shard's cursor may jump ahead of global time (a sparse-gap jump to
-    /// its own overflow minimum) and then be handed an event at an
-    /// earlier, still-legal global time. Such events are strictly earlier
-    /// than everything in the ring, so this heap always pops first.
-    front: BinaryHeap<Parked>,
-    /// Memoized head key. `peek_key` fills it; `pop` clears it; `push`
-    /// tightens it when the new event undercuts the cached head. Keeps
-    /// the sharded merge — which peeks every shard per pop — from
-    /// re-scanning N-1 unchanged bitmaps per event.
-    head_cache: Option<(Cycles, u64)>,
+    /// Far-future events, earliest on top.
+    overflow: BinaryHeap<Event>,
+    next_seq: u64,
 }
 
 impl fmt::Debug for CalendarQueue {
@@ -225,8 +183,7 @@ impl Default for CalendarQueue {
             cursor: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
-            front: BinaryHeap::new(),
-            head_cache: None,
+            next_seq: 0,
         }
     }
 }
@@ -239,7 +196,7 @@ impl CalendarQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len() + self.front.len()
+        self.ring_len + self.overflow.len()
     }
 
     /// Whether the queue is empty.
@@ -247,21 +204,15 @@ impl CalendarQueue {
         self.len() == 0
     }
 
-    /// Schedules `(time, seq, action)`. Any `time` is accepted: events
-    /// behind the cursor (possible after a sparse-gap cursor jump in a
-    /// sharded queue) go to the front heap and pop before the ring.
-    pub fn push(&mut self, time: Cycles, seq: u64, action: Action) {
-        if let Some(c) = self.head_cache {
-            if (time, seq) < c {
-                self.head_cache = Some((time, seq));
-            }
-        }
-        if time < self.cursor {
-            self.front.push(Parked { time, seq, action });
-            return;
-        }
+    /// Schedules `action` at absolute time `time`, which must not precede
+    /// the last popped event (the engine rejects past events before they
+    /// get here).
+    pub fn push(&mut self, time: Cycles, action: Action) {
+        debug_assert!(time >= self.cursor, "event at {time} behind the cursor");
+        let seq = self.next_seq;
+        self.next_seq += 1;
         if time - self.cursor >= RING as u64 {
-            self.overflow.push(Parked { time, seq, action });
+            self.overflow.push(Event { time, seq, action });
             return;
         }
         self.ring_insert(time, seq, action);
@@ -296,10 +247,10 @@ impl CalendarQueue {
         while self
             .overflow
             .peek()
-            .is_some_and(|p| p.time - self.cursor < RING as u64)
+            .is_some_and(|e| e.time - self.cursor < RING as u64)
         {
-            let p = self.overflow.pop().expect("peeked");
-            self.ring_insert(p.time, p.seq, p.action);
+            let e = self.overflow.pop().expect("peeked");
+            self.ring_insert(e.time, e.seq, e.action);
         }
     }
 
@@ -346,38 +297,8 @@ impl CalendarQueue {
         }
     }
 
-    /// The `(time, seq)` key of the earliest event without removing it.
-    pub fn peek_key(&mut self) -> Option<(Cycles, u64)> {
-        if let Some(k) = self.head_cache {
-            return Some(k);
-        }
-        // Front events are strictly behind the cursor, hence strictly
-        // earlier than every ring and overflow event.
-        if let Some(p) = self.front.peek() {
-            let k = (p.time, p.seq);
-            self.head_cache = Some(k);
-            return Some(k);
-        }
-        self.migrate_overflow();
-        let idx = self.next_slot()?;
-        let slot = &self.slots[idx];
-        let k = (self.slot_time(idx), slot.items[slot.head].0);
-        self.head_cache = Some(k);
-        Some(k)
-    }
-
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.head_cache = None;
-        if let Some(p) = self.front.pop() {
-            // The cursor stays put: it anchors the ring mapping and is
-            // already ahead of this event.
-            return Some(Event {
-                time: p.time,
-                seq: p.seq,
-                action: p.action,
-            });
-        }
         self.migrate_overflow();
         let idx = self.next_slot()?;
         let time = self.slot_time(idx);
@@ -401,117 +322,20 @@ impl CalendarQueue {
     }
 }
 
-/// Per-shard calendar queues behind one global sequence counter: the
-/// event-queue half of the quantum-synchronized (WWT) engine.
-///
-/// Every event is routed to the shard that owns its target processor
-/// (engine-global events go to shard 0). [`ShardedQueue::pop`] merges the
-/// shard heads by `(time, seq)`, so the pop order is byte-identical to a
-/// single global queue **for any shard count** — sharding the schedule
-/// can never change a simulation result. A shard's queue is independently
-/// advanceable up to the quantum boundary, which is what lets worker
-/// threads own shards in the parallel engine (`crate::parallel`).
-pub struct ShardedQueue {
-    shards: Vec<CalendarQueue>,
-    next_seq: u64,
-    /// Host-metrics flag, cached at construction (`SimConfig::trace`
-    /// discipline: one predictable branch per push/pop, no atomic load).
-    obs: bool,
-}
-
-impl fmt::Debug for ShardedQueue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedQueue")
-            .field("shards", &self.shards.len())
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl ShardedQueue {
-    /// Creates a queue over `nshards` shards (at least one).
-    pub fn new(nshards: usize) -> Self {
-        ShardedQueue {
-            shards: (0..nshards.max(1)).map(|_| CalendarQueue::new()).collect(),
-            next_seq: 0,
-            obs: wwt_obs::enabled(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `action` at `time` on `shard` (clamped to the shard
-    /// count), assigning the next global sequence number.
-    pub fn push_to(&mut self, shard: usize, time: Cycles, action: Action) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let shard = shard.min(self.shards.len() - 1);
-        self.shards[shard].push(time, seq, action);
-        if self.obs {
-            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPushed, shard, 1);
-            wwt_obs::shard_max(
-                wwt_obs::ShardGauge::SimQueueDepthHwm,
-                shard,
-                self.shards[shard].len() as u64,
-            );
-        }
-    }
-
-    /// Schedules an engine-global `action` (no processor affinity) on
-    /// shard 0.
-    pub fn push(&mut self, time: Cycles, action: Action) {
-        self.push_to(0, time, action);
-    }
-
-    /// Removes and returns the globally earliest event: the deterministic
-    /// `(time, seq)` merge across shard heads.
-    pub fn pop(&mut self) -> Option<Event> {
-        if self.shards.len() == 1 {
-            let e = self.shards[0].pop();
-            if self.obs && e.is_some() {
-                wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPopped, 0, 1);
-            }
-            return e;
-        }
-        let mut best: Option<(Cycles, u64, usize)> = None;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if let Some((t, s)) = shard.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, i));
-                }
-            }
-        }
-        let (_, _, i) = best?;
-        if self.obs {
-            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPopped, i, 1);
-        }
-        self.shards[i].pop()
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn resume(p: usize) -> Action {
+        Action::Resume(ProcId::new(p))
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(30, Action::Resume(ProcId::new(0)));
-        q.push(10, Action::Resume(ProcId::new(1)));
-        q.push(20, Action::Resume(ProcId::new(2)));
+        q.push(30, resume(0));
+        q.push(10, resume(1));
+        q.push(20, resume(2));
         let order: Vec<Cycles> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
@@ -520,7 +344,7 @@ mod tests {
     fn simultaneous_events_pop_fifo() {
         let mut q = EventQueue::new();
         for i in 0..5 {
-            q.push(100, Action::Resume(ProcId::new(i)));
+            q.push(100, resume(i));
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.action {
@@ -535,53 +359,17 @@ mod tests {
     fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(1, Action::Resume(ProcId::new(0)));
+        q.push(1, resume(0));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
     }
 
-    /// Drives a reference [`EventQueue`] and a [`ShardedQueue`] through
-    /// the same randomized push/pop schedule and asserts identical pop
-    /// order. `proc_of` tags each event with a fake processor id so the
-    /// sharded queue exercises its routing.
-    fn lockstep(nshards: usize, pushes: &[(Cycles, usize)]) {
-        let nprocs = 8;
-        let mut reference = EventQueue::new();
-        let mut sharded = ShardedQueue::new(nshards);
-        let mut i = 0;
-        let mut now = 0;
-        // Interleave: two pushes, one pop, like a running simulation.
-        loop {
-            for _ in 0..2 {
-                if let Some(&(dt, p)) = pushes.get(i) {
-                    let t = now + dt;
-                    reference.push(t, Action::Resume(ProcId::new(p)));
-                    let shard = p * nshards / nprocs;
-                    sharded.push_to(shard, t, Action::Resume(ProcId::new(p)));
-                    i += 1;
-                }
-            }
-            match (reference.pop(), sharded.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.time, a.seq), (b.time, b.seq), "pop order diverged");
-                    now = a.time;
-                }
-                (a, b) => panic!(
-                    "queues disagree on emptiness: reference={:?} sharded={:?}",
-                    a.map(|e| e.time),
-                    b.map(|e| e.time)
-                ),
-            }
-            assert_eq!(reference.len(), sharded.len());
-        }
-    }
-
     #[test]
-    fn sharded_queue_matches_heap_order_for_any_shard_count() {
+    fn calendar_matches_heap_order() {
         // Deterministic pseudo-random schedule, including same-cycle
-        // collisions (dt 0) and far-future overflow events (dt > RING).
+        // collisions (dt 0), ring-range delays, and far-future overflow
+        // events (dt > RING), each relative to the last popped time.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut step = || {
             state = state
@@ -589,20 +377,40 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let pushes: Vec<(Cycles, usize)> = (0..500)
+        let delays: Vec<Cycles> = (0..500)
             .map(|_| {
                 let r = step();
-                let dt = match r % 10 {
+                match r % 10 {
                     0 => 0,
                     1..=6 => r % 300,
                     7 | 8 => r % 4000,
                     _ => 4096 + r % 20_000,
-                };
-                (dt, (step() % 8) as usize)
+                }
             })
             .collect();
-        for nshards in [1, 2, 3, 4, 8] {
-            lockstep(nshards, &pushes);
+        let mut reference = EventQueue::new();
+        let mut calendar = CalendarQueue::new();
+        let mut delays = delays.iter();
+        let mut now = 0;
+        // Interleave: two pushes, one pop, like a running simulation.
+        loop {
+            for dt in delays.by_ref().take(2) {
+                reference.push(now + dt, resume(0));
+                calendar.push(now + dt, resume(0));
+            }
+            match (reference.pop(), calendar.pop()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => {
+                    assert_eq!((a.time, a.seq), (b.time, b.seq), "pop order diverged");
+                    now = a.time;
+                }
+                (a, b) => panic!(
+                    "queues disagree on emptiness: reference={:?} calendar={:?}",
+                    a.map(|e| e.time),
+                    b.map(|e| e.time)
+                ),
+            }
+            assert_eq!(reference.len(), calendar.len());
         }
     }
 
@@ -611,12 +419,12 @@ mod tests {
         // Events pushed at the exact cycle being drained must pop FIFO
         // within that cycle, like the heap.
         let mut q = CalendarQueue::new();
-        q.push(100, 0, Action::Resume(ProcId::new(0)));
-        q.push(100, 1, Action::Resume(ProcId::new(1)));
+        q.push(100, resume(0));
+        q.push(100, resume(1));
         let e = q.pop().unwrap();
         assert_eq!((e.time, e.seq), (100, 0));
         // A cascade: while at t=100, schedule more work for t=100.
-        q.push(100, 2, Action::Resume(ProcId::new(2)));
+        q.push(100, resume(2));
         let e = q.pop().unwrap();
         assert_eq!((e.time, e.seq), (100, 1));
         let e = q.pop().unwrap();
@@ -627,11 +435,16 @@ mod tests {
     #[test]
     fn calendar_jumps_sparse_gaps_through_overflow() {
         let mut q = CalendarQueue::new();
-        q.push(7, 0, Action::Resume(ProcId::new(0)));
-        q.push(1_000_000_000, 1, Action::Resume(ProcId::new(1)));
+        q.push(7, resume(0));
+        q.push(1_000_000_000, resume(1));
         assert_eq!(q.pop().unwrap().time, 7);
-        assert_eq!(q.peek_key(), Some((1_000_000_000, 1)));
-        assert_eq!(q.pop().unwrap().time, 1_000_000_000);
+        assert_eq!(q.len(), 1);
+        // The ring is empty: the pop jumps straight to the overflow
+        // minimum, and later events near it land in the ring.
+        let e = q.pop().unwrap();
+        assert_eq!((e.time, e.seq), (1_000_000_000, 1));
+        q.push(1_000_000_010, resume(2));
+        assert_eq!(q.pop().unwrap().time, 1_000_000_010);
         assert!(q.is_empty());
     }
 
@@ -640,16 +453,16 @@ mod tests {
         let mut q = CalendarQueue::new();
         // seq 0 parks in the overflow (8000 is beyond the ring horizon
         // from cursor 0); seqs 1 and 2 land in the ring.
-        q.push(8_000, 0, Action::Resume(ProcId::new(0)));
-        q.push(10, 1, Action::Resume(ProcId::new(1)));
-        q.push(4_000, 2, Action::Resume(ProcId::new(2)));
+        q.push(8_000, resume(0));
+        q.push(10, resume(1));
+        q.push(4_000, resume(2));
         assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.pop().unwrap().seq, 2); // cursor now 4000
-                                             // 8000 is now ring-reachable but seq 0 is still parked (pushes
-                                             // never migrate). Append a later seq to the same future cycle,
-                                             // then let the next pop migrate: the parked event must splice in
-                                             // *before* the resident one.
-        q.push(8_000, 3, Action::Resume(ProcId::new(3)));
+        assert_eq!(q.pop().unwrap().seq, 2);
+        // Cursor now 4000: 8000 is ring-reachable but seq 0 is still
+        // parked (pushes never migrate). Append a later seq to the same
+        // future cycle, then let the next pop migrate: the parked event
+        // must splice in *before* the resident one.
+        q.push(8_000, resume(3));
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
         assert_eq!((a.time, a.seq), (8_000, 0));

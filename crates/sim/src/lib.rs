@@ -19,9 +19,7 @@
 //!
 //! The cooperative engine is single-threaded and fully deterministic: the
 //! same program and seed produce bit-identical cycle counts and event
-//! traces, for any [`SimConfig::sim_threads`] shard count. The [`parallel`]
-//! module carries the same quantum-synchronized discipline onto real worker
-//! threads for `Send` actor workloads.
+//! traces.
 //!
 //! # Example
 //!
@@ -52,7 +50,6 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod hash;
-pub mod parallel;
 pub mod report;
 pub mod time;
 pub mod trace;
@@ -66,12 +63,11 @@ pub use engine::{Engine, Sim, SimConfig};
 pub use error::{BlockedProc, SimError, StallReport, WaitTarget};
 pub use fault::{FaultConfig, FaultLog, FaultPlan, PacketFate, ProcWindow, SlowWindow};
 pub use hash::{FastMap, FastSet};
-pub use parallel::{ParConfig, ParEngine, ParReport};
 pub use report::{PhaseMark, ProcReport, SimReport};
 pub use time::{Cycles, ProcId};
 pub use trace::{
     Histogram, Mark, Metric, MetricsRegistry, TraceBuffer, TraceData, TraceEvent, TraceSink,
-    TraceWhat,
+    TraceWhat, HISTOGRAM_BUCKETS,
 };
 pub use wait::{CellPool, WaitCell};
 

@@ -161,7 +161,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         let cell2 = cell.clone();
         self.sim()
-            .call_at_for(ProcId::new(h), arrive.max(self.sim().now()), move || {
+            .call_at(arrive.max(self.sim().now()), move || {
                 this.dir_service(ProcId::new(p), block, write, cell2)
             })
             .expect("arrival is clamped to the present");
@@ -313,7 +313,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         let sim = Rc::clone(self.sim());
         self.sim()
-            .call_at_for(ProcId::new(p), resp.max(self.sim().now()), move || {
+            .call_at(resp.max(self.sim().now()), move || {
                 this.install_prefetched(p, block);
                 let _ = &sim;
             })
@@ -375,7 +375,7 @@ impl SmMachine {
         let arrive = cpu.clock() + cfg.latency(p, h);
         let this = Rc::clone(self);
         self.sim()
-            .call_at_for(ProcId::new(h), arrive.max(self.sim().now()), move || {
+            .call_at(arrive.max(self.sim().now()), move || {
                 let st = this.dir_state(h, victim);
                 let new = match st {
                     DirState::Exclusive(o) if o == p => DirState::Uncached,

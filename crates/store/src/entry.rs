@@ -19,10 +19,11 @@ pub const ENTRY_MAGIC: &str = "wwt-store";
 /// then decode as [`DecodeError::Version`] instead of misparsing.
 pub const ENTRY_VERSION: u32 = 1;
 
-/// 64-bit FNV-1a — the same hash the run-cache key and `ArchParams` use,
-/// chosen here for the payload checksum: fast, dependency-free, and more
-/// than strong enough to catch torn writes and bit rot (this is an
-/// integrity check against accident, not an adversary).
+/// 64-bit FNV-1a — the one implementation behind the run-cache key,
+/// `ArchParams::stable_hash`, and the payload checksum: fast,
+/// dependency-free, and more than strong enough to catch torn writes and
+/// bit rot (this is an integrity check against accident, not an
+/// adversary).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

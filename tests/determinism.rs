@@ -3,10 +3,8 @@
 //! property the Wisconsin Wind Tunnel relied on for reproducible
 //! experiments.
 
-use proptest::prelude::*;
-
 use wwt::sim::Counter;
-use wwt::{render_report, run_experiment, run_grid, Experiment, RunnerConfig, Scale};
+use wwt::{run_experiment, Experiment, Scale};
 
 fn fingerprint(e: Experiment) -> (u64, u64, u64, String) {
     let out = run_experiment(e, Scale::Test);
@@ -45,62 +43,6 @@ fn per_processor_breakdowns_are_reproducible() {
         assert_eq!(pa.clock, pb.clock);
         assert_eq!(pa.matrix, pb.matrix);
         assert_eq!(pa.counters, pb.counters);
-    }
-}
-
-/// The quantum-synchronized scheduler's shard count is an execution
-/// detail, never a model parameter: the rendered grid report — tables,
-/// events, validation, headline checks — must be byte-identical for
-/// every `sim_threads` value.
-#[test]
-fn sim_thread_count_never_changes_the_report() {
-    let es = [
-        Experiment::GaussMp,
-        Experiment::GaussSm,
-        Experiment::Em3dMp,
-        Experiment::Em3dSm,
-        Experiment::LcpSm,
-        Experiment::MseMp,
-    ];
-    let report = |sim_threads: usize| {
-        let cfg = RunnerConfig {
-            sim_threads,
-            ..RunnerConfig::new(Scale::Test)
-        };
-        render_report(&run_grid(&es, &cfg), Scale::Test)
-    };
-    let base = report(1);
-    for st in [2, 4] {
-        assert_eq!(base, report(st), "sim_threads={st} changed the report");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// WWT's conservative discipline, property-tested: for the threaded
-    /// parallel engine, any quantum in `1..=lookahead` combined with any
-    /// shard count reproduces the sequential baseline's per-processor
-    /// measurements exactly (clocks, counts, and the order-sensitive
-    /// delivery checksum).
-    #[test]
-    fn any_quantum_and_shard_count_reproduce_the_baseline(
-        quantum in 1u64..101,
-        shards in 1usize..9,
-        nprocs in 1usize..10,
-    ) {
-        use wwt::sim::parallel::workloads::install_ring;
-        use wwt::sim::{ParConfig, ParEngine};
-
-        let run = |shards: usize, quantum: u64| {
-            let cfg = ParConfig { shards, quantum, ..ParConfig::default() };
-            let mut eng = ParEngine::new(nprocs, cfg);
-            install_ring(&mut eng, nprocs, 5, 250);
-            eng.run()
-        };
-        let base = run(1, 100);
-        prop_assert!(base.delivered() > 0);
-        prop_assert_eq!(&base, &run(shards, quantum));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Host-side self-observability (`wwt_obs`): enabling the metrics
-//! registry never perturbs the *simulated* output — at any scheduler
-//! shard count, clean or faulted — and the flight-recorder section
+//! registry never perturbs the *simulated* output — clean or faulted —
+//! and the flight-recorder section
 //! attached to stalled-run diagnostics keeps its pinned format.
 
 use std::rc::Rc;
@@ -26,9 +26,8 @@ const SUBSET: [Experiment; 4] = [
     Experiment::Em3dSm,
 ];
 
-fn report(sim_threads: usize, faults: Option<FaultConfig>) -> String {
+fn report(faults: Option<FaultConfig>) -> String {
     let cfg = RunnerConfig {
-        sim_threads,
         faults,
         ..RunnerConfig::new(Scale::Test)
     };
@@ -36,48 +35,43 @@ fn report(sim_threads: usize, faults: Option<FaultConfig>) -> String {
 }
 
 /// The acceptance gate: simulated stdout is byte-identical with and
-/// without `--obs` at sim_threads 1/2/4, clean and faulted. Host metrics
-/// observe wall time only; nothing in the simulation reads them back.
+/// without `--obs`, clean and faulted. Host metrics observe wall time
+/// only; nothing in the simulation reads them back.
 #[test]
 fn host_metrics_never_change_simulated_output() {
     let _g = lock();
     let chaos = || FaultConfig::parse("seed=7,drop=0.01,jitter=200").expect("valid fault spec");
-    for st in [1usize, 2, 4] {
-        for faulted in [false, true] {
-            let plan = || faulted.then(chaos);
-            obs::disable();
-            let base = report(st, plan());
-            obs::enable();
-            obs::reset();
-            let observed = report(st, plan());
-            obs::disable();
-            assert_eq!(
-                base, observed,
-                "--obs changed simulated output (sim_threads={st}, faulted={faulted})"
-            );
-        }
+    for faulted in [false, true] {
+        let plan = || faulted.then(chaos);
+        obs::disable();
+        let base = report(plan());
+        obs::enable();
+        obs::reset();
+        let observed = report(plan());
+        obs::disable();
+        assert_eq!(
+            base, observed,
+            "--obs changed simulated output (faulted={faulted})"
+        );
     }
 }
 
 /// While enabled, a run populates the engine instruments the self-profile
-/// table is built from: per-shard event throughput and queue-depth
-/// high-water marks.
+/// table is built from: event throughput and the queue-depth high-water
+/// mark.
 #[test]
 fn enabled_runs_populate_the_engine_instruments() {
     let _g = lock();
     obs::enable();
     obs::reset();
-    let _ = report(2, None);
+    let _ = report(None);
     let snap = obs::snapshot_now();
     obs::disable();
-    let popped: u64 = (0..obs::MAX_SHARDS)
-        .map(|sh| obs::shard_counter(obs::ShardCtr::SimEventsPopped, sh))
-        .sum();
-    let pushed: u64 = (0..obs::MAX_SHARDS)
-        .map(|sh| obs::shard_counter(obs::ShardCtr::SimEventsPushed, sh))
-        .sum();
+    let popped = obs::counter(obs::Ctr::SimEventsPopped);
+    let pushed = obs::counter(obs::Ctr::SimEventsPushed);
     assert!(popped > 0, "no events counted: {snap:?}");
     assert_eq!(popped, pushed, "every pushed event is eventually popped");
+    assert!(obs::queue_depth_hwm() > 0, "{snap:?}");
     let table = obs::render_table(&snap);
     assert!(table.contains("engine     events popped"), "{table}");
     assert!(table.contains("depth high-water"), "{table}");
@@ -121,7 +115,7 @@ fn deadlock_report_attaches_the_flight_recorder_only_when_enabled() {
 
 /// Golden test pinning the `SimError` flight-recorder section format:
 /// header with snapshot count, then one indented `[t+MSms]` line per
-/// snapshot, oldest first, `name=value` / `name{{shard=N}}=value` pairs.
+/// snapshot, oldest first, `name=value` pairs.
 #[test]
 fn flight_recorder_section_format_is_pinned() {
     let snaps = vec![
@@ -130,12 +124,10 @@ fn flight_recorder_section_format_is_pinned() {
             samples: vec![
                 obs::ObsSample {
                     name: "sim_events_popped",
-                    shard: Some(0),
                     value: 1200,
                 },
                 obs::ObsSample {
                     name: "cache_hits",
-                    shard: None,
                     value: 3,
                 },
             ],
@@ -148,7 +140,7 @@ fn flight_recorder_section_format_is_pinned() {
     assert_eq!(
         obs::render_flight_recorder(&snaps),
         "simulator state at failure (flight recorder, 2 snapshots, oldest first):\n  \
-         [t+100ms] sim_events_popped{shard=0}=1200 cache_hits=3\n  \
+         [t+100ms] sim_events_popped=1200 cache_hits=3\n  \
          [t+200ms] (all metrics zero)"
     );
 }
