@@ -136,16 +136,72 @@ impl MseParams {
     }
 
     /// The off-diagonal matrix entry coupling elements `(body a, e)` and
-    /// `(body b, f)`: the 2D Laplace single-layer kernel, recomputed on
-    /// every use as in the paper.
+    /// `(body b, f)`: the 2D Laplace single-layer kernel. This is the
+    /// reference definition; the program versions read the same values
+    /// through [`Geometry`], which skips recomputing the positions.
     pub fn kernel(&self, a: usize, e: usize, b: usize, f: usize) -> f64 {
-        let (px, py) = self.elem_pos(a, e);
-        let (qx, qy) = self.elem_pos(b, f);
-        let d2 = (px - qx).powi(2) + (py - qy).powi(2);
-        if d2 == 0.0 {
-            0.0
-        } else {
-            -d2.sqrt().ln() / (2.0 * std::f64::consts::PI)
+        kernel_between(self.elem_pos(a, e), self.elem_pos(b, f))
+    }
+}
+
+/// The 2D Laplace single-layer kernel between two element positions.
+/// Exactly symmetric: swapping the points only negates the differences.
+#[inline]
+fn kernel_between((px, py): (f64, f64), (qx, qy): (f64, f64)) -> f64 {
+    let d2 = (px - qx).powi(2) + (py - qy).powi(2);
+    if d2 == 0.0 {
+        0.0
+    } else {
+        -d2.sqrt().ln() / (2.0 * std::f64::consts::PI)
+    }
+}
+
+/// Every element position of one run, tabulated once (unknown `k * elems
+/// + e` holds `elem_pos(k, e)`).
+///
+/// The matrix is still recomputed on every use, as in the paper, and the
+/// simulated clock is charged for it; the host merely stops recomputing
+/// the `cos`/`sin` of both positions for every entry. Each value is the
+/// same expression on the same `f64` inputs as [`MseParams::kernel`], so
+/// results are bit-identical.
+#[derive(Clone, Debug)]
+pub struct Geometry {
+    elems: usize,
+    pos: Vec<(f64, f64)>,
+}
+
+impl Geometry {
+    /// Tabulates the element positions of `p`.
+    pub fn new(p: &MseParams) -> Self {
+        Geometry {
+            elems: p.elems,
+            pos: (0..p.bodies)
+                .flat_map(|k| (0..p.elems).map(move |e| p.elem_pos(k, e)))
+                .collect(),
+        }
+    }
+
+    /// [`MseParams::kernel`] from the table.
+    #[cfg(test)]
+    fn kernel(&self, a: usize, e: usize, b: usize, f: usize) -> f64 {
+        kernel_between(self.pos[a * self.elems + e], self.pos[b * self.elems + f])
+    }
+
+    /// Body `j`'s contribution to body `i`'s rows: `out[e]` is the sum of
+    /// `kernel(i, e, j, f) * zj[f]` over `f` in ascending order, skipping
+    /// the diagonal entry.
+    fn contribution(&self, i: usize, j: usize, zj: &[f64], out: &mut [f64]) {
+        let m = self.elems;
+        debug_assert!(zj.len() == m && out.len() == m);
+        let pj = &self.pos[j * m..(j + 1) * m];
+        for (e, (&pe, o)) in self.pos[i * m..(i + 1) * m].iter().zip(out).enumerate() {
+            let mut acc = 0.0;
+            for (f, (&qf, &zf)) in pj.iter().zip(zj).enumerate() {
+                if i != j || e != f {
+                    acc += kernel_between(pe, qf) * zf;
+                }
+            }
+            *o = acc;
         }
     }
 }
@@ -163,31 +219,39 @@ pub struct MseSystem {
 
 /// Builds the diagonal and right-hand side (host side; both program
 /// versions charge the equivalent computation to the simulated clock).
-pub fn build_system(p: &MseParams) -> MseSystem {
-    let nm = p.unknowns();
-    let mut diag = vec![0.0f64; nm];
-    let mut rhs = vec![0.0f64; nm];
-    for a in 0..p.bodies {
-        for e in 0..p.elems {
-            let row = a * p.elems + e;
-            let mut abs_sum = 0.0;
-            let mut sum = 0.0;
-            for b in 0..p.bodies {
-                for f in 0..p.elems {
-                    if (a, e) == (b, f) {
-                        continue;
-                    }
-                    let v = p.kernel(a, e, b, f);
-                    abs_sum += v.abs();
-                    sum += v;
-                }
-            }
-            // Diagonal dominance guarantees Jacobi convergence, even with
-            // the schedule's bounded staleness.
-            diag[row] = 1.5 * abs_sum;
-            rhs[row] = sum + diag[row]; // exact solution = all ones
+///
+/// Row `r` needs the sums of `kernel(r, c)` and of its absolute value
+/// over every column `c != r`, in ascending `c`. The kernel is exactly
+/// symmetric, so each pair `c > r` is evaluated once and added to both
+/// rows. Rows are visited in ascending order, so row `c` first receives
+/// its columns `r < c` (one per earlier row, ascending), then its own
+/// columns `> c`: the same additions in the same order as a plain row
+/// loop, hence bit-identical sums.
+pub fn build_system(geo: &Geometry) -> MseSystem {
+    let nm = geo.pos.len();
+    // Per row: (sum of |offdiag|, sum of offdiag), accumulated so far.
+    let mut acc = vec![(0.0f64, 0.0f64); nm];
+    for r in 0..nm {
+        let pr = geo.pos[r];
+        let (mut abs_sum, mut sum) = acc[r];
+        for (&pc, col) in geo.pos[r + 1..].iter().zip(&mut acc[r + 1..]) {
+            let v = kernel_between(pr, pc);
+            abs_sum += v.abs();
+            sum += v;
+            col.0 += v.abs();
+            col.1 += v;
         }
+        acc[r] = (abs_sum, sum);
     }
+    // Diagonal dominance guarantees Jacobi convergence, even with the
+    // schedule's bounded staleness.
+    let diag: Vec<f64> = acc.iter().map(|&(abs_sum, _)| 1.5 * abs_sum).collect();
+    // Exact solution = all ones.
+    let rhs = acc
+        .iter()
+        .zip(&diag)
+        .map(|(&(_, sum), &d)| sum + d)
+        .collect();
     MseSystem { diag, rhs }
 }
 
@@ -227,7 +291,7 @@ mod tests {
     #[test]
     fn system_is_diagonally_dominant() {
         let p = MseParams::small();
-        let sys = build_system(&p);
+        let sys = build_system(&Geometry::new(&p));
         // diag = 1.5 * sum |offdiag| by construction: spot check row 0.
         let mut abs_sum = 0.0;
         for b in 0..p.bodies {
@@ -243,7 +307,7 @@ mod tests {
     #[test]
     fn sequential_jacobi_converges_to_ones() {
         let p = MseParams::small();
-        let sys = build_system(&p);
+        let sys = build_system(&Geometry::new(&p));
         let nm = p.unknowns();
         let mut z = vec![0.0f64; nm];
         for _ in 0..p.iters {
@@ -265,5 +329,117 @@ mod tests {
         }
         let v = validate_solution(&p, &z);
         assert!(v.passed, "{}", v.detail);
+    }
+
+    /// The small workload and one with an odd element count and another
+    /// schedule, for the bit-identity oracles below.
+    fn oracle_params() -> [MseParams; 2] {
+        [
+            MseParams::small(),
+            MseParams {
+                elems: 9,
+                d_scale: 3.0,
+                ..MseParams::small()
+            },
+        ]
+    }
+
+    #[test]
+    fn geometry_kernel_is_bit_identical_to_the_reference() {
+        for p in oracle_params() {
+            let geo = Geometry::new(&p);
+            assert_eq!(geo.pos.len(), p.unknowns());
+            for (a, b) in (0..p.bodies).flat_map(|a| (0..p.bodies).map(move |b| (a, b))) {
+                for (e, f) in (0..p.elems).flat_map(|e| (0..p.elems).map(move |f| (e, f))) {
+                    let (got, want) = (geo.kernel(a, e, b, f), p.kernel(a, e, b, f));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{p:?} ({a},{e})-({b},{f})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_contribution_is_bit_identical_to_the_reference_loop() {
+        for p in oracle_params() {
+            let geo = Geometry::new(&p);
+            let zj: Vec<f64> = (0..p.elems).map(|f| 1.0 - 0.37 * f as f64).collect();
+            let mut out = vec![0.0; p.elems];
+            for (i, j) in [(0, 0), (0, 1), (5, 12), (p.bodies - 1, 0)] {
+                geo.contribution(i, j, &zj, &mut out);
+                for (e, got) in out.iter().enumerate() {
+                    let mut want = 0.0;
+                    for f in 0..p.elems {
+                        if (i, e) != (j, f) {
+                            want += p.kernel(i, e, j, f) * zj[f];
+                        }
+                    }
+                    assert_eq!(got.to_bits(), want.to_bits(), "{p:?} ({i},{e}) from {j}");
+                }
+            }
+        }
+    }
+
+    /// The plain row loop: every row sums its columns in ascending order.
+    fn naive_build_system(p: &MseParams) -> MseSystem {
+        let nm = p.unknowns();
+        let mut diag = vec![0.0f64; nm];
+        let mut rhs = vec![0.0f64; nm];
+        for a in 0..p.bodies {
+            for e in 0..p.elems {
+                let row = a * p.elems + e;
+                let mut abs_sum = 0.0;
+                let mut sum = 0.0;
+                for b in 0..p.bodies {
+                    for f in 0..p.elems {
+                        if (a, e) == (b, f) {
+                            continue;
+                        }
+                        let v = p.kernel(a, e, b, f);
+                        abs_sum += v.abs();
+                        sum += v;
+                    }
+                }
+                diag[row] = 1.5 * abs_sum;
+                rhs[row] = sum + diag[row];
+            }
+        }
+        MseSystem { diag, rhs }
+    }
+
+    #[test]
+    fn symmetric_build_system_is_bit_identical_to_the_row_loop() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in oracle_params() {
+            let fast = build_system(&Geometry::new(&p));
+            let slow = naive_build_system(&p);
+            assert_eq!(bits(&fast.diag), bits(&slow.diag), "diag {p:?}");
+            assert_eq!(bits(&fast.rhs), bits(&slow.rhs), "rhs {p:?}");
+        }
+    }
+
+    /// FNV-1a-64 over the little-endian bits of every solution value.
+    fn artifact_digest(z: &[f64]) -> u64 {
+        let bytes: Vec<u8> = z.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        wwt_store::fnv1a(&bytes)
+    }
+
+    #[test]
+    fn small_scale_solutions_and_cycles_are_pinned() {
+        // The benchmark digests cover cycles and counters but not the
+        // solution values; these pins catch a host kernel that drifts by
+        // even one bit.
+        let p = MseParams::small();
+        let mp = mp::run(&p, wwt_mp::MpConfig::default());
+        assert_eq!(
+            (artifact_digest(&mp.artifact), mp.report.elapsed()),
+            (0xd33a_f0ab_4373_4fa4, 628_004),
+            "MSE-MP"
+        );
+        let sm = sm::run(&p, wwt_sm::SmConfig::default());
+        assert_eq!(
+            (artifact_digest(&sm.artifact), sm.report.elapsed()),
+            (0x2229_ead6_eb8e_32c9, 743_724),
+            "MSE-SM"
+        );
     }
 }

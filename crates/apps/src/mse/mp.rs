@@ -15,7 +15,7 @@ use wwt_mp::{packet::tag, ChannelId, MpConfig, MpMachine, SendChannel};
 use wwt_sim::{Engine, ProcId, SimError};
 
 use crate::common::{AppRun, PhaseRecorder};
-use crate::mse::{build_system, validate_solution, MseParams};
+use crate::mse::{build_system, validate_solution, Geometry, MseParams};
 
 /// Application tag for solution requests.
 const MSE_REQ: u8 = tag::USER_BASE;
@@ -53,7 +53,8 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     let mut engine = Engine::new(p.procs, mcfg.sim);
     let m = MpMachine::new(&engine, mcfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
-    let sys = Rc::new(build_system(p));
+    let geo = Rc::new(Geometry::new(p));
+    let sys = Rc::new(build_system(&geo));
     let nm = p.unknowns();
     let mm = p.elems;
 
@@ -104,6 +105,7 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
         let m = Rc::clone(&m);
         let cpu = engine.cpu(proc);
         let rec = Rc::clone(&rec);
+        let geo = Rc::clone(&geo);
         let sys = Rc::clone(&sys);
         let svc = Rc::clone(&svc);
         let solution = Rc::clone(&solution);
@@ -178,9 +180,11 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     let id = chan_in[o].expect("channel open");
                     m.channel_wait(&cpu, id).await;
                     let base = o * nb * mm;
-                    let mut vals = vec![0.0f64; nb * mm];
-                    m.peek_f64s(proc, z_all + (base * 8) as u64, &mut vals);
-                    z[base..base + nb * mm].copy_from_slice(&vals);
+                    m.peek_f64s(
+                        proc,
+                        z_all + (base * 8) as u64,
+                        &mut z[base..base + nb * mm],
+                    );
                 }
 
                 // Recompute the due contributions; sum cached vectors.
@@ -192,16 +196,7 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                         }
                         let js = p.slot(j);
                         m.touch_read(&cpu, z_all + (js * mm * 8) as u64, body_bytes);
-                        let sij = &mut s_host[li][j];
-                        for e in 0..mm {
-                            let mut acc = 0.0;
-                            for f in 0..mm {
-                                if (i, e) != (j, f) {
-                                    acc += p.kernel(i, e, j, f) * z[js * mm + f];
-                                }
-                            }
-                            sij[e] = acc;
-                        }
+                        geo.contribution(i, j, &z[js * mm..(js + 1) * mm], &mut s_host[li][j]);
                         let s_off = s_cache + ((li * p.bodies + j) * mm * 8) as u64;
                         m.touch_write(&cpu, s_off, body_bytes);
                         cpu.compute(p.pair_cost * (mm * mm) as u64);

@@ -16,7 +16,7 @@ use wwt_sim::{Engine, SimError};
 use wwt_sm::{CreateGate, SmConfig, SmMachine};
 
 use crate::common::{AppRun, PhaseRecorder};
-use crate::mse::{build_system, validate_solution, MseParams};
+use crate::mse::{build_system, validate_solution, Geometry, MseParams};
 
 /// Runs MSE-SM and returns the measurements (Tables 5 and 7).
 pub fn run(p: &MseParams, scfg: SmConfig) -> AppRun {
@@ -34,7 +34,8 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let m = SmMachine::new(&engine, scfg);
     let gate = Rc::new(CreateGate::new());
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
-    let sys = Rc::new(build_system(p));
+    let geo = Rc::new(Geometry::new(p));
+    let sys = Rc::new(build_system(&geo));
     let nm = p.unknowns();
     let mm = p.elems;
 
@@ -53,6 +54,7 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         let cpu = engine.cpu(proc);
         let gate = Rc::clone(&gate);
         let rec = Rc::clone(&rec);
+        let geo = Rc::clone(&geo);
         let sys = Rc::clone(&sys);
         let z_chunks = Rc::clone(&z_chunks);
         let solution = Rc::clone(&solution);
@@ -110,21 +112,10 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                         // them since we last looked).
                         let jaddr = body_addr(j);
                         m.touch_read(&cpu, jaddr, body_bytes).await;
-                        let mut vals = vec![0.0f64; mm];
-                        m.peek_f64s(jaddr, &mut vals);
                         let js = p.slot(j);
-                        z[js * mm..(js + 1) * mm].copy_from_slice(&vals);
-
-                        let sij = &mut s_host[li][j];
-                        for e in 0..mm {
-                            let mut acc = 0.0;
-                            for f in 0..mm {
-                                if (i, e) != (j, f) {
-                                    acc += p.kernel(i, e, j, f) * z[js * mm + f];
-                                }
-                            }
-                            sij[e] = acc;
-                        }
+                        let zj = &mut z[js * mm..(js + 1) * mm];
+                        m.peek_f64s(jaddr, zj);
+                        geo.contribution(i, j, zj, &mut s_host[li][j]);
                         let s_off = s_cache.offset_by(((li * p.bodies + j) * mm * 8) as u64);
                         m.touch_write(&cpu, s_off, body_bytes).await;
                         cpu.compute(p.pair_cost * (mm * mm) as u64);

@@ -4,9 +4,14 @@
 //! the simulated measurements themselves (the tables) are printed once per
 //! bench so a bench run doubles as a table regeneration at this scale.
 //! Run `make_tables mse` for the full paper-scale tables.
+//!
+//! `mse/build_system` times the host-side system setup alone, at the
+//! repository benchmark's bench scale (paper machine, 14 elements per
+//! body): the numeric kernel's host cost, apart from simulation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use wwt_core::apps::mse::{build_system, Geometry, MseParams};
 use wwt_core::{run_experiment, Experiment, Scale};
 
 fn bench_mse(c: &mut Criterion) {
@@ -25,6 +30,16 @@ fn bench_mse(c: &mut Criterion) {
             })
         });
     }
+    let p = MseParams {
+        elems: 14,
+        ..MseParams::default()
+    };
+    g.bench_function("build_system", |b| {
+        b.iter(|| {
+            let sys = build_system(&Geometry::new(black_box(&p)));
+            black_box(sys.diag[0])
+        })
+    });
     g.finish();
 }
 

@@ -228,8 +228,11 @@ impl SmMachine {
     pub(crate) fn cache_invalidate(&self, node: usize, block: GAddr) {
         let mut nodes = self.nodes.borrow_mut();
         nodes[node].cache.invalidate(block.raw());
-        // An invalidation also voids any staled copy in local memory.
-        nodes[node].stache.remove(&block.raw());
+        // An invalidation also voids any staled copy in local memory
+        // (only the stache policy ever parks one).
+        if self.config.stache {
+            nodes[node].stache.remove(&block.raw());
+        }
     }
 
     pub(crate) fn cache_downgrade(&self, node: usize, block: GAddr) {
@@ -517,7 +520,13 @@ impl SmMachine {
     }
 
     fn notify(&self, cpu: &Cpu, ga: GAddr) {
-        let cells = self.watchers.borrow_mut().remove(&ga.raw());
+        let cells = {
+            let mut watchers = self.watchers.borrow_mut();
+            if watchers.is_empty() {
+                return;
+            }
+            watchers.remove(&ga.raw())
+        };
         if let Some(cells) = cells {
             for c in cells {
                 c.complete(&self.sim, cpu.clock());

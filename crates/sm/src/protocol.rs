@@ -59,8 +59,16 @@ impl Sharers {
     }
 
     /// Iterates over members in increasing id order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..128).filter(move |&p| self.contains(p))
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let p = bits.trailing_zeros() as usize;
+            bits &= bits - 1; // clear the lowest member
+            Some(p)
+        })
     }
 }
 
@@ -311,11 +319,9 @@ impl SmMachine {
             .completion_time()
             .expect("dir_service completes synchronously");
         let this = Rc::clone(self);
-        let sim = Rc::clone(self.sim());
         self.sim()
             .call_at(resp.max(self.sim().now()), move || {
-                this.install_prefetched(p, block);
-                let _ = &sim;
+                this.install_prefetched(p, block)
             })
             .expect("response time is clamped to the present");
     }
@@ -333,7 +339,7 @@ impl SmMachine {
     /// push-broadcast updates).
     pub(crate) fn install_copy(self: &Rc<Self>, p: usize, block: GAddr) {
         let evicted = self.cache_fill_clean(p, block);
-        if let Some((victim_raw, state)) = evicted {
+        if let Some((victim_raw, _)) = evicted {
             let victim = GAddr::from_raw(victim_raw);
             if victim.segment() == wwt_mem::Segment::Shared {
                 let h = victim.node();
@@ -351,7 +357,6 @@ impl SmMachine {
                     other => other,
                 };
                 self.set_dir_state(h, victim, new);
-                let _ = state;
             }
         }
     }
@@ -413,6 +418,35 @@ mod tests {
         assert_eq!(s.count(), 2);
         s.remove(5); // idempotent
         assert_eq!(s.count(), 2);
+    }
+
+    #[test]
+    fn sharers_iter_matches_the_naive_scan() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let naive = |s: &Sharers| (0..128).filter(|&p| s.contains(p)).collect::<Vec<_>>();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut sets = vec![
+            Sharers::empty(),
+            Sharers::one(0),
+            Sharers::one(127),
+            Sharers(u128::MAX),
+        ];
+        for _ in 0..500 {
+            // Mix dense and sparse sets, each also with both end bits set.
+            let mut s =
+                Sharers((u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>()));
+            if rng.gen_bool(0.5) {
+                s.0 &= u128::from(rng.gen::<u64>()) << rng.gen_range(0..64u32);
+            }
+            sets.push(s);
+            s.insert(0);
+            s.insert(127);
+            sets.push(s);
+        }
+        for s in &sets {
+            assert_eq!(s.iter().collect::<Vec<_>>(), naive(s), "{s:?}");
+            assert_eq!(s.iter().count() as u32, s.count());
+        }
     }
 
     #[test]
