@@ -224,9 +224,18 @@ pub(crate) fn build_in_edges(p: &Em3dParams, g: &Em3dGraph) -> (InEdges, InEdges
 /// Host-side sequential reference: runs the same computation and returns
 /// the final (E, H) values for every processor's nodes.
 pub fn reference(p: &Em3dParams, g: &Em3dGraph) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    reference_with(p, g, &build_in_edges(p, g))
+}
+
+/// [`reference`] over in-edge lists the caller already built with
+/// [`build_in_edges`].
+pub(crate) fn reference_with(
+    p: &Em3dParams,
+    g: &Em3dGraph,
+    (in_e, in_h): &(InEdges, InEdges),
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let mut e = g.e0.clone();
     let mut h = g.h0.clone();
-    let (in_e, in_h) = build_in_edges(p, g);
     for _ in 0..p.iters {
         let mut e_new = e.clone();
         for proc in 0..p.procs {

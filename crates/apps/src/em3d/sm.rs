@@ -20,7 +20,8 @@ use wwt_sm::{McsLock, SmConfig, SmMachine};
 
 use crate::common::{AppRun, PhaseRecorder};
 use crate::em3d::{
-    build_in_edges, gen_graph, reference, validate_values, Em3dGraph, Em3dHint, Em3dParams, Side,
+    build_in_edges, gen_graph, reference_with, validate_values, Em3dGraph, Em3dHint, Em3dParams,
+    InEdges, Side,
 };
 
 /// Number of locks per destination processor protecting its in-edge
@@ -49,10 +50,9 @@ struct Layout {
     fills: Vec<Vec<FillRecord>>,
 }
 
-fn build_layout(p: &Em3dParams, g: &Em3dGraph) -> Layout {
-    let (in_e, in_h) = build_in_edges(p, g);
+fn build_layout(p: &Em3dParams, g: &Em3dGraph, (in_e, in_h): &(InEdges, InEdges)) -> Layout {
     // Node-major slot bases per (proc, side, node).
-    let bases = |ins: &crate::em3d::InEdges| -> Vec<Vec<usize>> {
+    let bases = |ins: &InEdges| -> Vec<Vec<usize>> {
         ins.iter()
             .map(|nodes| {
                 let mut start = 0;
@@ -67,8 +67,8 @@ fn build_layout(p: &Em3dParams, g: &Em3dGraph) -> Layout {
             })
             .collect()
     };
-    let base_e = bases(&in_e);
-    let base_h = bases(&in_h);
+    let base_e = bases(in_e);
+    let base_h = bases(in_h);
     let mut cursor_e: Vec<Vec<usize>> = base_e.clone();
     let mut cursor_h: Vec<Vec<usize>> = base_h.clone();
     let mut fills: Vec<Vec<FillRecord>> = vec![Vec::new(); p.procs];
@@ -128,10 +128,10 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let m = SmMachine::new(&engine, scfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let g = Rc::new(gen_graph(p));
-    let layout = Rc::new(build_layout(p, &g));
-    // Built once and shared: every processor task reads only its own row,
-    // and rebuilding the full lists per task is quadratic in machine size.
+    // Built once per run for the layout, the tasks (each reads only its
+    // own row) and the final reference check.
     let ins = Rc::new(build_in_edges(p, &g));
+    let layout = Rc::new(build_layout(p, &g, &ins));
 
     // Allocate every processor's arrays up front (allocation-policy aware:
     // `gmalloc(q, ..)` homes on q only under the Local policy).
@@ -335,7 +335,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         got_e.push(e);
         got_h.push(h);
     }
-    let refv = reference(p, &g);
+    let refv = reference_with(p, &g, &ins);
     let validation = validate_values(&refv, &got_e, &got_h);
     Ok(AppRun {
         report,

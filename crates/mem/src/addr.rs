@@ -37,6 +37,8 @@ const NODE_BITS: u32 = 10;
 const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
 const SHARED_BIT: u64 = 1 << (OFFSET_BITS + NODE_BITS);
+/// Width of [`GAddr::raw`]: every raw address is below `1 << RAW_BITS`.
+pub(crate) const RAW_BITS: u32 = OFFSET_BITS + NODE_BITS + 1;
 
 /// A global byte address: (segment, home node, byte offset).
 ///

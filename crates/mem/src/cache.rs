@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-use crate::addr::BLOCK_BYTES;
+use crate::addr::{BLOCK_BYTES, RAW_BITS};
 
 /// State of one cache line.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,19 +70,39 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Copy, Clone, Debug)]
-struct Line {
-    /// Raw block address stored in this line (`GAddr::raw` of the block).
-    tag: u64,
-    state: LineState,
-    valid: bool,
+// One line is one `u64`: the raw block address (`GAddr::raw`, below
+// `1 << RAW_BITS`) plus a valid and a dirty bit above it. Zero is an
+// invalid line, so a zeroed allocation is an empty cache.
+const VALID: u64 = 1 << 63;
+const DIRTY: u64 = 1 << 62;
+const _: () = assert!(RAW_BITS <= 62, "tags must leave the state bits free");
+
+fn line_state(line: u64) -> LineState {
+    if line & DIRTY != 0 {
+        LineState::Dirty
+    } else {
+        LineState::Clean
+    }
 }
 
-const EMPTY: Line = Line {
-    tag: 0,
-    state: LineState::Clean,
-    valid: false,
-};
+/// Whether `line` is valid and holds `block`.
+fn holds(line: u64, block: u64) -> bool {
+    line & !DIRTY == block | VALID
+}
+
+fn line_tag(line: u64) -> u64 {
+    line & !(VALID | DIRTY)
+}
+
+/// The line of `block` in `state`.
+fn make_line(block: u64, state: LineState) -> u64 {
+    VALID
+        | block
+        | match state {
+            LineState::Clean => 0,
+            LineState::Dirty => DIRTY,
+        }
+}
 
 /// How an access intends to use the block.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -128,9 +148,9 @@ pub struct AccessResult {
 pub struct Cache {
     geometry: CacheGeometry,
     /// All lines, flat: set `s` occupies `lines[s * ways .. (s + 1) * ways]`.
-    /// One contiguous allocation keeps a set probe inside a cache line or
-    /// two instead of chasing a per-set heap pointer.
-    lines: Vec<Line>,
+    /// One contiguous allocation keeps a set probe inside one host cache
+    /// line, and sets a run never touches are never faulted in.
+    lines: Vec<u64>,
     set_mask: u64,
     block_shift: u32,
     rng: SmallRng,
@@ -151,7 +171,7 @@ impl Cache {
         let nsets = geometry.sets();
         Cache {
             geometry,
-            lines: vec![EMPTY; nsets * geometry.ways],
+            lines: vec![0; nsets * geometry.ways],
             set_mask: (nsets as u64) - 1,
             block_shift: geometry.block_bytes.trailing_zeros(),
             rng: SmallRng::seed_from_u64(seed ^ 0xcac4e),
@@ -164,18 +184,19 @@ impl Cache {
     }
 
     fn set_index(&self, block: u64) -> usize {
+        debug_assert!(block >> RAW_BITS == 0, "{block:#x} is not a raw address");
         ((block >> self.block_shift) & self.set_mask) as usize
     }
 
     /// The ways of the set `block` maps to, as a mutable slice.
-    fn set_mut(&mut self, block: u64) -> &mut [Line] {
+    fn set_mut(&mut self, block: u64) -> &mut [u64] {
         let ways = self.geometry.ways;
         let start = self.set_index(block) * ways;
         &mut self.lines[start..start + ways]
     }
 
     /// The ways of the set `block` maps to.
-    fn set_of(&self, block: u64) -> &[Line] {
+    fn set_of(&self, block: u64) -> &[u64] {
         let ways = self.geometry.ways;
         let start = self.set_index(block) * ways;
         &self.lines[start..start + ways]
@@ -191,47 +212,28 @@ impl Cache {
             block & (self.geometry.block_bytes - 1) == 0,
             "unaligned block address"
         );
-        let ways = self.geometry.ways;
-        let start = self.set_index(block) * ways;
-        let set = &mut self.lines[start..start + ways];
-
-        for line in set.iter_mut() {
-            if line.valid && line.tag == block {
-                let upgrade = kind == AccessKind::Write && line.state == LineState::Clean;
-                if kind == AccessKind::Write {
-                    line.state = LineState::Dirty;
-                }
-                return AccessResult {
-                    hit: true,
-                    upgrade,
-                    evicted: None,
-                };
+        let write = kind == AccessKind::Write;
+        let set = self.set_mut(block);
+        if let Some(line) = set.iter_mut().find(|l| holds(**l, block)) {
+            let upgrade = write && *line & DIRTY == 0;
+            if write {
+                *line |= DIRTY;
             }
+            return AccessResult {
+                hit: true,
+                upgrade,
+                evicted: None,
+            };
         }
-
-        // Miss: pick a victim (an invalid way if possible, else random).
-        let victim_idx = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => self.rng.gen_range(0..ways),
-        };
-        let victim = set[victim_idx];
-        let evicted = victim.valid.then_some(Evicted {
-            block: victim.tag,
-            state: victim.state,
-        });
-        set[victim_idx] = Line {
-            tag: block,
-            state: if kind == AccessKind::Write {
-                LineState::Dirty
-            } else {
-                LineState::Clean
-            },
-            valid: true,
+        let state = if write {
+            LineState::Dirty
+        } else {
+            LineState::Clean
         };
         AccessResult {
             hit: false,
             upgrade: false,
-            evicted,
+            evicted: self.replace(block, state),
         }
     }
 
@@ -239,81 +241,78 @@ impl Cache {
     /// (used when a coherence response installs a line). Returns the
     /// evicted victim, if any.
     pub fn fill(&mut self, block: u64, state: LineState) -> Option<Evicted> {
-        let ways = self.geometry.ways;
-        let start = self.set_index(block) * ways;
-        let set = &mut self.lines[start..start + ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == block) {
-            line.state = state;
+        let set = self.set_mut(block);
+        if let Some(line) = set.iter_mut().find(|l| holds(**l, block)) {
+            *line = make_line(block, state);
             return None;
         }
-        let victim_idx = match set.iter().position(|l| !l.valid) {
+        self.replace(block, state)
+    }
+
+    /// Installs `block` (known absent) in its set, choosing an invalid way
+    /// if one exists, otherwise a uniformly random victim.
+    fn replace(&mut self, block: u64, state: LineState) -> Option<Evicted> {
+        let ways = self.geometry.ways;
+        let start = self.set_index(block) * ways;
+        let victim_idx = match self.lines[start..start + ways]
+            .iter()
+            .position(|&l| l & VALID == 0)
+        {
             Some(i) => i,
             None => self.rng.gen_range(0..ways),
         };
-        let victim = set[victim_idx];
-        let evicted = victim.valid.then_some(Evicted {
-            block: victim.tag,
-            state: victim.state,
-        });
-        set[victim_idx] = Line {
-            tag: block,
-            state,
-            valid: true,
-        };
-        evicted
+        let victim =
+            std::mem::replace(&mut self.lines[start + victim_idx], make_line(block, state));
+        (victim & VALID != 0).then(|| Evicted {
+            block: line_tag(victim),
+            state: line_state(victim),
+        })
     }
 
     /// Returns the state of `block` if it is resident.
     pub fn state_of(&self, block: u64) -> Option<LineState> {
-        let set = self.set_of(block);
-        set.iter()
-            .find(|l| l.valid && l.tag == block)
-            .map(|l| l.state)
+        self.set_of(block)
+            .iter()
+            .find(|&&l| holds(l, block))
+            .map(|&l| line_state(l))
     }
 
     /// Invalidates `block`, returning its state if it was resident.
     pub fn invalidate(&mut self, block: u64) -> Option<LineState> {
-        let set = self.set_mut(block);
-        for line in set.iter_mut() {
-            if line.valid && line.tag == block {
-                line.valid = false;
-                return Some(line.state);
-            }
-        }
-        None
+        let line = self.set_mut(block).iter_mut().find(|l| holds(**l, block))?;
+        Some(line_state(std::mem::take(line)))
     }
 
     /// Downgrades `block` to `Clean` (read-only), returning `true` if it
     /// was resident and `Dirty` (i.e. a writeback is needed).
     pub fn downgrade(&mut self, block: u64) -> bool {
-        let set = self.set_mut(block);
-        for line in set.iter_mut() {
-            if line.valid && line.tag == block {
-                let was_dirty = line.state == LineState::Dirty;
-                line.state = LineState::Clean;
-                return was_dirty;
+        match self.set_mut(block).iter_mut().find(|l| holds(**l, block)) {
+            Some(line) => {
+                let was_dirty = *line & DIRTY != 0;
+                *line &= !DIRTY;
+                was_dirty
             }
+            None => false,
         }
-        false
     }
 
     /// All valid resident lines as (raw block address, state) pairs.
     pub fn resident(&self) -> Vec<(u64, LineState)> {
         self.lines
             .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.tag, l.state))
+            .filter(|&&l| l & VALID != 0)
+            .map(|&l| (line_tag(l), line_state(l)))
             .collect()
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|&&l| l & VALID != 0).count()
     }
 
     /// Invalidates everything (used between experiment phases).
     pub fn clear(&mut self) {
-        self.lines.fill(EMPTY);
+        self.lines.fill(0);
     }
 }
 
@@ -419,6 +418,184 @@ mod tests {
             c.access(i * 32, AccessKind::Read);
         }
         assert!(c.resident_blocks() <= 8);
+    }
+
+    /// The struct-of-fields cache the packed lines replaced, kept as the
+    /// oracle: one `(tag, state, valid)` record per line, same geometry,
+    /// same seeded replacement draws.
+    struct OracleCache {
+        ways: usize,
+        lines: Vec<(u64, LineState, bool)>,
+        set_mask: u64,
+        block_shift: u32,
+        rng: SmallRng,
+    }
+
+    impl OracleCache {
+        fn new(geometry: CacheGeometry, seed: u64) -> Self {
+            let nsets = geometry.sets();
+            OracleCache {
+                ways: geometry.ways,
+                lines: vec![(0, LineState::Clean, false); nsets * geometry.ways],
+                set_mask: nsets as u64 - 1,
+                block_shift: geometry.block_bytes.trailing_zeros(),
+                rng: SmallRng::seed_from_u64(seed ^ 0xcac4e),
+            }
+        }
+
+        fn set(&mut self, block: u64) -> &mut [(u64, LineState, bool)] {
+            let start = ((block >> self.block_shift) & self.set_mask) as usize * self.ways;
+            &mut self.lines[start..start + self.ways]
+        }
+
+        fn find(&mut self, block: u64) -> Option<&mut (u64, LineState, bool)> {
+            self.set(block).iter_mut().find(|l| l.2 && l.0 == block)
+        }
+
+        fn install(&mut self, block: u64, state: LineState) -> Option<Evicted> {
+            let ways = self.ways;
+            let idx = match self.set(block).iter().position(|l| !l.2) {
+                Some(i) => i,
+                None => self.rng.gen_range(0..ways),
+            };
+            let set = self.set(block);
+            let victim = set[idx];
+            set[idx] = (block, state, true);
+            victim.2.then_some(Evicted {
+                block: victim.0,
+                state: victim.1,
+            })
+        }
+
+        fn access(&mut self, block: u64, kind: AccessKind) -> AccessResult {
+            let write = kind == AccessKind::Write;
+            if let Some(line) = self.find(block) {
+                let upgrade = write && line.1 == LineState::Clean;
+                if write {
+                    line.1 = LineState::Dirty;
+                }
+                return AccessResult {
+                    hit: true,
+                    upgrade,
+                    evicted: None,
+                };
+            }
+            let state = if write {
+                LineState::Dirty
+            } else {
+                LineState::Clean
+            };
+            AccessResult {
+                hit: false,
+                upgrade: false,
+                evicted: self.install(block, state),
+            }
+        }
+
+        fn fill(&mut self, block: u64, state: LineState) -> Option<Evicted> {
+            if let Some(line) = self.find(block) {
+                line.1 = state;
+                return None;
+            }
+            self.install(block, state)
+        }
+
+        fn invalidate(&mut self, block: u64) -> Option<LineState> {
+            let line = self.find(block)?;
+            line.2 = false;
+            Some(line.1)
+        }
+
+        fn downgrade(&mut self, block: u64) -> bool {
+            self.find(block).is_some_and(|line| {
+                let was_dirty = line.1 == LineState::Dirty;
+                line.1 = LineState::Clean;
+                was_dirty
+            })
+        }
+
+        fn resident(&self) -> Vec<(u64, LineState)> {
+            self.lines
+                .iter()
+                .filter(|l| l.2)
+                .map(|l| (l.0, l.1))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn packed_lines_match_the_struct_of_fields_oracle() {
+        use crate::{GAddr, Segment};
+        for (size_bytes, ways, seed) in [(256, 2, 7), (1024, 4, 11), (128, 1, 3)] {
+            let geometry = CacheGeometry {
+                size_bytes,
+                ways,
+                block_bytes: 32,
+            };
+            let mut packed = Cache::new(geometry, seed);
+            let mut oracle = OracleCache::new(geometry, seed);
+            // Blocks from both segments, up to the largest node id and
+            // offset, so tags use every raw-address bit.
+            let pool: Vec<u64> = (0..48u64)
+                .map(|i| {
+                    let seg = if i % 2 == 0 {
+                        Segment::Shared
+                    } else {
+                        Segment::Private
+                    };
+                    let node = [0, 1, 1023][(i % 3) as usize];
+                    let offset = [0, (1 << 40) - 32][(i % 5 == 0) as usize] ^ (i * 32);
+                    GAddr::new(seg, node, offset & !31).raw()
+                })
+                .collect();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for step in 0..20_000 {
+                let block = pool[rng.gen_range(0..pool.len())];
+                let what = rng.gen_range(0..10u32);
+                match what {
+                    0..=5 => {
+                        let kind = if what < 3 {
+                            AccessKind::Read
+                        } else {
+                            AccessKind::Write
+                        };
+                        let (a, b) = (packed.access(block, kind), oracle.access(block, kind));
+                        assert_eq!(a, b, "step {step}: access {block:#x}");
+                    }
+                    6 => {
+                        let st = if rng.gen_bool(0.5) {
+                            LineState::Clean
+                        } else {
+                            LineState::Dirty
+                        };
+                        assert_eq!(
+                            packed.fill(block, st),
+                            oracle.fill(block, st),
+                            "step {step}"
+                        );
+                    }
+                    7 => assert_eq!(
+                        packed.invalidate(block),
+                        oracle.invalidate(block),
+                        "step {step}"
+                    ),
+                    8 => assert_eq!(
+                        packed.downgrade(block),
+                        oracle.downgrade(block),
+                        "step {step}"
+                    ),
+                    _ => {
+                        let st = oracle.find(block).map(|l| l.1);
+                        assert_eq!(packed.state_of(block), st, "step {step}");
+                    }
+                }
+                if step % 97 == 0 {
+                    assert_eq!(packed.resident(), oracle.resident(), "step {step}");
+                }
+            }
+            assert_eq!(packed.resident(), oracle.resident());
+            assert_eq!(packed.resident_blocks(), oracle.resident().len());
+        }
     }
 
     #[test]

@@ -24,6 +24,12 @@ pub struct Tlb {
     entries: usize,
     fifo: VecDeque<u64>,
     present: FastSet<u64>,
+    /// The last page accessed, which is always resident: a repeat access
+    /// hits without the hash probe (FIFO replacement ignores hits, so
+    /// skipping the probe changes nothing else). Evictions happen only on
+    /// a miss, which re-points the memo at the page it fills, so the memo
+    /// never names an evicted page.
+    last: Option<u64>,
 }
 
 impl fmt::Debug for Tlb {
@@ -47,6 +53,7 @@ impl Tlb {
             entries,
             fifo: VecDeque::with_capacity(entries),
             present: FastSet::with_capacity_and_hasher(entries * 2, Default::default()),
+            last: None,
         }
     }
 
@@ -58,6 +65,10 @@ impl Tlb {
     /// Accesses `page` (a raw page-aligned address), returning `true` on a
     /// hit. A miss fills the entry, evicting the oldest entry if full.
     pub fn access(&mut self, page: u64) -> bool {
+        if self.last == Some(page) {
+            return true;
+        }
+        self.last = Some(page);
         if self.present.contains(&page) {
             return true;
         }
@@ -80,6 +91,7 @@ impl Tlb {
     pub fn clear(&mut self) {
         self.fifo.clear();
         self.present.clear();
+        self.last = None;
     }
 }
 
@@ -96,6 +108,35 @@ mod tests {
         assert!(t.access(1));
         t.access(3); // evicts 1 (oldest), not 2
         assert!(!t.access(1));
+    }
+
+    #[test]
+    fn fast_path_matches_a_naive_fifo() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        for (entries, seed) in [(1, 1), (2, 2), (64, 3)] {
+            let mut tlb = Tlb::new(entries);
+            let mut naive: VecDeque<u64> = VecDeque::new();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Pages drawn from a few more than `entries`, with runs of
+            // repeats, so the memo answers often and every page keeps
+            // cycling through the FIFO.
+            let span = entries as u64 + 3;
+            let mut page = 0;
+            for step in 0..50_000 {
+                if rng.gen_bool(0.6) {
+                    page = rng.gen_range(0..span) << 12;
+                }
+                let hit = naive.contains(&page);
+                if !hit {
+                    if naive.len() == entries {
+                        naive.pop_front();
+                    }
+                    naive.push_back(page);
+                }
+                assert_eq!(tlb.access(page), hit, "entries {entries}, step {step}");
+                assert_eq!(tlb.resident(), naive.len());
+            }
+        }
     }
 
     #[test]

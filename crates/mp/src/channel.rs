@@ -163,7 +163,7 @@ impl MpMachine {
                     tag: tag::CHAN_DATA,
                     meta: (ch.id.0 << IDX_BITS) | idx,
                     words,
-                    data_bytes: chunk,
+                    data_bytes: u16::try_from(chunk).expect("chunks fit one packet payload"),
                     sent_at: 0,
                     seq: 0,
                 },
@@ -224,9 +224,8 @@ impl MpMachine {
             (ch.buf_off, ch.capacity)
         };
         let base = buf_off + (idx * PACKET_PAYLOAD_BYTES) as u64;
-        let chunk = pkt
-            .data_bytes
-            .min(capacity - (idx * PACKET_PAYLOAD_BYTES).min(capacity));
+        let chunk =
+            u32::from(pkt.data_bytes).min(capacity - (idx * PACKET_PAYLOAD_BYTES).min(capacity));
         // Store the payload into the destination buffer.
         for w in 0..4u32 {
             if w * 4 < chunk {

@@ -378,7 +378,8 @@ impl MpMachine {
                             tag: tag::BC_BULK,
                             meta: seq,
                             words,
-                            data_bytes: chunk,
+                            data_bytes: u16::try_from(chunk)
+                                .expect("chunks fit one packet payload"),
                             sent_at: 0,
                             seq: 0,
                         },

@@ -18,6 +18,12 @@ use crate::config::MpConfig;
 use crate::packet::{tag, Packet, PACKET_BYTES};
 use crate::sync_msg::{PendingRecv, PendingSend};
 
+// A delivery closure (`MpMachine::inject`) captures `Rc<MpMachine>` and a
+// `Packet`; while that fits `SmallCall`'s inline buffer, putting a packet
+// on the wire allocates nothing.
+const _: () =
+    assert!(std::mem::size_of::<(Rc<MpMachine>, Packet)>() <= wwt_sim::callback::INLINE_BYTES);
+
 /// Arguments passed to an active-message handler.
 ///
 /// Handlers run *in the context of the receiving processor* when it polls
@@ -405,18 +411,18 @@ impl MpMachine {
                     // sequence number; re-ACK duplicates, NACK gaps.
                     let expected =
                         self.nodes.borrow()[pkt.dest.index()].rx_expected[pkt.src.index()];
-                    if pkt.seq < expected {
+                    if u64::from(pkt.seq) < expected {
                         // Duplicate of something already delivered.
                         self.send_ctl(pkt.dest, pkt.src, tag::ACK, expected);
                         return;
                     }
-                    if pkt.seq > expected {
+                    if u64::from(pkt.seq) > expected {
                         // Gap: an earlier packet was lost or reordered away.
                         self.send_ctl(pkt.dest, pkt.src, tag::NACK, expected);
                         return;
                     }
                     self.nodes.borrow_mut()[pkt.dest.index()].rx_expected[pkt.src.index()] += 1;
-                    self.send_ctl(pkt.dest, pkt.src, tag::ACK, pkt.seq + 1);
+                    self.send_ctl(pkt.dest, pkt.src, tag::ACK, u64::from(pkt.seq) + 1);
                 }
             }
         }
@@ -452,7 +458,8 @@ impl MpMachine {
         let (arm, deadline) = {
             let mut nodes = self.nodes.borrow_mut();
             let node = &mut nodes[src.index()];
-            pkt.seq = node.tx_seq[d];
+            pkt.seq = u32::try_from(node.tx_seq[d])
+                .expect("fewer than 2^32 packets per (source, destination) pair");
             node.tx_seq[d] += 1;
             node.unacked[d].push_back(*pkt);
             let deadline = at.max(self.sim.now()) + node.rtx_timeout[d];
@@ -506,7 +513,10 @@ impl MpMachine {
         let d = pkt.src.index();
         let mut nodes = self.nodes.borrow_mut();
         let node = &mut nodes[pkt.dest.index()];
-        while node.unacked[d].front().is_some_and(|p| p.seq < acked) {
+        while node.unacked[d]
+            .front()
+            .is_some_and(|p| u64::from(p.seq) < acked)
+        {
             node.unacked[d].pop_front();
         }
         if node.unacked[d].is_empty() {
@@ -528,7 +538,10 @@ impl MpMachine {
         let fire = {
             let mut nodes = self.nodes.borrow_mut();
             let node = &mut nodes[me.index()];
-            while node.unacked[d].front().is_some_and(|p| p.seq < want) {
+            while node.unacked[d]
+                .front()
+                .is_some_and(|p| u64::from(p.seq) < want)
+            {
                 node.unacked[d].pop_front();
             }
             !node.unacked[d].is_empty()
@@ -652,7 +665,7 @@ impl MpMachine {
         t: u8,
         meta: u32,
         words: [u32; 4],
-        data_bytes: u32,
+        data_bytes: u16,
     ) {
         cpu.resync().await;
         let _lib = self.lib_scope(cpu);
@@ -682,7 +695,7 @@ impl MpMachine {
         t: u8,
         meta: u32,
         words: [u32; 4],
-        data_bytes: u32,
+        data_bytes: u16,
     ) {
         cpu.compute(self.config.am_send_overhead);
         cpu.count(Counter::ActiveMessages, 1);

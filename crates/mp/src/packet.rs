@@ -50,7 +50,7 @@ pub struct Packet {
     /// How many payload bytes are application data (for the paper's
     /// data-vs-control byte accounting); the rest of the 20 bytes count
     /// as control.
-    pub data_bytes: u32,
+    pub data_bytes: u16,
     /// Sender's clock when the packet entered the network. Simulator
     /// measurement metadata (end-to-end message latency), not wire state;
     /// stamped by the network interface on injection.
@@ -59,7 +59,7 @@ pub struct Packet {
     /// reliable-delivery layer on injection. Always zero when fault
     /// injection is off (the network is perfectly reliable and packets
     /// need no sequencing).
-    pub seq: u64,
+    pub seq: u32,
 }
 
 /// Total packet size on the wire, in bytes.
@@ -71,7 +71,7 @@ pub const PACKET_PAYLOAD_BYTES: u32 = 16;
 impl Packet {
     /// Control bytes of this packet (total size minus data bytes).
     pub fn control_bytes(&self) -> u32 {
-        PACKET_BYTES - self.data_bytes
+        PACKET_BYTES - u32::from(self.data_bytes)
     }
 }
 

@@ -112,9 +112,12 @@ impl EventQueue {
 
 /// Ring capacity of the calendar: events within this many cycles of the
 /// cursor live in per-cycle slots; anything further sits in the overflow
-/// heap until the cursor gets close. Covers dozens of network latencies,
-/// so only long fault timers (retransmit deadlines, jitter tails) ever
-/// overflow.
+/// heap until the cursor gets close. That covers dozens of network
+/// latencies, which holds every SM protocol event. MP senders, though,
+/// run far ahead of global time between polls, so many packet
+/// deliveries land beyond the ring too: about a quarter of all pushes in
+/// the benchmark's bench-scale `mp` workload overflow, besides the long
+/// fault timers (retransmit deadlines, jitter tails).
 const RING: usize = 4096;
 const RING_MASK: u64 = (RING as u64) - 1;
 /// One occupancy bit per slot, one summary bit per 64-slot word.

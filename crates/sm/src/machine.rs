@@ -28,12 +28,12 @@ pub(crate) struct SmNode {
 }
 
 impl SmNode {
-    fn new(config: &SmConfig, seed: u64) -> Self {
+    fn new(config: &SmConfig, nodes: usize, seed: u64) -> Self {
         SmNode {
             mem: NodeMem::new(),
             cache: Cache::new(config.arch.cache, seed),
             tlb: Tlb::new(config.arch.tlb_entries),
-            dir: Directory::new(config.arch.cache.block_bytes),
+            dir: Directory::new(config.arch.cache.block_bytes, nodes),
             dir_busy: 0,
             pending_prefetch: FastMap::default(),
             stache: FastSet::default(),
@@ -58,6 +58,10 @@ pub struct SmMachine {
     watchers: RefCell<FastMap<u64, Vec<WaitCell>>>,
     /// Recycled completion cells for the per-miss transact path.
     pub(crate) cell_pool: CellPool,
+    /// Set once some cache may hold a valid shared line its home
+    /// directory does not list (see [`SmMachine::note_fill`]). While it is
+    /// clear, every shared hit is provably listed and skips the directory.
+    unlisted_copies: Cell<bool>,
 }
 
 impl fmt::Debug for SmMachine {
@@ -85,7 +89,7 @@ impl SmMachine {
             sim,
             nodes: RefCell::new(
                 (0..n)
-                    .map(|i| SmNode::new(&config, seed.wrapping_add(0x5a5a + i as u64)))
+                    .map(|i| SmNode::new(&config, n, seed.wrapping_add(0x5a5a + i as u64)))
                     .collect(),
             ),
             barrier: HwBarrier::new(n, config.arch.barrier_latency),
@@ -93,6 +97,7 @@ impl SmMachine {
             rr_next: Cell::new(0),
             watchers: RefCell::new(FastMap::default()),
             cell_pool: CellPool::new(),
+            unlisted_copies: Cell::new(false),
         })
     }
 
@@ -206,6 +211,29 @@ impl SmMachine {
 
     pub(crate) fn set_dir_state(&self, home: usize, block: GAddr, st: DirState) {
         self.nodes.borrow_mut()[home].dir.set(block, st);
+    }
+
+    /// Whether `block`'s home directory lists `p` (sharer or owner).
+    pub(crate) fn dir_lists(&self, block: GAddr, p: usize) -> bool {
+        self.nodes.borrow()[block.node()].dir.lists(block, p)
+    }
+
+    pub(crate) fn dir_drop_copy(&self, home: usize, block: GAddr, p: usize) {
+        self.nodes.borrow_mut()[home].dir.drop_copy(block, p);
+    }
+
+    /// Called after a line of `block` was filled at `p` without a
+    /// directory transaction of its own (a prefetch or push arrival, or a
+    /// demand miss merged into an in-flight prefetch). If another node's
+    /// write removed `p` from the directory meanwhile, the copy is valid
+    /// but unlisted, and from now on the hit path must probe the
+    /// directory. Every other fill is preceded by a transaction that lists
+    /// `p` before `p` can next touch the line, and `dir_service` applies
+    /// invalidations to the caches at directory time.
+    pub(crate) fn note_fill(&self, p: usize, block: GAddr) {
+        if !self.unlisted_copies.get() && !self.dir_lists(block, p) {
+            self.unlisted_copies.set(true);
+        }
     }
 
     /// Directory state of `block` plus its home's busy horizon, read under
@@ -353,19 +381,23 @@ impl SmMachine {
                 let tlb_hit = node.tlb.access(page);
                 let result = node.cache.access(block_raw, cache_kind);
                 // A hit counts only while the directory still attributes
-                // the copy to us; otherwise an invalidation is posted (in
-                // flight on the event queue) and the access races with it
-                // in real time. We resolve that race in the invalidation's
-                // favor — otherwise a deterministic lock-step program
-                // could touch the line just before every arrival and never
-                // observe any invalidation.
-                let listed = result.hit
-                    && !result.upgrade
-                    && match nodes[block.node()].dir.get(block) {
-                        DirState::Shared(s) => s.contains(me),
-                        DirState::Exclusive(o) => o == me,
-                        DirState::Uncached => false,
-                    };
+                // the copy to us; a copy installed after another node's
+                // write is stale, and the access takes that write's
+                // invalidation now. Such copies arise only from the fills
+                // `note_fill` watches; until one does, every hit is listed
+                // and the home directory need not be read.
+                let clean_hit = result.hit && !result.upgrade;
+                let listed = if !clean_hit {
+                    false
+                } else if self.unlisted_copies.get() {
+                    nodes[block.node()].dir.lists(block, me)
+                } else {
+                    debug_assert!(
+                        nodes[block.node()].dir.lists(block, me),
+                        "node {me} hit {block:?} but the directory does not list it"
+                    );
+                    true
+                };
                 (tlb_hit, result, listed)
             };
             if !tlb_hit {
@@ -423,21 +455,14 @@ impl SmMachine {
                 // local-memory cost: no protocol transaction.
                 if cfg.stache {
                     let parked = self.nodes.borrow()[me].stache.contains(&block_raw);
-                    if parked {
-                        let listed = match self.dir_state(block.node(), block) {
-                            DirState::Shared(s) => s.contains(me),
-                            DirState::Exclusive(o) => o == me,
-                            DirState::Uncached => false,
-                        };
-                        if listed && cache_kind == AccessKind::Read {
-                            cpu.charge(Kind::PrivMiss, cfg.priv_miss_total());
-                            cpu.count(Counter::PrivMisses, 1);
-                            if block_raw == last {
-                                break;
-                            }
-                            block_raw += block_bytes;
-                            continue;
+                    if parked && self.dir_lists(block, me) && cache_kind == AccessKind::Read {
+                        cpu.charge(Kind::PrivMiss, cfg.priv_miss_total());
+                        cpu.count(Counter::PrivMisses, 1);
+                        if block_raw == last {
+                            break;
                         }
+                        block_raw += block_bytes;
+                        continue;
                     }
                 }
                 // A read miss on a block with an in-flight prefetch merges
@@ -454,6 +479,7 @@ impl SmMachine {
                 misses += 1;
                 if let Some(cell) = inflight {
                     cell.wait(cpu, charge_kind).await;
+                    self.note_fill(me, block);
                 } else {
                     cpu.count(counter, 1);
                     self.transact(cpu, block, cache_kind == AccessKind::Write, charge_kind)
@@ -604,12 +630,8 @@ impl SmMachine {
         let mut issued = 0;
         loop {
             let block = GAddr::from_raw(block_raw);
-            let listed = match self.dir_state(block.node(), block) {
-                DirState::Shared(s) => s.contains(me),
-                DirState::Exclusive(o) => o == me,
-                DirState::Uncached => false,
-            };
-            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some() && listed;
+            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some()
+                && self.dir_lists(block, me);
             if !resident {
                 // A couple of cycles to issue the prefetch instruction;
                 // the line is installed only when the response arrives,
@@ -751,12 +773,7 @@ impl SmMachine {
                     continue;
                 }
                 let dir = nodes[ga.node()].dir.get(ga);
-                let listed = match dir {
-                    DirState::Uncached => false,
-                    DirState::Shared(s) => s.contains(n),
-                    DirState::Exclusive(o) => o == n,
-                };
-                if !listed {
+                if !nodes[ga.node()].dir.lists(ga, n) {
                     out.push(format!(
                         "node {n} holds {ga:?} ({state:?}) but the directory says {dir:?}"
                     ));

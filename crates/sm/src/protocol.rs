@@ -84,53 +84,134 @@ pub enum DirState {
     /// No cached copies exist.
     #[default]
     Uncached,
-    /// Read-only copies exist at the given nodes.
+    /// Read-only copies exist at the given nodes (never an empty set:
+    /// dropping the last sharer makes the block [`DirState::Uncached`]).
     Shared(Sharers),
     /// One node holds the block exclusively (possibly dirty).
     Exclusive(usize),
 }
 
-/// A home node's directory: per-block [`DirState`], directly indexed by
-/// block number.
+/// A home node's full-map directory, directly indexed by block number.
+///
+/// Each block is `nodes + 1` bits packed into `stride = (nodes + 1) / 64`
+/// (rounded up) `u64` words: bit `p` is node `p`'s presence bit and bit
+/// `nodes` is the exclusive flag. `Uncached` is all zeros, `Shared(s)` is
+/// the presence bits of `s`, and `Exclusive(o)` is presence bit `o` plus
+/// the flag, so "does the directory list `p`" is one bit test whatever
+/// the state. The paper's 32-node machine needs one word per block.
 ///
 /// Shared offsets come from a bump allocator, so a node's shared blocks
-/// are dense from offset 0 — a flat vector beats a hash map on the
-/// hottest path in the whole simulator (every shared cache *hit* probes
-/// the directory to resolve the race with in-flight invalidations).
-/// Unindexed blocks read as [`DirState::Uncached`]; the vector grows on
+/// are dense from offset 0 and a flat vector beats a hash map. Blocks
+/// past the end read as [`DirState::Uncached`]; the vector grows on the
 /// first write past its end.
 pub(crate) struct Directory {
     block_shift: u32,
-    states: Vec<DirState>,
+    nodes: usize,
+    stride: usize,
+    words: Vec<u64>,
 }
 
 impl Directory {
-    pub(crate) fn new(block_bytes: u64) -> Self {
+    pub(crate) fn new(block_bytes: u64, nodes: usize) -> Self {
+        assert!(nodes <= 128, "Dir_nNB full map supports up to 128 nodes");
         Directory {
             block_shift: block_bytes.trailing_zeros(),
-            states: Vec::new(),
+            nodes,
+            stride: (nodes + 1).div_ceil(64),
+            words: Vec::new(),
         }
     }
 
+    /// First word of `block`'s entry.
     #[inline]
-    fn index(&self, block: GAddr) -> usize {
-        (block.offset() >> self.block_shift) as usize
+    fn base(&self, block: GAddr) -> usize {
+        (block.offset() >> self.block_shift) as usize * self.stride
+    }
+
+    /// Word offset and mask of the exclusive flag within an entry.
+    #[inline]
+    fn excl_bit(&self) -> (usize, u64) {
+        (self.nodes / 64, 1 << (self.nodes % 64))
     }
 
     #[inline]
     pub(crate) fn get(&self, block: GAddr) -> DirState {
-        self.states
-            .get(self.index(block))
-            .copied()
-            .unwrap_or_default()
+        let base = self.base(block);
+        let Some(entry) = self.words.get(base..base + self.stride) else {
+            return DirState::Uncached;
+        };
+        let (w, flag) = self.excl_bit();
+        let exclusive = entry[w] & flag != 0;
+        let lo = entry[0];
+        let hi = entry.get(1).copied().unwrap_or(0);
+        let mut presence = (u128::from(hi) << 64) | u128::from(lo);
+        if self.nodes < 128 {
+            presence &= (1u128 << self.nodes) - 1;
+        }
+        match (exclusive, presence) {
+            (true, _) => DirState::Exclusive(presence.trailing_zeros() as usize),
+            (false, 0) => DirState::Uncached,
+            (false, _) => DirState::Shared(Sharers(presence)),
+        }
     }
 
     pub(crate) fn set(&mut self, block: GAddr, st: DirState) {
-        let idx = self.index(block);
-        if idx >= self.states.len() {
-            self.states.resize(idx + 1, DirState::Uncached);
+        let base = self.base(block);
+        if base + self.stride > self.words.len() {
+            self.words.resize(base + self.stride, 0);
         }
-        self.states[idx] = st;
+        let (presence, exclusive) = match st {
+            DirState::Uncached => (0, false),
+            DirState::Shared(s) => {
+                debug_assert!(!s.is_empty(), "an empty sharer set is Uncached");
+                (s.0, false)
+            }
+            DirState::Exclusive(o) => (1u128 << o, true),
+        };
+        debug_assert!(
+            self.nodes == 128 || presence >> self.nodes == 0,
+            "{st:?} names a node beyond {}",
+            self.nodes
+        );
+        let (w, flag) = self.excl_bit();
+        let entry = &mut self.words[base..base + self.stride];
+        entry.fill(0);
+        entry[0] = presence as u64;
+        if let Some(word) = entry.get_mut(1) {
+            *word = (presence >> 64) as u64;
+        }
+        if exclusive {
+            entry[w] |= flag;
+        }
+    }
+
+    /// Whether the directory lists `p` for `block`, as a sharer or as the
+    /// exclusive owner: one word load.
+    #[inline]
+    pub(crate) fn lists(&self, block: GAddr, p: usize) -> bool {
+        debug_assert!(p < self.nodes);
+        self.words
+            .get(self.base(block) + p / 64)
+            .is_some_and(|w| (w >> (p % 64)) & 1 == 1)
+    }
+
+    /// Drops `p`'s copy of `block` (a replacement hint or a displaced
+    /// victim): `p` leaves the sharer set, and an exclusive owner leaves
+    /// the block uncached. A no-op when `p` is not listed.
+    pub(crate) fn drop_copy(&mut self, block: GAddr, p: usize) {
+        let base = self.base(block);
+        let Some(word) = self.words.get_mut(base + p / 64) else {
+            return;
+        };
+        let bit = 1u64 << (p % 64);
+        if *word & bit == 0 {
+            return;
+        }
+        *word &= !bit;
+        // Only an exclusive entry sets the flag, and it lists exactly its
+        // owner, so clearing the flag is right whichever state this was.
+        let (w, flag) = self.excl_bit();
+        self.words[base + w] &= !flag;
     }
 }
 
@@ -336,29 +417,18 @@ impl SmMachine {
 
     /// Installs a clean copy of `block` at `p`, fixing up the directory
     /// for any displaced shared victim (used by prefetch arrivals and
-    /// push-broadcast updates).
+    /// push-broadcast updates). A copy installed after another node's
+    /// write removed `p` from the directory is valid but unlisted, so this
+    /// is where the hit path's directory probe is switched back on.
     pub(crate) fn install_copy(self: &Rc<Self>, p: usize, block: GAddr) {
         let evicted = self.cache_fill_clean(p, block);
         if let Some((victim_raw, _)) = evicted {
             let victim = GAddr::from_raw(victim_raw);
             if victim.segment() == wwt_mem::Segment::Shared {
-                let h = victim.node();
-                let st = self.dir_state(h, victim);
-                let new = match st {
-                    DirState::Exclusive(o) if o == p => DirState::Uncached,
-                    DirState::Shared(mut s) => {
-                        s.remove(p);
-                        if s.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(s)
-                        }
-                    }
-                    other => other,
-                };
-                self.set_dir_state(h, victim, new);
+                self.dir_drop_copy(victim.node(), victim, p);
             }
         }
+        self.note_fill(p, block);
     }
 
     /// Handles the replacement of a *shared* block evicted from processor
@@ -381,20 +451,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         self.sim()
             .call_at(arrive.max(self.sim().now()), move || {
-                let st = this.dir_state(h, victim);
-                let new = match st {
-                    DirState::Exclusive(o) if o == p => DirState::Uncached,
-                    DirState::Shared(mut s) => {
-                        s.remove(p);
-                        if s.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(s)
-                        }
-                    }
-                    other => other,
-                };
-                this.set_dir_state(h, victim, new);
+                this.dir_drop_copy(h, victim, p)
             })
             .expect("arrival is clamped to the present");
     }
@@ -453,6 +510,113 @@ mod tests {
     #[should_panic(expected = "up to 128 nodes")]
     fn sharers_reject_large_ids() {
         Sharers::empty().insert(128);
+    }
+
+    /// The directory's meaning, as the `match` the hit path used before
+    /// the bit encoding: does `st` list `p`?
+    fn lists_by_match(st: DirState, p: usize) -> bool {
+        match st {
+            DirState::Shared(s) => s.contains(p),
+            DirState::Exclusive(o) => o == p,
+            DirState::Uncached => false,
+        }
+    }
+
+    /// The replacement-hint update, as a `match` over [`DirState`].
+    fn drop_by_match(st: DirState, p: usize) -> DirState {
+        match st {
+            DirState::Exclusive(o) if o == p => DirState::Uncached,
+            DirState::Shared(mut s) => {
+                s.remove(p);
+                if s.is_empty() {
+                    DirState::Uncached
+                } else {
+                    DirState::Shared(s)
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// Every directory shape on an `n`-node machine worth checking: the
+    /// empty state, each owner at the word edges, and sharer sets holding
+    /// the edge bits plus random ones.
+    fn shapes(n: usize, rng: &mut rand::rngs::SmallRng) -> Vec<DirState> {
+        use rand::Rng;
+        let edges: Vec<usize> = [0, 1, 31, 62, 63, 64, 65, 126, 127]
+            .into_iter()
+            .filter(|&p| p < n)
+            .chain([n - 1])
+            .collect();
+        let mask = if n == 128 {
+            u128::MAX
+        } else {
+            (1u128 << n) - 1
+        };
+        let mut out = vec![DirState::Uncached];
+        out.extend(edges.iter().map(|&o| DirState::Exclusive(o)));
+        out.extend(edges.iter().map(|&p| DirState::Shared(Sharers::one(p))));
+        out.push(DirState::Shared(Sharers(mask)));
+        let all_edges = edges.iter().fold(Sharers::empty(), |mut s, &p| {
+            s.insert(p);
+            s
+        });
+        out.push(DirState::Shared(all_edges));
+        for _ in 0..200 {
+            let bits = ((u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>())) & mask;
+            if bits != 0 {
+                out.push(DirState::Shared(Sharers(bits)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn directory_bits_encode_every_state_at_every_width() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(14);
+        let block = |i: u64| GAddr::new(wwt_mem::Segment::Shared, 0, i * 32);
+        for n in [1, 32, 63, 64, 127, 128] {
+            let mut dir = Directory::new(32, n);
+            assert_eq!(dir.get(block(5)), DirState::Uncached, "lazy growth");
+            assert!(!dir.lists(block(5), n - 1));
+            let shapes = shapes(n, &mut rng);
+            for (i, &st) in shapes.iter().enumerate() {
+                // Alternate between two neighbouring entries so a write
+                // that spills into the next block's words shows up.
+                let (b, other) = (block(2 * i as u64 + 1), block(2 * i as u64 + 2));
+                let neighbour = shapes[(i * 7 + 3) % shapes.len()];
+                dir.set(other, neighbour);
+                dir.set(b, st);
+                assert_eq!(dir.get(b), st, "n {n}");
+                assert_eq!(dir.get(other), neighbour, "n {n}: {st:?} spilled");
+                for p in 0..n {
+                    assert_eq!(dir.lists(b, p), lists_by_match(st, p), "n {n} {st:?} p {p}");
+                    let mut dropped = Directory::new(32, n);
+                    dropped.set(b, st);
+                    dropped.set(other, neighbour);
+                    dropped.drop_copy(b, p);
+                    assert_eq!(dropped.get(b), drop_by_match(st, p), "n {n} {st:?} p {p}");
+                    assert_eq!(dropped.get(other), neighbour);
+                }
+            }
+            // Past the end: Uncached, listed nowhere, and dropping a copy
+            // allocates nothing.
+            let end = block(10_000);
+            assert_eq!(dir.get(end), DirState::Uncached);
+            assert!(!dir.lists(end, 0));
+            let len = dir.words.len();
+            dir.drop_copy(end, 0);
+            assert_eq!(dir.words.len(), len);
+        }
+    }
+
+    #[test]
+    fn paper_machine_directory_entries_are_one_word() {
+        assert_eq!(Directory::new(32, 32).stride, 1);
+        assert_eq!(Directory::new(32, 63).stride, 1);
+        assert_eq!(Directory::new(32, 64).stride, 2);
+        assert_eq!(Directory::new(32, 128).stride, 3);
     }
 
     #[test]

@@ -441,6 +441,65 @@ fn prefetch_issued_too_late_hides_nothing() {
     assert!(m.coherence_violations().is_empty());
 }
 
+/// Node 0 prefetches `x` (homed on node 2) while node 1 writes it. The
+/// write reaches the home after the prefetch request and before the
+/// prefetched copy lands, so the copy node 0 installs is valid but no
+/// longer listed by the directory. `merge` makes node 0 demand-read `x`
+/// while the prefetch is in flight, so it wakes when the response is
+/// delivered, before the copy is installed. Returns node 0's remote
+/// misses and the cycles of its read after the copy is stale.
+fn stale_prefetch_run(merge: bool) -> (u64, u64) {
+    let (mut e, m) = setup(3);
+    let x = m.gmalloc_on(2, 8, 8);
+    let cost: Rc<RefCell<u64>> = Rc::default();
+    let m0 = Rc::clone(&m);
+    let c0 = e.cpu(ProcId::new(0));
+    let cost0 = Rc::clone(&cost);
+    e.spawn(ProcId::new(0), async move {
+        m0.prefetch(&c0, x, 8).await;
+        if merge {
+            c0.compute(148);
+            m0.read_f64(&c0, x).await;
+        } else {
+            c0.compute(1_000);
+        }
+        let t0 = c0.clock();
+        m0.read_f64(&c0, x).await;
+        *cost0.borrow_mut() = c0.clock() - t0;
+    });
+    let m1 = Rc::clone(&m);
+    let c1 = e.cpu(ProcId::new(1));
+    e.spawn(ProcId::new(1), async move {
+        m1.write_f64(&c1, x, 1.0).await;
+    });
+    let c2 = e.cpu(ProcId::new(2));
+    e.spawn(ProcId::new(2), async move {
+        let _ = c2;
+    });
+    let r = e.run();
+    let misses = r.proc(ProcId::new(0)).counters.get(Counter::ShMissesRemote);
+    let cost = *cost.borrow();
+    (misses, cost)
+}
+
+#[test]
+fn a_prefetched_copy_overtaken_by_a_write_is_not_a_hit() {
+    // The read takes the write's invalidation as a remote miss (a 4-hop
+    // recall from the writer), after the prefetch's own request.
+    let (misses, cost) = stale_prefetch_run(false);
+    assert_eq!(misses, 2);
+    assert!(cost > 100, "stale prefetched copy hit ({cost} cycles)");
+}
+
+#[test]
+fn a_demand_miss_merged_into_an_overtaken_prefetch_keeps_hits_exact() {
+    // The merged read wakes when the prefetch response is delivered, one
+    // event before the copy is installed; without `note_fill` after the
+    // merge, the next read would skip the directory while the copy is
+    // unlisted and trip the hit-path assertion of debug builds.
+    stale_prefetch_run(true);
+}
+
 #[test]
 fn stache_refills_evicted_remote_blocks_locally() {
     // A tiny cache forces capacity evictions of remote blocks; with the
