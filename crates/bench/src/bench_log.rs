@@ -29,6 +29,7 @@
 use std::fmt::Write as _;
 
 use wwt_core::arch::ArchParams;
+use wwt_core::trace::json::escape;
 use wwt_core::{ExperimentArtifacts, Scale};
 
 /// The record schema this build writes.
@@ -75,7 +76,7 @@ pub fn bench_record(
     artifacts: &[ExperimentArtifacts],
 ) -> String {
     let faults = match faults_spec {
-        Some(f) => format!("\"{f}\""),
+        Some(f) => format!("\"{}\"", escape(f)),
         None => "null".to_string(),
     };
     let mut rec = format!(
@@ -203,6 +204,23 @@ mod tests {
          \"cache\":true,\"arch_hash\":\"00deadbeef000000\",\"faults\":null,\
          \"total_wall_secs\":1.5,\
          \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
+
+    #[test]
+    fn faults_spec_is_escaped() {
+        // `FaultConfig::parse` accepts a trailing tab (empty parts are
+        // skipped after trimming), and the raw spec is what gets logged.
+        let rec = bench_record(
+            Scale::Test,
+            1,
+            false,
+            &ArchParams::default(),
+            Some("seed=1,\t"),
+            0.0,
+            &[],
+        );
+        assert!(rec.contains("\"faults\":\"seed=1,\\t\""), "{rec}");
+        assert!(!rec.contains('\t'));
+    }
 
     #[test]
     fn bench_records_accumulate_as_one_json_document() {

@@ -395,12 +395,6 @@ fn main() {
     }
 
     let tracing_requested = trace_out.is_some() || metrics_out.is_some() || json_out.is_some();
-    #[cfg(not(feature = "trace-json"))]
-    if tracing_requested {
-        eprintln!("make_tables was built without the `trace-json` feature; --trace/--metrics/--json are unavailable");
-        std::process::exit(2);
-    }
-
     let cfg = RunnerConfig {
         scale,
         jobs,
@@ -580,7 +574,6 @@ fn main() {
         }
     }
 
-    #[cfg(feature = "trace-json")]
     if tracing_requested {
         for a in &artifacts {
             let e = a.experiment;

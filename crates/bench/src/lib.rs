@@ -93,12 +93,10 @@ pub fn timeline_report(e: Experiment, scale: Scale) -> String {
 
 /// Everything a trace-enabled run exports (the `--trace`/`--metrics`
 /// outputs of `make_tables`).
-#[cfg(feature = "trace-json")]
 pub use wwt_core::TraceArtifacts as TraceReport;
 
 /// Runs one experiment with structured tracing enabled and exports the
 /// trace, the latency histograms, and the result tables.
-#[cfg(feature = "trace-json")]
 pub fn trace_report(e: Experiment, scale: Scale) -> TraceReport {
     let cfg = RunnerConfig {
         trace: true,
@@ -132,7 +130,6 @@ mod tests {
         assert!(s.contains("Paper Table 8"));
     }
 
-    #[cfg(feature = "trace-json")]
     #[test]
     fn trace_report_exports_every_artifact() {
         let tr = trace_report(Experiment::LcpMp, Scale::Test);

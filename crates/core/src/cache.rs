@@ -179,7 +179,6 @@ fn serialize(a: &ExperimentArtifacts) -> Option<String> {
     if let Some(p) = &a.phases {
         push_blob(&mut out, "phases", &p.to_text());
     }
-    #[cfg(feature = "trace-json")]
     if let Some(t) = &a.trace {
         push_blob(&mut out, "perfetto", &t.perfetto);
         push_blob(&mut out, "metrics_json", &t.metrics_json);
@@ -344,7 +343,6 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
         }
     }
 
-    #[cfg(feature = "trace-json")]
     let trace = {
         let take = |name: &str| {
             blobs
@@ -369,8 +367,6 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
             _ => None,
         }
     };
-    #[cfg(not(feature = "trace-json"))]
-    let _ = blobs;
 
     Some(ExperimentArtifacts {
         experiment: e,
@@ -386,7 +382,6 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
             events,
         },
         timeline,
-        #[cfg(feature = "trace-json")]
         trace,
         phases,
         wall_secs,
@@ -557,7 +552,6 @@ mod tests {
                 }],
             },
             timeline: Some("\n### gauss-mp — timeline\nP0 |##SS|\n".into()),
-            #[cfg(feature = "trace-json")]
             trace: None,
             phases: Some(wwt_diff::RunProfile {
                 nprocs: 2,

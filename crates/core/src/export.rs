@@ -1,14 +1,14 @@
-//! JSON export of experiment results (behind the `trace-json` feature).
+//! JSON export of experiment results.
 //!
 //! [`experiment_json`] serializes an [`ExperimentOutput`] — run summary,
 //! breakdown tables, and event tables — for downstream tooling;
 //! [`breakdown_json`] serializes one table. The trace itself exports via
-//! [`wwt_trace::chrome_trace_json`] and the histograms via
-//! [`wwt_trace::metrics_json`].
+//! [`wwt_sim::trace::chrome_trace_json`] and the histograms via
+//! [`wwt_sim::trace::metrics_json`].
 
 use std::fmt::Write as _;
 
-use wwt_trace::json::{escape, num_f64};
+use wwt_sim::trace::json::{escape, num_f64};
 
 use crate::experiment::ExperimentOutput;
 use crate::table::{BreakdownTable, EventTable};

@@ -24,7 +24,6 @@
 
 pub mod cache;
 pub mod experiment;
-#[cfg(feature = "trace-json")]
 pub mod export;
 pub mod paper;
 pub mod runner;
@@ -36,13 +35,11 @@ pub use experiment::{
     run_experiment, run_experiment_with, run_experiment_with_arch, simulations_performed,
     try_run_experiment_with_arch, Experiment, ExperimentOutput, ExperimentSummary, Machine, Scale,
 };
-#[cfg(feature = "trace-json")]
 pub use export::{breakdown_json, experiment_json};
 pub use paper::{headline_checks, paper_reference, HeadlineCheck, PaperTable};
-#[cfg(feature = "trace-json")]
-pub use runner::TraceArtifacts;
 pub use runner::{
     render_report, render_section, run_grid, timeline_bucket, ExperimentArtifacts, RunnerConfig,
+    TraceArtifacts,
 };
 pub use sweep::{render_sweep_report, run_sweep, SweepOutcome};
 pub use table::{
@@ -59,6 +56,6 @@ pub use wwt_mem as mem;
 pub use wwt_mp as mp;
 pub use wwt_obs as obs;
 pub use wwt_sim as sim;
+pub use wwt_sim::trace;
 pub use wwt_sm as sm;
 pub use wwt_store as store;
-pub use wwt_trace as trace;

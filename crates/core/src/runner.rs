@@ -57,8 +57,7 @@ pub struct RunnerConfig {
     /// (enables time-resolved profiling in the engine).
     pub timeline: bool,
     /// Produce trace artifacts (Perfetto JSON, latency histograms, result
-    /// JSON) for every experiment. Requires the `trace-json` feature; the
-    /// flag is ignored without it.
+    /// JSON) for every experiment.
     pub trace: bool,
     /// When set, persist and reuse per-experiment artifacts under this
     /// directory (created on demand).
@@ -108,7 +107,7 @@ impl RunnerConfig {
     pub(crate) fn sim_config(&self) -> wwt_sim::SimConfig {
         wwt_sim::SimConfig {
             profile_bucket: self.timeline.then(|| timeline_bucket(self.scale)),
-            trace: self.trace && cfg!(feature = "trace-json"),
+            trace: self.trace,
             phase_marks: self.phases,
             faults: self.faults,
             // Faulted runs can stall in ways fault-free runs cannot
@@ -131,7 +130,6 @@ pub fn timeline_bucket(scale: Scale) -> u64 {
 
 /// Trace-derived artifacts of one experiment run (the `--trace`,
 /// `--metrics`, and `--json` outputs of `make_tables`).
-#[cfg(feature = "trace-json")]
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceArtifacts {
     /// Chrome trace-event / Perfetto JSON.
@@ -156,7 +154,6 @@ pub struct ExperimentArtifacts {
     /// The rendered timeline section, when requested.
     pub timeline: Option<String>,
     /// Trace exports, when requested.
-    #[cfg(feature = "trace-json")]
     pub trace: Option<TraceArtifacts>,
     /// The phase-structured run profile (the `--diff` input), when
     /// requested via [`RunnerConfig::phases`].
@@ -173,7 +170,6 @@ fn covers(a: &ExperimentArtifacts, cfg: &RunnerConfig) -> bool {
     if cfg.timeline && a.timeline.is_none() {
         return false;
     }
-    #[cfg(feature = "trace-json")]
     if cfg.trace && a.trace.is_none() {
         return false;
     }
@@ -298,14 +294,13 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (Experime
             .expect("run was profiled, so a timeline must render");
         format!("\n### {} — timeline\n{}", e.id(), rendered)
     });
-    #[cfg(feature = "trace-json")]
     let trace = (cfg.trace).then(|| {
         let report = &out.run.report;
         let data = report.trace().expect("tracing was enabled");
         TraceArtifacts {
-            perfetto: wwt_trace::chrome_trace_json(report).expect("tracing was enabled"),
-            metrics_json: wwt_trace::metrics_json(&data.metrics),
-            metrics_table: wwt_trace::metrics_table(&data.metrics),
+            perfetto: wwt_sim::trace::chrome_trace_json(report).expect("tracing was enabled"),
+            metrics_json: wwt_sim::trace::metrics_json(&data.metrics),
+            metrics_table: wwt_sim::trace::metrics_table(&data.metrics),
             experiment_json: crate::export::experiment_json(&out),
         }
     });
@@ -316,7 +311,6 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (Experime
         experiment: e,
         summary: out.summary(),
         timeline,
-        #[cfg(feature = "trace-json")]
         trace,
         phases,
         wall_secs: start.elapsed().as_secs_f64(),
@@ -355,7 +349,6 @@ fn panic_artifacts(
             events: Vec::new(),
         },
         timeline: None,
-        #[cfg(feature = "trace-json")]
         trace: None,
         phases: None,
         wall_secs: start.elapsed().as_secs_f64(),
@@ -389,7 +382,6 @@ fn failure_artifacts(
             events: Vec::new(),
         },
         timeline: None,
-        #[cfg(feature = "trace-json")]
         trace: None,
         phases: None,
         wall_secs: start.elapsed().as_secs_f64(),

@@ -1,5 +1,5 @@
 //! The log2-bucketed histogram shared by guest metrics (simulated
-//! latencies in `wwt-sim`'s trace sink) and host metrics (per-experiment
+//! latencies in `wwt_sim::trace`) and host metrics (per-experiment
 //! wall time in this registry), so both report percentiles by one rule.
 
 use std::fmt;

@@ -2,11 +2,11 @@
 //! time, while it simulates?
 //!
 //! The guest side of the reproduction is thoroughly instrumented —
-//! `wwt-sim`'s trace sink attributes every simulated cycle — but the
-//! simulator itself was a black box: no events/sec, no calendar-queue
-//! depth, no run-cache hit rates. This crate is the process-global
-//! metrics registry those numbers live in, plus the machinery to get them
-//! out:
+//! `wwt-sim`'s cycle accounting and trace attribute every simulated
+//! cycle — but the simulator itself was a black box: no events/sec, no
+//! calendar-queue depth, no run-cache hit rates. This crate is the
+//! process-global metrics registry those numbers live in, plus the
+//! machinery to get them out:
 //!
 //! * **Instruments.** Named counters ([`Ctr`]), one calendar-queue depth
 //!   high-water gauge, and one log2 [`Histogram`] of per-experiment wall

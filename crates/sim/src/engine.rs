@@ -16,7 +16,7 @@ use crate::event::{Action, CalendarQueue};
 use crate::fault::{FaultConfig, FaultLog, FaultPlan, PacketFate};
 use crate::report::{ProcReport, SimReport};
 use crate::time::{Cycles, ProcId};
-use crate::trace::{Metric, TraceBuffer, TraceEvent, TraceSink, TraceWhat};
+use crate::trace::{Metric, TraceData, TraceEvent, TraceWhat};
 
 /// Engine-level configuration.
 ///
@@ -40,9 +40,9 @@ pub struct SimConfig {
     /// for "where is time spent" timelines). `None` (the default) records
     /// nothing and costs nothing.
     pub profile_bucket: Option<Cycles>,
-    /// When `true`, install the default in-memory trace sink: scope spans,
-    /// machine events, and latency histograms are collected and returned
-    /// in [`SimReport::trace`]. `false` (the default) records nothing; the
+    /// When `true`, record a structured trace: scope spans, machine
+    /// events, and latency histograms are collected and returned in
+    /// [`SimReport::trace`]. `false` (the default) records nothing; the
     /// flag is cached in every [`Cpu`] handle so disabled tracing costs a
     /// single branch and no allocation on the hot paths.
     pub trace: bool,
@@ -145,7 +145,7 @@ pub(crate) struct Inner {
     pub(crate) procs: Vec<Proc>,
     pub(crate) config: SimConfig,
     pub(crate) events_processed: u64,
-    pub(crate) trace: Option<Box<dyn TraceSink>>,
+    pub(crate) trace: Option<Box<TraceData>>,
     pub(crate) faults: Option<Box<FaultPlan>>,
     /// Host-metrics flag, cached at construction (`SimConfig::trace`
     /// discipline: one predictable branch per push/pop, no atomic load).
@@ -188,9 +188,7 @@ impl Sim {
                 procs: (0..nprocs).map(|_| Proc::new()).collect(),
                 config,
                 events_processed: 0,
-                trace: config
-                    .trace
-                    .then(|| Box::new(TraceBuffer::new()) as Box<dyn TraceSink>),
+                trace: config.trace.then(Box::default),
                 faults: config.faults.map(|cfg| Box::new(FaultPlan::new(cfg))),
                 obs: wwt_obs::enabled(),
             }),
@@ -323,7 +321,7 @@ impl Sim {
         f(&mut self.inner.borrow_mut().procs[p.index()])
     }
 
-    /// Whether a trace sink is installed (cheap, but callers on hot paths
+    /// Whether tracing is enabled (cheap, but callers on hot paths
     /// should prefer the `bool` cached in [`Cpu`]).
     pub fn tracing(&self) -> bool {
         self.inner.borrow().trace.is_some()
@@ -332,15 +330,15 @@ impl Sim {
     /// Emits a trace event on processor `p`'s track. No-op when tracing
     /// is disabled.
     pub fn trace(&self, p: ProcId, at: Cycles, what: TraceWhat) {
-        if let Some(sink) = self.inner.borrow_mut().trace.as_mut() {
-            sink.record(TraceEvent { proc: p, at, what });
+        if let Some(data) = self.inner.borrow_mut().trace.as_mut() {
+            data.events.push(TraceEvent { proc: p, at, what });
         }
     }
 
     /// Records a latency sample. No-op when tracing is disabled.
     pub fn trace_sample(&self, metric: Metric, value: Cycles) {
-        if let Some(sink) = self.inner.borrow_mut().trace.as_mut() {
-            sink.sample(metric, value);
+        if let Some(data) = self.inner.borrow_mut().trace.as_mut() {
+            data.metrics.record(metric, value);
         }
     }
 }
@@ -390,13 +388,6 @@ impl Engine {
     /// Creates a [`Cpu`] handle for processor `p` to move into its task.
     pub fn cpu(&self, p: ProcId) -> Cpu {
         Cpu::new(Rc::clone(&self.sim), p)
-    }
-
-    /// Replaces the trace sink (a streaming or filtering sink instead of
-    /// the default in-memory [`TraceBuffer`]). Implies tracing is enabled
-    /// regardless of [`SimConfig::trace`].
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sim.inner.borrow_mut().trace = Some(sink);
     }
 
     /// Installs the target task for processor `p`.
@@ -506,7 +497,7 @@ impl Engine {
         }
 
         let mut inner = self.sim.inner.borrow_mut();
-        let trace = inner.trace.take().and_then(|sink| sink.finish());
+        let trace = inner.trace.take().map(|data| *data);
         Ok(SimReport::new(
             inner
                 .procs
@@ -800,32 +791,33 @@ mod tests {
     }
 
     #[test]
-    fn custom_trace_sink_receives_events() {
-        use crate::trace::{Metric, TraceData, TraceEvent, TraceSink};
-        struct Counting(u64);
-        impl TraceSink for Counting {
-            fn record(&mut self, _ev: TraceEvent) {
-                self.0 += 1;
-            }
-            fn sample(&mut self, _m: Metric, _v: Cycles) {}
-            fn finish(self: Box<Self>) -> Option<TraceData> {
-                let mut d = TraceData::default();
-                // Smuggle the count out through the metrics registry.
-                d.metrics.record(Metric::MsgLatency, self.0);
-                Some(d)
-            }
-        }
-        let mut e = Engine::new(1, SimConfig::default());
-        e.set_trace_sink(Box::new(Counting(0)));
+    fn traced_run_reports_span_events_and_samples() {
+        let cfg = SimConfig {
+            trace: true,
+            ..SimConfig::default()
+        };
+        let mut e = Engine::new(1, cfg);
         let cpu = e.cpu(ProcId::new(0));
         e.spawn(ProcId::new(0), async move {
             let _lib = cpu.scope(Scope::Lib);
             cpu.compute(1);
         });
+        e.sim().trace_sample(Metric::BarrierWait, 55);
         let r = e.run();
         let data = r.trace().unwrap();
-        // Begin + end of the Lib span.
-        assert_eq!(data.metrics.get(Metric::MsgLatency).sum(), 2);
+        let span = |at, what| TraceEvent {
+            proc: ProcId::new(0),
+            at,
+            what,
+        };
+        assert_eq!(
+            data.events,
+            vec![
+                span(0, TraceWhat::SpanBegin(Scope::Lib)),
+                span(1, TraceWhat::SpanEnd(Scope::Lib)),
+            ]
+        );
+        assert_eq!(data.metrics.get(Metric::BarrierWait).sum(), 55);
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub use hash::{FastMap, FastSet};
 pub use report::{PhaseMark, ProcReport, SimReport};
 pub use time::{Cycles, ProcId};
 pub use trace::{
-    Histogram, Mark, Metric, MetricsRegistry, TraceBuffer, TraceData, TraceEvent, TraceSink,
-    TraceWhat, HISTOGRAM_BUCKETS,
+    Histogram, Mark, Metric, MetricsRegistry, TraceData, TraceEvent, TraceWhat, HISTOGRAM_BUCKETS,
 };
 pub use wait::{CellPool, WaitCell};
 

@@ -2,15 +2,15 @@
 
 use std::fmt::Write as _;
 
-use wwt_sim::{Metric, MetricsRegistry};
+use crate::{Metric, MetricsRegistry};
 
-use crate::json::num_f64;
+use super::json::num_f64;
 
 /// Exports all histograms of `reg` as JSON. Every metric appears (even
 /// empty ones, with `count` 0); bucket lists include only non-empty
 /// buckets, as `[lo, hi, count]` triples over half-open ranges. `p50`,
 /// `p90` and `p99` are percentile estimates interpolated within the
-/// log2 bucket the rank falls in ([`wwt_sim::Histogram::percentile`]).
+/// log2 bucket the rank falls in ([`crate::Histogram::percentile`]).
 pub fn metrics_json(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
     out.push_str("{\"metrics\":[\n");

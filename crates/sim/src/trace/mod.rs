@@ -1,7 +1,7 @@
-//! Structured tracing and latency metrics.
+//! Structured tracing, latency metrics, and their exporters.
 //!
-//! When [`SimConfig::trace`](crate::SimConfig) is set, the engine installs
-//! a [`TraceSink`] that receives:
+//! When [`SimConfig::trace`](crate::SimConfig) is set, the engine collects
+//! a [`TraceData`] holding:
 //!
 //! * **span events** — every attribution-scope push/pop
 //!   ([`Cpu::scope`](crate::Cpu::scope)) becomes a
@@ -16,10 +16,29 @@
 //! barrier wait, and lock wait/hold. The histogram type lives in
 //! `wwt-obs`, which uses it for host wall times too.
 //!
+//! The collected data leaves through three submodules:
+//!
+//! * [`perfetto`] — Chrome trace-event / Perfetto JSON: one track per
+//!   simulated processor, spans from scope nesting, instants for packets,
+//!   misses, barriers, and locks. Load the file at <https://ui.perfetto.dev>
+//!   or `chrome://tracing`.
+//! * [`metrics`] — the latency histograms as JSON or as an ASCII table.
+//! * [`reconcile`] — recovers per-scope *self time* from the span stream
+//!   and checks it against the engine's [`CycleMatrix`](crate::CycleMatrix)
+//!   aggregates: the trace and the accounting must tell the same story.
+//!
 //! The design is zero-cost when disabled: the `trace` flag is cached as a
 //! plain `bool` in every [`Cpu`](crate::Cpu) handle, so the hot charging
 //! and scoping paths pay a single predictable branch and allocate nothing.
 
+pub mod json;
+pub mod metrics;
+pub mod perfetto;
+pub mod reconcile;
+
+pub use metrics::{metrics_json, metrics_table};
+pub use perfetto::chrome_trace_json;
+pub use reconcile::{check_against_matrix, self_times, SelfTimes};
 pub use wwt_obs::{Histogram, HISTOGRAM_BUCKETS};
 
 use crate::account::{Kind, Scope};
@@ -227,51 +246,6 @@ pub struct TraceData {
     pub metrics: MetricsRegistry,
 }
 
-/// Receiver for trace events and metric samples.
-///
-/// The default sink is the in-memory [`TraceBuffer`], installed by the
-/// engine when [`SimConfig::trace`](crate::SimConfig) is set; a custom
-/// sink (streaming, filtering) can be installed with
-/// [`Engine::set_trace_sink`](crate::Engine::set_trace_sink).
-pub trait TraceSink {
-    /// Records one structured event.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// Records one latency sample.
-    fn sample(&mut self, metric: Metric, value: Cycles);
-
-    /// Consumes the sink at the end of the run, returning collected data
-    /// to embed in the report (a streaming sink may return `None`).
-    fn finish(self: Box<Self>) -> Option<TraceData>;
-}
-
-/// The default in-memory sink: keeps every event and all histograms.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    data: TraceData,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        TraceBuffer::default()
-    }
-}
-
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, ev: TraceEvent) {
-        self.data.events.push(ev);
-    }
-
-    fn sample(&mut self, metric: Metric, value: Cycles) {
-        self.data.metrics.record(metric, value);
-    }
-
-    fn finish(self: Box<Self>) -> Option<TraceData> {
-        Some(self.data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,20 +268,5 @@ mod tests {
         for (i, m) in Metric::ALL.iter().enumerate() {
             assert_eq!(m.index(), i);
         }
-    }
-
-    #[test]
-    fn trace_buffer_round_trips_events() {
-        let mut b = Box::new(TraceBuffer::new());
-        let ev = TraceEvent {
-            proc: ProcId::new(2),
-            at: 123,
-            what: TraceWhat::SpanBegin(Scope::Lib),
-        };
-        b.record(ev);
-        b.sample(Metric::BarrierWait, 55);
-        let data = b.finish().unwrap();
-        assert_eq!(data.events, vec![ev]);
-        assert_eq!(data.metrics.get(Metric::BarrierWait).sum(), 55);
     }
 }

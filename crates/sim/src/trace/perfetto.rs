@@ -11,9 +11,9 @@
 
 use std::fmt::Write as _;
 
-use wwt_sim::{Mark, SimReport, TraceData, TraceWhat};
+use crate::{Mark, SimReport, TraceData, TraceWhat};
 
-use crate::json::escape;
+use super::json::escape;
 
 /// Exports the trace of `report` as Chrome trace-event JSON, or `None` if
 /// the run was not traced.
@@ -100,7 +100,7 @@ fn mark_args(m: &Mark) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wwt_sim::{ProcId, Scope, TraceEvent};
+    use crate::{ProcId, Scope, TraceEvent};
 
     #[test]
     fn exports_spans_instants_and_thread_names() {

@@ -1,14 +1,14 @@
 //! Span/matrix reconciliation.
 //!
 //! The engine accounts cycles twice when tracing is on: every charge lands
-//! in the innermost scope's [`CycleMatrix`](wwt_sim::CycleMatrix) cell,
+//! in the innermost scope's [`CycleMatrix`](crate::CycleMatrix) cell,
 //! and every scope push/pop is emitted as a span event. The two views must
 //! agree: for each processor and each non-[`Scope::App`] scope, the *self
 //! time* of its spans (duration minus directly nested spans) equals the
 //! matrix's per-scope total, and the time outside all spans equals the
 //! `App` total. [`check_against_matrix`] asserts exactly that.
 
-use wwt_sim::{Cycles, Scope, SimReport, TraceData, TraceWhat};
+use crate::{Cycles, Scope, SimReport, TraceData, TraceWhat};
 
 /// Per-processor, per-scope self time recovered from span events.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,7 +127,7 @@ pub fn check_against_matrix(report: &SimReport) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wwt_sim::{ProcId, TraceEvent};
+    use crate::{ProcId, TraceEvent};
 
     fn ev(p: usize, at: Cycles, what: TraceWhat) -> TraceEvent {
         TraceEvent {

@@ -48,7 +48,6 @@ fn per_processor_breakdowns_are_reproducible() {
 
 /// Golden-trace determinism: two traced runs of the same experiment must
 /// serialize to byte-identical Perfetto and metrics JSON.
-#[cfg(feature = "trace-json")]
 #[test]
 fn traced_runs_export_byte_identical_json() {
     use wwt::run_experiment_with;

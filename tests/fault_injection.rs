@@ -185,7 +185,6 @@ fn slow_window_stretches_the_victims_computation() {
 /// Span/matrix reconciliation must survive fault injection: retry cycles
 /// charged from network callbacks land inside the open span of the
 /// suspended processor, exactly like the matrix charge.
-#[cfg(feature = "trace-json")]
 #[test]
 fn faulted_traced_run_reconciles_spans_with_the_matrix() {
     use wwt::sim::SimConfig;

@@ -52,7 +52,6 @@ fn report_is_byte_identical_for_any_job_count() {
     assert!(seq.contains("headline checks pass"));
 }
 
-#[cfg(feature = "trace-json")]
 #[test]
 fn combined_artifact_request_simulates_each_experiment_exactly_once() {
     let _g = lock();

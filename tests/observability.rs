@@ -104,7 +104,6 @@ fn tracing_does_not_perturb_the_simulation() {
     }
 }
 
-#[cfg(feature = "trace-json")]
 #[test]
 fn perfetto_export_is_well_formed_and_covers_all_processors() {
     use wwt::trace::chrome_trace_json;
@@ -126,5 +125,42 @@ fn perfetto_export_is_well_formed_and_covers_all_processors() {
                 "{e}: missing cpu{p}"
             );
         }
+    }
+}
+
+/// Pins the exporters' bytes, not just their run-to-run agreement: FNV-1a
+/// digests of the Perfetto JSON, metrics JSON and metrics table for one MP
+/// and one SM experiment at test scale. The digests were computed on the
+/// commit before the exporters moved from their own crate into
+/// `wwt_sim::trace`, so the move is checked to be byte-preserving.
+#[test]
+fn exporter_bytes_are_pinned() {
+    use wwt::store::fnv1a;
+    use wwt::trace::{chrome_trace_json, metrics_json, metrics_table};
+
+    let pins: [(Experiment, [u64; 3]); 2] = [
+        (
+            Experiment::GaussMp,
+            [0xd6c26d05d4d92723, 0xd52261cf8cef0cf3, 0x2b59263307147e96],
+        ),
+        (
+            Experiment::Em3dSm,
+            [0x8c41efea598d863e, 0xa4a95535eb628cfb, 0xd62af1fab275afc1],
+        ),
+    ];
+    for (e, want) in pins {
+        let out = traced(e);
+        let report = &out.run.report;
+        let data = report.trace().expect("tracing was enabled");
+        let got = [
+            fnv1a(chrome_trace_json(report).unwrap().as_bytes()),
+            fnv1a(metrics_json(&data.metrics).as_bytes()),
+            fnv1a(metrics_table(&data.metrics).as_bytes()),
+        ];
+        assert_eq!(
+            got.map(|d| format!("{d:016x}")),
+            want.map(|d| format!("{d:016x}")),
+            "{e}: [trace, metrics json, metrics table] digests"
+        );
     }
 }
