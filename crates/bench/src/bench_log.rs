@@ -7,20 +7,12 @@
 //!
 //! # Schema
 //!
-//! The current record schema is [`SCHEMA`] (4). Relative to schema 3 it
-//! drops the `"sim_threads"` field: the engine has one scheduler queue.
-//! On every append the whole file is normalized:
+//! The current record schema is [`SCHEMA`] (4). On every append the
+//! whole file is normalized:
 //!
-//! * **schema-2 and schema-3 records are migrated in place** — a
-//!   `"sim_threads":1` field is stripped and the schema number is bumped,
-//!   so one file never mixes field layouts;
-//! * **schema-3 records with `"sim_threads"` above 1 are dropped**: they
-//!   timed a sharded scheduler that no longer exists, so they compare
-//!   with nothing this build can run;
-//! * **legacy records** (no `"schema"` field at all — the pre-schema era
-//!   that also lacked `"arch_hash"` and `"faults"`) **are dropped**: they
-//!   cannot be attributed to an architecture point or fault plan, which
-//!   makes their timings incomparable with everything the file is for;
+//! * **records without the current schema are dropped**, so one file
+//!   never mixes field layouts; a record from a newer build is also
+//!   reported on stderr;
 //! * records are compacted to the newest [`KEEP_PER_KEY`] per
 //!   configuration key so the file stays bounded forever.
 //!
@@ -100,38 +92,23 @@ pub fn bench_record(
     rec
 }
 
-/// Normalizes one existing record to the current schema.
-///
-/// Returns `None` for legacy records (no `"schema"` field, or an
-/// unparseable one): they predate `"arch_hash"`/`"faults"` and cannot be
-/// attributed to a configuration, so they are dropped rather than given
-/// invented values. Records stamped with a **future** schema (a newer
-/// build wrote them) are skipped with a stderr warning instead of being
+/// Whether an existing record is kept: only records of the current
+/// schema are. Records stamped with a **future** schema (a newer build
+/// wrote them) are skipped with a stderr warning instead of being
 /// reinterpreted — this build cannot know what their fields mean.
-/// Records that timed more than one scheduler shard are dropped. Older
-/// single-queue records lose their `"sim_threads":1` field and gain the
-/// current schema number; current records pass through unchanged.
-fn migrate(rec: &str) -> Option<String> {
-    let schema: u32 = field(rec, "schema")?.parse().ok()?;
-    if schema > SCHEMA {
+fn is_current(rec: &str) -> bool {
+    let schema = field(rec, "schema").and_then(|s| s.parse::<u32>().ok());
+    if let Some(schema) = schema.filter(|&s| s > SCHEMA) {
         eprintln!(
             "warning: BENCH_grid.json record with schema {schema} was written by a \
              newer build (this one writes {SCHEMA}); skipping it"
         );
-        return None;
     }
-    if field(rec, "sim_threads").is_some_and(|n| n != "1") {
-        return None;
-    }
-    Some(rec.replacen("\"sim_threads\":1,", "", 1).replacen(
-        &format!("\"schema\":{schema},"),
-        &format!("\"schema\":{SCHEMA},"),
-        1,
-    ))
+    schema == Some(SCHEMA)
 }
 
-/// Appends `record` to the log at `path`, migrating or dropping old
-/// records and compacting to [`KEEP_PER_KEY`] per configuration key.
+/// Appends `record` to the log at `path`, dropping records of other
+/// schemas and compacting to [`KEEP_PER_KEY`] per configuration key.
 /// The rewrite is atomic (temp + rename via [`wwt_core::store`]): a run
 /// killed mid-append leaves the previous log intact, never a truncated
 /// document. A truncated or foreign file found on disk — a crash from a
@@ -149,8 +126,8 @@ pub fn append_bench_record(path: &str, record: &str) -> std::io::Result<()> {
             Some(
                 body.split(",\n")
                     .map(str::trim)
-                    .filter(|l| !l.is_empty())
-                    .filter_map(migrate)
+                    .filter(|l| !l.is_empty() && is_current(l))
+                    .map(str::to_string)
                     .collect(),
             )
         })
@@ -191,14 +168,7 @@ mod tests {
         (dir, path_s)
     }
 
-    const SCHEMA2: &str = "{\"schema\":2,\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
-         \"arch_hash\":\"00deadbeef000000\",\"faults\":null,\"total_wall_secs\":1.5,\
-         \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
     const LEGACY: &str = "{\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
-         \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
-    const SCHEMA3: &str = "{\"schema\":3,\"scale\":\"test\",\"jobs\":4,\"sim_threads\":1,\
-         \"cache\":true,\"arch_hash\":\"00deadbeef000000\",\"faults\":null,\
-         \"total_wall_secs\":1.5,\
          \"experiments\":[{\"id\":\"em3d-mp\",\"wall_secs\":0.1,\"cached\":false}]}";
     const SCHEMA4: &str = "{\"schema\":4,\"scale\":\"test\",\"jobs\":4,\
          \"cache\":true,\"arch_hash\":\"00deadbeef000000\",\"faults\":null,\
@@ -237,86 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn schema2_records_are_restamped_on_append() {
-        let (dir, path) = temp_log("migrate2");
-        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA2}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        // The old record survives, restamped in place: both lines now
-        // read exactly like the current record.
-        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn schema3_single_queue_records_are_restamped_on_append() {
-        let (dir, path) = temp_log("migrate3");
-        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA3}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
-        assert!(!s.contains("sim_threads"), "{s}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn schema3_sharded_records_are_dropped_on_append() {
-        let (dir, path) = temp_log("sharded");
-        let sharded = SCHEMA3.replace("\"sim_threads\":1", "\"sim_threads\":8");
-        std::fs::write(&path, format!("{{\"runs\":[\n{sharded},\n{SCHEMA3}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        // The 8-shard row is gone; the single-queue row was migrated.
-        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn schema3_record_missing_its_shard_count_is_restamped() {
-        let (dir, path) = temp_log("missing-field");
-        // A schema-3 line whose sim_threads field went missing (hand
-        // edit, partial write) ran the schema-2 default of one queue.
-        let damaged = SCHEMA3.replace("\"sim_threads\":1,", "");
-        std::fs::write(&path, format!("{{\"runs\":[\n{damaged}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_records_without_schema_are_dropped_on_append() {
-        let (dir, path) = temp_log("legacy");
+    fn records_without_the_current_schema_are_dropped_on_append() {
+        let (dir, path) = temp_log("old-schema");
+        let schema3 = SCHEMA4.replace("\"schema\":4", "\"schema\":3");
         std::fs::write(
             &path,
-            format!("{{\"runs\":[\n{LEGACY},\n{SCHEMA2},\n{LEGACY}]}}\n"),
+            format!("{{\"runs\":[\n{LEGACY},\n{schema3},\n{SCHEMA4}]}}\n"),
         )
         .unwrap();
         append_bench_record(&path, SCHEMA4).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
-        // Legacy rows (no arch/fault attribution) are gone; the schema-2
-        // row was migrated; the new row was appended.
-        assert_eq!(s.matches("\"schema\":4").count(), 2, "{s}");
-        assert_eq!(s.matches("arch_hash").count(), 2, "{s}");
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migration_is_idempotent_across_appends() {
-        let (dir, path) = temp_log("idempotent");
-        std::fs::write(&path, format!("{{\"runs\":[\n{SCHEMA3}]}}\n")).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let once = std::fs::read_to_string(&path).unwrap();
-        append_bench_record(&path, SCHEMA4).unwrap();
-        let twice = std::fs::read_to_string(&path).unwrap();
-        // The migrated row is byte-stable; the second append only adds
-        // one more copy of the new row.
-        assert_eq!(once, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
-        assert_eq!(
-            twice,
-            format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4},\n{SCHEMA4}]}}\n")
-        );
+        // The schema-less and schema-3 rows are gone; the current row
+        // survives and the new one is appended.
+        assert_eq!(s, format!("{{\"runs\":[\n{SCHEMA4},\n{SCHEMA4}]}}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -354,12 +257,12 @@ mod tests {
         // fields in a layout it cannot know.
         let future = "{\"schema\":5,\"scale\":\"test\",\"jobs\":4,\"cache\":true,\
              \"new_field\":\"?\",\"experiments\":[]}";
-        std::fs::write(&path, format!("{{\"runs\":[\n{future},\n{SCHEMA2}]}}\n")).unwrap();
+        std::fs::write(&path, format!("{{\"runs\":[\n{future},\n{SCHEMA4}]}}\n")).unwrap();
         append_bench_record(&path, SCHEMA4).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
         assert!(!s.contains("\"schema\":5"), "future record kept: {s}");
         assert!(!s.contains("new_field"), "{s}");
-        // The rest of the file is still normalized as usual.
+        // The rest of the file is kept as usual.
         assert_eq!(s.matches("\"schema\":4").count(), 2, "{s}");
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         let _ = std::fs::remove_dir_all(&dir);
@@ -400,7 +303,5 @@ mod tests {
         let other_ids = SCHEMA4.replace("em3d-mp", "em3d-sm");
         assert_ne!(bench_key(SCHEMA4), bench_key(&other_ids));
         assert_eq!(bench_key(SCHEMA4), bench_key(SCHEMA4));
-        // A migrated schema-3 row shares its key with the current row.
-        assert_eq!(bench_key(SCHEMA4), bench_key(&migrate(SCHEMA3).unwrap()));
     }
 }

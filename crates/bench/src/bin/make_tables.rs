@@ -8,8 +8,8 @@
 //!             [--json OUT.json] [--faults SPEC] [--arch SPEC]
 //!             [--arch-sweep KEY=V1,V2,...] [--sweep-delta] [--diff A B]
 //!             [--diff-json OUT.json] [--obs] [--obs-json OUT.json]
-//!             [--obs-prom OUT.txt] [--fsck] [--retries N]
-//!             [--store-faults SPEC] [experiment-id ...]
+//!             [--fsck] [--retries N] [--store-faults SPEC]
+//!             [experiment-id ...]
 //! ```
 //!
 //! With no experiment ids, every experiment runs. An id is either an
@@ -107,8 +107,7 @@
 //! any `--jobs`, clean or faulted). A background sampler also feeds a
 //! flight recorder whose last snapshots attach to any
 //! `SimError` diagnostic. `--obs-json OUT.json` writes the recorded
-//! snapshots as JSON; `--obs-prom OUT.txt` writes the final snapshot as
-//! Prometheus text exposition (both imply `--obs`). Grid invocations with
+//! snapshots as JSON (implies `--obs`). Grid invocations with
 //! `--obs` also record the snapshots to `results/OBS_grid.json` next to
 //! `BENCH_grid.json`.
 
@@ -148,7 +147,7 @@ fn usage() -> ! {
          fail=PROC@FROM..UNTIL,slow=PROC@FROM..UNTILxFACTOR] \
          [--arch preset[,key=value,...]] [--arch-sweep key=v1,v2,...]... \
          [--sweep-delta] [--diff A B] [--diff-json OUT.json] \
-         [--obs] [--obs-json OUT.json] [--obs-prom OUT.txt] \
+         [--obs] [--obs-json OUT.json] \
          [--fsck] [--retries N] \
          [--store-faults seed=S,torn=P,flip=P,eio=P,rename=P] \
          [experiment-id ...]"
@@ -250,25 +249,20 @@ fn cache_summary() {
 }
 
 /// Emits the end-of-run host-metrics outputs: the self-profile table on
-/// stderr plus the optional JSON / Prometheus files. Returns the recorded
+/// stderr plus the optional JSON file. Returns the recorded
 /// snapshots as JSON (flight recorder + one final snapshot) so the grid
 /// path can also drop it next to `BENCH_grid.json`. Stdout is never
 /// touched — simulated output must stay byte-identical under `--obs`.
-fn obs_finish(obs_json_out: Option<&str>, obs_prom_out: Option<&str>) -> String {
+fn obs_finish(obs_json_out: Option<&str>) -> String {
     use wwt_core::obs;
     let last = obs::snapshot_now();
     eprint!("{}", obs::render_table(&last));
     let mut snaps = obs::recent_snapshots();
-    snaps.push(last.clone());
+    snaps.push(last);
     let json = obs::render_json(&snaps);
     if let Some(path) = obs_json_out {
         std::fs::write(path, &json).unwrap_or_else(|err| panic!("writing {path}: {err}"));
         eprintln!("wrote obs json {path}");
-    }
-    if let Some(path) = obs_prom_out {
-        std::fs::write(path, obs::render_prometheus(&last))
-            .unwrap_or_else(|err| panic!("writing {path}: {err}"));
-        eprintln!("wrote obs prometheus {path}");
     }
     json
 }
@@ -291,7 +285,6 @@ fn main() {
     let mut diff_json_out: Option<String> = None;
     let mut obs = false;
     let mut obs_json_out: Option<String> = None;
-    let mut obs_prom_out: Option<String> = None;
     let mut fsck = false;
     let mut retries = 2u32;
     let mut selectors: Vec<String> = Vec::new();
@@ -372,10 +365,6 @@ fn main() {
             "--obs-json" => {
                 obs = true;
                 obs_json_out = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--obs-prom" => {
-                obs = true;
-                obs_prom_out = Some(it.next().cloned().unwrap_or_else(|| usage()));
             }
             "--help" | "-h" => usage(),
             id => selectors.push(id.to_string()),
@@ -487,7 +476,7 @@ fn main() {
             cache_summary();
         }
         if obs {
-            obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
+            obs_finish(obs_json_out.as_deref());
         }
         return;
     }
@@ -549,7 +538,7 @@ fn main() {
             cache_summary();
         }
         if obs {
-            obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
+            obs_finish(obs_json_out.as_deref());
         }
         return;
     }
@@ -643,7 +632,7 @@ fn main() {
         eprintln!("could not record results/BENCH_grid.json: {err}");
     }
     if obs {
-        let snaps_json = obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
+        let snaps_json = obs_finish(obs_json_out.as_deref());
         // The self-profile artifact rides along with the grid's timing
         // record (same best-effort discipline as BENCH_grid.json).
         // Atomic temp + rename: a killed run leaves the previous

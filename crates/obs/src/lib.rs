@@ -25,9 +25,8 @@
 //!   `SimError` diagnostic so a deadlocked run carries "what was the
 //!   simulator doing just before it died".
 //! * **Exporters.** A human-readable self-profile table
-//!   ([`render_table`]), machine-readable JSON snapshots
-//!   ([`render_json`]), and Prometheus text exposition
-//!   ([`render_prometheus`]).
+//!   ([`render_table`]) and machine-readable JSON snapshots
+//!   ([`render_json`]).
 //!
 //! Host metrics are strictly off the determinism path: nothing in the
 //! simulation ever *reads* this registry, so simulated output is
@@ -529,18 +528,6 @@ pub fn render_json(snaps: &[ObsSnapshot]) -> String {
     out
 }
 
-/// Renders one snapshot as Prometheus text exposition (`wwt_`-prefixed
-/// gauges).
-pub fn render_prometheus(s: &ObsSnapshot) -> String {
-    let mut out = String::new();
-    for m in &s.samples {
-        let _ = writeln!(out, "# TYPE wwt_{} gauge", m.name);
-        let _ = writeln!(out, "wwt_{} {}", m.name, m.value);
-    }
-    let _ = writeln!(out, "wwt_obs_elapsed_ms {}", s.elapsed_ms);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,10 +674,6 @@ mod tests {
         assert!(json.starts_with("{\"snapshots\":["));
         assert!(json.contains("{\"name\":\"sim_events_popped\",\"value\":9}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let prom = render_prometheus(&s);
-        assert!(prom.contains("# TYPE wwt_cache_hits gauge"));
-        assert!(prom.contains("wwt_cache_hits 3"));
-        assert!(prom.contains("wwt_sim_events_popped 9"));
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub struct SmMachine {
     watchers: RefCell<FastMap<u64, Vec<WaitCell>>>,
     /// Recycled completion cells for the per-miss transact path.
     pub(crate) cell_pool: CellPool,
-    /// Set once some cache may hold a valid shared line its home
-    /// directory does not list (see [`SmMachine::note_fill`]). While it is
-    /// clear, every shared hit is provably listed and skips the directory.
-    unlisted_copies: Cell<bool>,
 }
 
 impl fmt::Debug for SmMachine {
@@ -97,7 +93,6 @@ impl SmMachine {
             rr_next: Cell::new(0),
             watchers: RefCell::new(FastMap::default()),
             cell_pool: CellPool::new(),
-            unlisted_copies: Cell::new(false),
         })
     }
 
@@ -222,20 +217,6 @@ impl SmMachine {
         self.nodes.borrow_mut()[home].dir.drop_copy(block, p);
     }
 
-    /// Called after a line of `block` was filled at `p` without a
-    /// directory transaction of its own (a prefetch or push arrival, or a
-    /// demand miss merged into an in-flight prefetch). If another node's
-    /// write removed `p` from the directory meanwhile, the copy is valid
-    /// but unlisted, and from now on the hit path must probe the
-    /// directory. Every other fill is preceded by a transaction that lists
-    /// `p` before `p` can next touch the line, and `dir_service` applies
-    /// invalidations to the caches at directory time.
-    pub(crate) fn note_fill(&self, p: usize, block: GAddr) {
-        if !self.unlisted_copies.get() && !self.dir_lists(block, p) {
-            self.unlisted_copies.set(true);
-        }
-    }
-
     /// Directory state of `block` plus its home's busy horizon, read under
     /// one borrow (the entry read of every `dir_service` request).
     pub(crate) fn dir_read(&self, home: usize, block: GAddr) -> (DirState, Cycles) {
@@ -273,8 +254,8 @@ impl SmMachine {
             .remove(&block.raw());
     }
 
-    /// Installs a clean copy of `block` at `node` (prefetch arrival),
-    /// returning any displaced valid victim.
+    /// Installs a clean copy of `block` at `node` (a prefetch or push
+    /// arrival), returning any displaced valid victim.
     pub(crate) fn cache_fill_clean(&self, node: usize, block: GAddr) -> Option<(u64, LineState)> {
         self.nodes.borrow_mut()[node]
             .cache
@@ -372,47 +353,27 @@ impl SmMachine {
         let mut misses = 0u32;
         loop {
             let block = GAddr::from_raw(block_raw);
-            // TLB and cache probe, plus the directory check a hit needs,
-            // all under one borrow of the node table.
+            // TLB and cache probe under one borrow of the node table. A
+            // hit needs no directory read: every valid shared line is
+            // listed by its home (`install_copy` keeps the fills without a
+            // transaction of their own listed, and invalidations reach the
+            // caches at directory time).
             let page = block_raw & !(wwt_mem::PAGE_BYTES - 1);
-            let (tlb_hit, result, listed) = {
+            let (tlb_hit, result) = {
                 let mut nodes = self.nodes.borrow_mut();
                 let node = &mut nodes[me];
                 let tlb_hit = node.tlb.access(page);
                 let result = node.cache.access(block_raw, cache_kind);
-                // A hit counts only while the directory still attributes
-                // the copy to us; a copy installed after another node's
-                // write is stale, and the access takes that write's
-                // invalidation now. Such copies arise only from the fills
-                // `note_fill` watches; until one does, every hit is listed
-                // and the home directory need not be read.
-                let clean_hit = result.hit && !result.upgrade;
-                let listed = if !clean_hit {
-                    false
-                } else if self.unlisted_copies.get() {
-                    nodes[block.node()].dir.lists(block, me)
-                } else {
-                    debug_assert!(
-                        nodes[block.node()].dir.lists(block, me),
-                        "node {me} hit {block:?} but the directory does not list it"
-                    );
-                    true
-                };
-                (tlb_hit, result, listed)
+                debug_assert!(
+                    !result.hit || nodes[block.node()].dir.lists(block, me),
+                    "node {me} hit {block:?} but the directory does not list it"
+                );
+                (tlb_hit, result)
             };
             if !tlb_hit {
                 cpu.charge(Kind::TlbMiss, cfg.arch.tlb_miss);
                 cpu.count(Counter::TlbMisses, 1);
             }
-            let result = if result.hit && !result.upgrade && !listed {
-                // Take the in-flight invalidation now and reload.
-                self.cache_invalidate(me, block);
-                self.nodes.borrow_mut()[me]
-                    .cache
-                    .access(block_raw, cache_kind)
-            } else {
-                result
-            };
             if result.hit && !result.upgrade {
                 if cpu.clock() != synced_at {
                     synced_at = cpu.resync_if_ahead().await;
@@ -479,7 +440,6 @@ impl SmMachine {
                 misses += 1;
                 if let Some(cell) = inflight {
                     cell.wait(cpu, charge_kind).await;
-                    self.note_fill(me, block);
                 } else {
                     cpu.count(counter, 1);
                     self.transact(cpu, block, cache_kind == AccessKind::Write, charge_kind)
@@ -630,8 +590,7 @@ impl SmMachine {
         let mut issued = 0;
         loop {
             let block = GAddr::from_raw(block_raw);
-            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some()
-                && self.dir_lists(block, me);
+            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some();
             if !resident {
                 // A couple of cycles to issue the prefetch instruction;
                 // the line is installed only when the response arrives,

@@ -11,7 +11,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use wwt_mem::{GAddr, LineState};
-use wwt_sim::{Counter, Cpu, Kind, Mark, Metric, ProcId, TraceWhat, WaitCell, WaitTarget};
+use wwt_sim::{Counter, Cpu, Cycles, Kind, Mark, Metric, ProcId, TraceWhat, WaitCell, WaitTarget};
 
 use crate::machine::SmMachine;
 
@@ -251,7 +251,8 @@ impl SmMachine {
         let cell2 = cell.clone();
         self.sim()
             .call_at(arrive.max(self.sim().now()), move || {
-                this.dir_service(ProcId::new(p), block, write, cell2)
+                let resp = this.dir_service(ProcId::new(p), block, write);
+                cell2.complete(this.sim(), resp);
             })
             .expect("arrival is clamped to the present");
         cell.wait_labeled(
@@ -271,8 +272,8 @@ impl SmMachine {
 
     /// Directory service for one request, at the home node. Computes the
     /// full message path (occupancy, recalls, invalidations,
-    /// acknowledgements) and completes `cell` at the response time.
-    fn dir_service(self: &Rc<Self>, req: ProcId, block: GAddr, write: bool, cell: WaitCell) {
+    /// acknowledgements) and returns the time the response reaches `req`.
+    fn dir_service(&self, req: ProcId, block: GAddr, write: bool) -> Cycles {
         let cfg = self.config();
         let p = req.index();
         let h = block.node();
@@ -298,14 +299,14 @@ impl SmMachine {
                 let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
                 self.dir_write(h, block, DirState::Shared(Sharers::one(p)), ts + occ);
                 bytes(self, 1, 0);
-                cell.complete(self.sim(), ts + occ + cfg.latency(h, p));
+                ts + occ + cfg.latency(h, p)
             }
             (false, DirState::Shared(mut s)) => {
                 let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
                 s.insert(p);
                 self.dir_write(h, block, DirState::Shared(s), ts + occ);
                 bytes(self, 1, 0);
-                cell.complete(self.sim(), ts + occ + cfg.latency(h, p));
+                ts + occ + cfg.latency(h, p)
             }
             (_, DirState::Exclusive(o)) if o == p => {
                 // The requester re-misses on a block the directory still
@@ -319,7 +320,7 @@ impl SmMachine {
                 };
                 self.dir_write(h, block, st, ts + occ);
                 bytes(self, 1, 0);
-                cell.complete(self.sim(), ts + occ + cfg.latency(h, p));
+                ts + occ + cfg.latency(h, p)
             }
             (_, DirState::Exclusive(o)) => {
                 // 4-hop: recall from the owner, write back, then respond.
@@ -341,15 +342,15 @@ impl SmMachine {
                     s.insert(o);
                     self.dir_write(h, block, DirState::Shared(s), ts2 + occ2);
                 }
-                cell.complete(self.sim(), ts2 + occ2 + cfg.latency(h, p));
                 // recall (ctrl) + writeback (data) + response (data)
                 bytes(self, 2, 1);
+                ts2 + occ2 + cfg.latency(h, p)
             }
             (true, DirState::Uncached) => {
                 let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
                 self.dir_write(h, block, DirState::Exclusive(p), ts + occ);
                 bytes(self, 1, 0);
-                cell.complete(self.sim(), ts + occ + cfg.latency(h, p));
+                ts + occ + cfg.latency(h, p)
             }
             (true, DirState::Shared(s)) => {
                 let upgrade = s.contains(p);
@@ -359,7 +360,7 @@ impl SmMachine {
                     let occ = cfg.dir_base + cfg.dir_send_msg;
                     self.dir_write(h, block, DirState::Exclusive(p), ts + occ);
                     bytes(self, 0, 1);
-                    cell.complete(self.sim(), ts + occ + cfg.latency(h, p));
+                    ts + occ + cfg.latency(h, p)
                 } else {
                     let occ = cfg.dir_base
                         + k * cfg.dir_send_msg
@@ -385,50 +386,47 @@ impl SmMachine {
                         2 * k + if upgrade { 1 } else { 0 },
                     );
                     let depart = (ts + occ).max(last_ack);
-                    cell.complete(self.sim(), depart + cfg.latency(h, p));
+                    depart + cfg.latency(h, p)
                 }
             }
         }
     }
 
     /// Directory service for a non-binding prefetch: identical to a read
-    /// request, except nobody stalls — the line is installed in the
-    /// requester's cache when the response arrives.
+    /// request, except nobody stalls. The response arrives as one event
+    /// that retires the prefetch and then wakes the demand reads merged
+    /// into `cell`, so a completed cell never stays pending.
     pub(crate) fn dir_service_prefetch(self: &Rc<Self>, p: usize, block: GAddr, cell: WaitCell) {
-        self.dir_service(ProcId::new(p), block, false, cell.clone());
-        let resp = cell
-            .completion_time()
-            .expect("dir_service completes synchronously");
+        let resp = self.dir_service(ProcId::new(p), block, false);
         let this = Rc::clone(self);
         self.sim()
             .call_at(resp.max(self.sim().now()), move || {
-                this.install_prefetched(p, block)
+                this.clear_pending_prefetch(p, block);
+                this.install_copy(p, block);
+                cell.complete(this.sim(), this.sim().now());
             })
             .expect("response time is clamped to the present");
     }
 
-    /// Installs a prefetched block on arrival; a displaced shared victim
-    /// still notifies its home (no processor stall is charged — the
-    /// replacement happens off the critical path).
-    fn install_prefetched(self: &Rc<Self>, p: usize, block: GAddr) {
-        self.clear_pending_prefetch(p, block);
-        self.install_copy(p, block);
-    }
-
-    /// Installs a clean copy of `block` at `p`, fixing up the directory
-    /// for any displaced shared victim (used by prefetch arrivals and
-    /// push-broadcast updates). A copy installed after another node's
-    /// write removed `p` from the directory is valid but unlisted, so this
-    /// is where the hit path's directory probe is switched back on.
-    pub(crate) fn install_copy(self: &Rc<Self>, p: usize, block: GAddr) {
-        let evicted = self.cache_fill_clean(p, block);
-        if let Some((victim_raw, _)) = evicted {
+    /// Reconciles `p`'s cache with `block`'s home directory when a copy
+    /// arrives without a transaction of its own (a prefetch response or a
+    /// push-broadcast update). If the directory still lists `p`, a clean
+    /// copy is installed and the directory drops `p` from any displaced
+    /// shared victim. If another node's write removed `p` meanwhile, the
+    /// copy is stale: nothing is installed, and any line a merged demand
+    /// read filled at miss time is invalidated. Either way every valid
+    /// shared line stays listed, which the hit path relies on.
+    pub(crate) fn install_copy(&self, p: usize, block: GAddr) {
+        if !self.dir_lists(block, p) {
+            self.cache_invalidate(p, block);
+            return;
+        }
+        if let Some((victim_raw, _)) = self.cache_fill_clean(p, block) {
             let victim = GAddr::from_raw(victim_raw);
             if victim.segment() == wwt_mem::Segment::Shared {
                 self.dir_drop_copy(victim.node(), victim, p);
             }
         }
-        self.note_fill(p, block);
     }
 
     /// Handles the replacement of a *shared* block evicted from processor

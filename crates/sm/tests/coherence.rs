@@ -443,11 +443,11 @@ fn prefetch_issued_too_late_hides_nothing() {
 
 /// Node 0 prefetches `x` (homed on node 2) while node 1 writes it. The
 /// write reaches the home after the prefetch request and before the
-/// prefetched copy lands, so the copy node 0 installs is valid but no
-/// longer listed by the directory. `merge` makes node 0 demand-read `x`
-/// while the prefetch is in flight, so it wakes when the response is
-/// delivered, before the copy is installed. Returns node 0's remote
-/// misses and the cycles of its read after the copy is stale.
+/// prefetched copy lands, so the copy must not be installed. `merge`
+/// makes node 0 demand-read `x` while the prefetch is in flight; that read
+/// fills its line at miss time and wakes when the response lands. Returns
+/// node 0's remote misses and the cycles of its read after the copy is
+/// stale; the run must end coherent.
 fn stale_prefetch_run(merge: bool) -> (u64, u64) {
     let (mut e, m) = setup(3);
     let x = m.gmalloc_on(2, 8, 8);
@@ -477,6 +477,7 @@ fn stale_prefetch_run(merge: bool) -> (u64, u64) {
         let _ = c2;
     });
     let r = e.run();
+    assert_eq!(m.coherence_violations(), Vec::<String>::new());
     let misses = r.proc(ProcId::new(0)).counters.get(Counter::ShMissesRemote);
     let cost = *cost.borrow();
     (misses, cost)
@@ -493,11 +494,52 @@ fn a_prefetched_copy_overtaken_by_a_write_is_not_a_hit() {
 
 #[test]
 fn a_demand_miss_merged_into_an_overtaken_prefetch_keeps_hits_exact() {
-    // The merged read wakes when the prefetch response is delivered, one
-    // event before the copy is installed; without `note_fill` after the
-    // merge, the next read would skip the directory while the copy is
-    // unlisted and trip the hit-path assertion of debug builds.
-    stale_prefetch_run(true);
+    // The merged read filled its line at miss time and wakes in the
+    // arrival event, after `install_copy` found node 0 unlisted and
+    // invalidated that line; so the next read misses for real instead of
+    // hitting (or re-merging into the completed prefetch) for free.
+    let (_, cost) = stale_prefetch_run(true);
+    assert!(cost > 100, "stale merged copy hit ({cost} cycles)");
+}
+
+#[test]
+fn a_push_update_overtaken_by_a_write_is_not_installed() {
+    // Node 0 pushes `x` (homed on node 2) to every node; node 2 writes it
+    // before the updates land at nodes 1 and 3. Neither receiver may keep
+    // the stale update: node 1's later read misses remotely, and node 3,
+    // which never reads, holds nothing the directory does not list.
+    let (mut e, m) = setup(4);
+    let x = m.gmalloc_on(2, 8, 8);
+    let cost: Rc<RefCell<u64>> = Rc::default();
+    for p in e.proc_ids() {
+        let m = Rc::clone(&m);
+        let cpu = e.cpu(p);
+        let cost = Rc::clone(&cost);
+        e.spawn(p, async move {
+            match p.index() {
+                0 => m.push_broadcast(&cpu, x, 8).await,
+                1 => {
+                    cpu.compute(1_000);
+                    let t0 = cpu.clock();
+                    m.read_f64(&cpu, x).await;
+                    *cost.borrow_mut() = cpu.clock() - t0;
+                }
+                2 => {
+                    cpu.compute(10);
+                    m.write_f64(&cpu, x, 1.0).await;
+                }
+                _ => {}
+            }
+        });
+    }
+    let r = e.run();
+    let cost = *cost.borrow();
+    assert!(cost > 100, "stale pushed copy hit ({cost} cycles)");
+    assert_eq!(
+        r.proc(ProcId::new(1)).counters.get(Counter::ShMissesRemote),
+        1
+    );
+    assert_eq!(m.coherence_violations(), Vec::<String>::new());
 }
 
 #[test]
