@@ -86,6 +86,8 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
             let mut my_pivot = vec![usize::MAX; n];
             let mut owner_of = vec![usize::MAX; n];
             let mut scratch = vec![0.0f64; n + 1];
+            let mut pivrow = vec![0.0f64; n + 1];
+            let mut row = vec![0.0f64; n + 1];
             for k in 0..n {
                 // Local pivot candidate.
                 let mut best = (-1.0f64, 0usize);
@@ -142,21 +144,21 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
                 debug_assert_eq!(got as u64, active_bytes);
 
                 // Eliminate the pivot from our remaining rows.
-                let mut pivrow = vec![0.0f64; active];
-                m.peek_f64s(proc, piv, &mut pivrow);
+                let pivrow = &mut pivrow[..active];
+                m.peek_f64s(proc, piv, pivrow);
                 m.touch_read(&cpu, piv, active_bytes);
-                let mut row = vec![0.0f64; active];
+                let row = &mut row[..active];
                 for li in 0..nloc {
                     if used[li] {
                         continue;
                     }
                     let off = row_off(li) + (k * 8) as u64;
-                    m.peek_f64s(proc, off, &mut row);
+                    m.peek_f64s(proc, off, row);
                     let f = row[0] / pivrow[0];
-                    for (r, pv) in row.iter_mut().zip(&pivrow) {
+                    for (r, pv) in row.iter_mut().zip(pivrow.iter()) {
                         *r -= f * pv;
                     }
-                    m.poke_f64s(proc, off, &row);
+                    m.poke_f64s(proc, off, row);
                     m.touch_write(&cpu, off, active_bytes);
                     cpu.compute(p.factor_cost + p.elim_cost * active as u64);
                 }
@@ -174,8 +176,8 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
                     let li = my_pivot[k];
                     let active = n + 1 - k;
                     let off = row_off(li) + (k * 8) as u64;
-                    let mut row = vec![0.0f64; active];
-                    m.peek_f64s(proc, off, &mut row);
+                    let row = &mut row[..active];
+                    m.peek_f64s(proc, off, row);
                     m.touch_read(&cpu, off, (active * 8) as u64);
                     let mut s = row[active - 1];
                     for j in k + 1..n {

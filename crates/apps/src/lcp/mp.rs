@@ -128,10 +128,11 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
 
             // --- solve --------------------------------------------------------
             let mut z = vec![0.0f64; p.n];
+            let mut prev_block = vec![0.0f64; nloc];
             let mut steps = 0usize;
             loop {
                 steps += 1;
-                let prev_block: Vec<f64> = z[my_lo..my_lo + nloc].to_vec();
+                prev_block.copy_from_slice(&z[my_lo..my_lo + nloc]);
                 for _ in 0..p.sweeps_per_step {
                     let mut m_cursor = 0u64;
                     for i in my_lo..my_lo + nloc {

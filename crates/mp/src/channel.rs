@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use wwt_sim::{Counter, Cpu, Kind, ProcId, SimError};
+use wwt_sim::{Counter, Cpu, ProcId, SimError};
 
 use crate::machine::MpMachine;
 use crate::packet::{tag, Packet, PACKET_PAYLOAD_BYTES};
@@ -233,7 +233,6 @@ impl MpMachine {
             }
         }
         self.touch_write(cpu, base, chunk.max(1) as u64);
-        let _ = Kind::Wait; // (kind used by poll_loop; kept for clarity)
     }
 
     pub(crate) fn handle_chan_done(self: &Rc<Self>, cpu: &Cpu, pkt: &Packet) {

@@ -99,6 +99,25 @@ impl TreeShape {
     }
 }
 
+/// Every rank's children in each [`TreeShape`] over one machine's nodes,
+/// built once so that a collective step or a forwarded bulk packet looks
+/// its children up instead of allocating them.
+pub(crate) struct TreeTable([Vec<Vec<usize>>; 3]);
+
+impl TreeTable {
+    pub(crate) fn new(n: usize) -> Self {
+        TreeTable(
+            [TreeShape::Flat, TreeShape::Binary, TreeShape::Lopsided]
+                .map(|shape| (0..n).map(|v| shape.children(v, n)).collect()),
+        )
+    }
+
+    /// [`TreeShape::children`] of virtual rank `v`.
+    pub(crate) fn children(&self, shape: TreeShape, v: usize) -> &[usize] {
+        &self.0[shape.encode() as usize][v]
+    }
+}
+
 /// In-flight state of a bulk broadcast on one node.
 #[derive(Debug, Default)]
 pub struct BulkBcastState {
@@ -165,7 +184,7 @@ impl MpMachine {
             s
         };
         let mut acc = words;
-        for c in shape.children(v, n) {
+        for &c in self.trees.children(shape, v) {
             let c_abs = abs_rank(c, root, n).index();
             let key = (seq, c_abs);
             self.poll_loop(cpu, move |m| {
@@ -238,7 +257,7 @@ impl MpMachine {
                 .remove(&seq)
                 .expect("value must be present")
         };
-        for c in shape.children(v, n) {
+        for &c in self.trees.children(shape, v) {
             cpu.compute(self.config().am_send_overhead + self.config().collective_msg_overhead);
             cpu.count(Counter::ActiveMessages, 1);
             self.send_packet(
@@ -351,7 +370,7 @@ impl MpMachine {
             );
             self.touch_read(cpu, buf_off, bytes as u64);
             cpu.count(Counter::MessagesSent, 1);
-            let children = shape.children(0, n);
+            let children = self.trees.children(shape, 0);
             // One logical bulk transfer per child, as the paper's
             // channel-based row broadcast counts them (Table 10).
             cpu.count(Counter::ChannelWrites, children.len() as u64);
@@ -369,7 +388,7 @@ impl MpMachine {
                     }
                 }
                 cpu.compute(self.config().chan_packet_overhead);
-                for &c in &children {
+                for &c in children {
                     self.send_packet(
                         cpu,
                         Packet {
@@ -401,7 +420,8 @@ impl MpMachine {
                 .remove(&seq)
                 .expect("stash must be present");
             let total = st.total.expect("stash complete");
-            // Copy the assembled message into the local buffer.
+            // Copy the assembled message into the local buffer, then keep
+            // the stash's allocation for the next broadcast.
             {
                 let mut nodes = self.nodes.borrow_mut();
                 let node = &mut nodes[me];
@@ -412,6 +432,9 @@ impl MpMachine {
                     let word = (word & !(0xffu32 << shift)) | ((b as u32) << shift);
                     node.mem.write_u32(off & !3, word);
                 }
+                let mut data = st.data;
+                data.clear();
+                node.bcb_spare = data;
             }
             self.touch_write(cpu, buf_off, total as u64);
             cpu.phase_mark();
@@ -426,7 +449,15 @@ impl MpMachine {
         cpu.compute(self.config().chan_recv_packet_overhead);
         {
             let mut nodes = self.nodes.borrow_mut();
-            let st = nodes[me].bcb_stash.entry(pkt.meta).or_default();
+            let node = &mut nodes[me];
+            let spare = &mut node.bcb_spare;
+            let st = node
+                .bcb_stash
+                .entry(pkt.meta)
+                .or_insert_with(|| BulkBcastState {
+                    data: std::mem::take(spare),
+                    ..BulkBcastState::default()
+                });
             let base = (idx * BULK_DATA_BYTES) as usize;
             if st.data.len() < base + nbytes as usize {
                 st.data.resize(base + nbytes as usize, 0);
@@ -442,12 +473,12 @@ impl MpMachine {
         }
         // Store-and-forward to our children in the (relabeled) tree.
         let v = vrank(me, root, n);
-        let children = shape.children(v, n);
+        let children = self.trees.children(shape, v);
         if last {
             cpu.count(Counter::ChannelWrites, children.len() as u64);
             cpu.compute(self.config().collective_msg_overhead * (children.len() as u64 + 1));
         }
-        for c in children {
+        for &c in children {
             self.send_packet(
                 cpu,
                 Packet {

@@ -13,7 +13,7 @@ use wwt_sim::{
 };
 
 use crate::channel::{ChannelId, RecvChannel};
-use crate::collectives::BulkBcastState;
+use crate::collectives::{BulkBcastState, TreeTable};
 use crate::config::MpConfig;
 use crate::packet::{tag, Packet, PACKET_BYTES};
 use crate::sync_msg::{PendingRecv, PendingSend};
@@ -59,7 +59,10 @@ pub(crate) struct MpNode {
     pub(crate) cache: Cache,
     pub(crate) tlb: Tlb,
     pub(crate) rx: VecDeque<Packet>,
-    pub(crate) rx_waiter: Option<WaitCell>,
+    /// The cell `poll_loop` blocks on when the receive queue is empty,
+    /// reused for every wait, and whether a wait on it is armed.
+    pub(crate) rx_cell: WaitCell,
+    pub(crate) rx_armed: bool,
     pub(crate) dispatched: u64,
     /// Earliest time the NI can accept the next packet (congestion model).
     pub(crate) ni_free: Cycles,
@@ -72,6 +75,8 @@ pub(crate) struct MpNode {
     pub(crate) bc_inbox: FastMap<u32, [u32; 4]>,
     pub(crate) bc_seq: u32,
     pub(crate) bcb_stash: FastMap<u32, BulkBcastState>,
+    /// An empty buffer kept from the last completed bulk broadcast.
+    pub(crate) bcb_spare: Vec<u8>,
     pub(crate) bcb_seq: u32,
     // Synchronous send/receive rendezvous state.
     pub(crate) sync_reqs: Vec<PendingSend>,
@@ -104,7 +109,8 @@ impl MpNode {
             cache: Cache::new(config.arch.cache, seed),
             tlb: Tlb::new(config.arch.tlb_entries),
             rx: VecDeque::new(),
-            rx_waiter: None,
+            rx_cell: WaitCell::new(),
+            rx_armed: false,
             dispatched: 0,
             ni_free: 0,
             rchans: Vec::new(),
@@ -114,6 +120,7 @@ impl MpNode {
             bc_inbox: FastMap::default(),
             bc_seq: 0,
             bcb_stash: FastMap::default(),
+            bcb_spare: Vec::new(),
             bcb_seq: 0,
             sync_reqs: Vec::new(),
             sync_recvs: Vec::new(),
@@ -141,6 +148,8 @@ pub struct MpMachine {
     pub(crate) nodes: RefCell<Vec<MpNode>>,
     handlers: RefCell<FastMap<u8, Rc<HandlerFn>>>,
     barrier: HwBarrier,
+    /// Collective trees over this machine's nodes.
+    pub(crate) trees: TreeTable,
     /// Cached [`Sim::tracing`] (single branch on packet paths when off).
     tracing: bool,
     /// Whether the reliable-delivery layer is active: true exactly when
@@ -175,6 +184,7 @@ impl MpMachine {
                     .collect(),
             ),
             barrier: HwBarrier::new(n, config.arch.barrier_latency),
+            trees: TreeTable::new(n),
             config,
             handlers: RefCell::new(FastMap::default()),
             tracing,
@@ -440,7 +450,7 @@ impl MpMachine {
             let mut nodes = self.nodes.borrow_mut();
             let node = &mut nodes[pkt.dest.index()];
             node.rx.push_back(pkt);
-            node.rx_waiter.take()
+            std::mem::take(&mut node.rx_armed).then(|| node.rx_cell.clone())
         };
         if let Some(cell) = cell {
             cell.complete(&self.sim, self.sim.now());
@@ -722,10 +732,10 @@ impl MpMachine {
     fn arm_rx_waiter(&self, p: ProcId) -> WaitCell {
         let mut nodes = self.nodes.borrow_mut();
         let node = &mut nodes[p.index()];
-        assert!(node.rx_waiter.is_none(), "{p} already blocked on the NI");
-        let cell = WaitCell::new();
-        node.rx_waiter = Some(cell.clone());
-        cell
+        assert!(!node.rx_armed, "{p} already blocked on the NI");
+        node.rx_armed = true;
+        node.rx_cell.reset();
+        node.rx_cell.clone()
     }
 
     /// Polls once: checks the NI status register and, if a packet is

@@ -9,7 +9,7 @@
 
 use std::rc::Rc;
 
-use wwt_sim::{Counter, Cpu, Kind, ProcId, WaitCell};
+use wwt_sim::{Counter, Cpu, ProcId, WaitCell};
 
 use crate::machine::MpMachine;
 use crate::packet::{tag, Packet};
@@ -209,7 +209,6 @@ impl MpMachine {
         };
         if let Some((_, done, _bytes)) = hit {
             done.complete(self.sim(), cpu.clock());
-            let _ = Kind::Wait;
         }
     }
 }

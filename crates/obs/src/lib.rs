@@ -55,6 +55,12 @@ pub enum Ctr {
     SimEventsPushed,
     /// Events popped from the engine's calendar queue.
     SimEventsPopped,
+    /// Pushes that landed in the calendar queue's second level (beyond
+    /// the ring, within its 64 blocks).
+    SimQueueFar,
+    /// Pushes that landed in the calendar queue's overflow heap (beyond
+    /// the second level).
+    SimQueueOverflow,
     /// Scheduled callbacks whose captures fit `SmallCall`'s inline buffer.
     SimCallInline,
     /// Scheduled callbacks that fell back to a boxed closure.
@@ -99,9 +105,11 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in index order.
-    pub const ALL: [Ctr; 20] = [
+    pub const ALL: [Ctr; 22] = [
         Ctr::SimEventsPushed,
         Ctr::SimEventsPopped,
+        Ctr::SimQueueFar,
+        Ctr::SimQueueOverflow,
         Ctr::SimCallInline,
         Ctr::SimCallBoxed,
         Ctr::SimPoolTakeRecycled,
@@ -127,6 +135,8 @@ impl Ctr {
         match self {
             Ctr::SimEventsPushed => "sim_events_pushed",
             Ctr::SimEventsPopped => "sim_events_popped",
+            Ctr::SimQueueFar => "sim_queue_far",
+            Ctr::SimQueueOverflow => "sim_queue_overflow",
             Ctr::SimCallInline => "sim_call_inline",
             Ctr::SimCallBoxed => "sim_call_boxed",
             Ctr::SimPoolTakeRecycled => "sim_pool_take_recycled",
@@ -454,6 +464,14 @@ pub fn render_table(s: &ObsSnapshot) -> String {
             popped as f64 / secs,
             get(s, "sim_queue_depth_hwm")
         );
+        let far = get(s, "sim_queue_far");
+        let overflow = get(s, "sim_queue_overflow");
+        let _ = writeln!(
+            out,
+            "  queue      pushes to second level {far} ({:.1}%), to overflow heap {overflow} ({:.1}%)",
+            pct(far, pushed),
+            pct(overflow, pushed)
+        );
     }
 
     let inline = get(s, "sim_call_inline");
@@ -652,6 +670,34 @@ mod tests {
         assert_eq!(
             render_snapshot_line(&ObsSnapshot::default()),
             "[t+0ms] (all metrics zero)"
+        );
+    }
+
+    #[test]
+    fn self_profile_shows_queue_tiers() {
+        let s = ObsSnapshot {
+            elapsed_ms: 1000,
+            samples: vec![
+                ObsSample {
+                    name: "sim_events_pushed",
+                    value: 200,
+                },
+                ObsSample {
+                    name: "sim_queue_far",
+                    value: 50,
+                },
+                ObsSample {
+                    name: "sim_queue_overflow",
+                    value: 1,
+                },
+            ],
+        };
+        let table = render_table(&s);
+        assert!(
+            table.contains(
+                "  queue      pushes to second level 50 (25.0%), to overflow heap 1 (0.5%)\n"
+            ),
+            "{table}"
         );
     }
 

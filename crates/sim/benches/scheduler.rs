@@ -67,7 +67,9 @@ fn churn_heap() -> u64 {
 fn churn_calendar() -> u64 {
     churn(
         CalendarQueue::new(),
-        CalendarQueue::push,
+        |q, time, action| {
+            q.push(time, action);
+        },
         CalendarQueue::pop,
     )
 }

@@ -21,6 +21,10 @@ pub const INLINE_BYTES: usize = 48;
 /// alignment: closures aligned stricter than `u64` take the boxed path.
 const WORDS: usize = INLINE_BYTES / 8;
 
+// The inline buffer plus one thunk pointer: a scheduled `Action` is 56
+// bytes, so a calendar slot entry `(seq, Action)` fills one 64-byte line.
+const _: () = assert!(size_of::<crate::event::Action>() == 56);
+
 /// A type-erased `FnOnce() + 'static` with inline storage for small
 /// captures (the small-closure analogue of small-string optimization).
 ///
@@ -31,10 +35,9 @@ const WORDS: usize = INLINE_BYTES / 8;
 /// `SmallCall` is dropped unconsumed (e.g. a queue torn down mid-run).
 pub struct SmallCall {
     data: [MaybeUninit<u64>; WORDS],
-    /// Consumes the closure in `data`, running it.
-    call_fn: unsafe fn(*mut u64),
-    /// Drops the closure in `data` without running it.
-    drop_fn: unsafe fn(*mut u64),
+    /// Consumes the closure in `data`: runs it when `run` is true, drops
+    /// it unrun otherwise.
+    op: unsafe fn(*mut u64, bool),
 }
 
 impl SmallCall {
@@ -48,8 +51,7 @@ impl SmallCall {
             unsafe { (data.as_mut_ptr() as *mut F).write(f) };
             SmallCall {
                 data,
-                call_fn: call_inline::<F>,
-                drop_fn: drop_inline::<F>,
+                op: op_inline::<F>,
             }
         } else {
             wwt_obs::count(wwt_obs::Ctr::SimCallBoxed, 1);
@@ -58,8 +60,7 @@ impl SmallCall {
             unsafe { (data.as_mut_ptr() as *mut *mut F).write(Box::into_raw(Box::new(f))) };
             SmallCall {
                 data,
-                call_fn: call_boxed::<F>,
-                drop_fn: drop_boxed::<F>,
+                op: op_boxed::<F>,
             }
         }
     }
@@ -68,8 +69,8 @@ impl SmallCall {
     pub fn invoke(self) {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: `this` is never dropped, so the closure is consumed
-        // exactly once — here, by its matching call thunk.
-        unsafe { (this.call_fn)(this.data.as_mut_ptr() as *mut u64) }
+        // exactly once — here, by its matching thunk.
+        unsafe { (this.op)(this.data.as_mut_ptr() as *mut u64, true) }
     }
 }
 
@@ -77,7 +78,7 @@ impl Drop for SmallCall {
     fn drop(&mut self) {
         // SAFETY: `invoke` wraps `self` in ManuallyDrop, so reaching this
         // Drop means the closure is still live in `data`.
-        unsafe { (self.drop_fn)(self.data.as_mut_ptr() as *mut u64) }
+        unsafe { (self.op)(self.data.as_mut_ptr() as *mut u64, false) }
     }
 }
 
@@ -87,25 +88,35 @@ impl fmt::Debug for SmallCall {
     }
 }
 
-/// SAFETY contract for all four thunks: `p` points at storage holding a
-/// live `F` (inline) or a live `*mut F` from `Box::into_raw` (boxed),
-/// and the value is never touched again after the thunk consumes it.
-unsafe fn call_inline<F: FnOnce()>(p: *mut u64) {
+/// Moves the inline closure out of `p`, then runs it or drops it unrun.
+///
+/// # Safety
+///
+/// `p` points at storage holding a live `F`, written by
+/// [`SmallCall::new`], which is never touched again after this call.
+unsafe fn op_inline<F: FnOnce()>(p: *mut u64, run: bool) {
+    // SAFETY: the caller guarantees a live `F` at `p`, read exactly once.
     let f = unsafe { (p as *mut F).read() };
-    f();
+    if run {
+        f();
+    }
 }
 
-unsafe fn drop_inline<F: FnOnce()>(p: *mut u64) {
-    unsafe { std::ptr::drop_in_place(p as *mut F) }
-}
-
-unsafe fn call_boxed<F: FnOnce()>(p: *mut u64) {
+/// Takes back the boxed closure whose pointer is stored at `p`, then runs
+/// it or drops it unrun.
+///
+/// # Safety
+///
+/// `p` points at storage holding a live `*mut F` from `Box::into_raw`,
+/// written by [`SmallCall::new`], which is never touched again after this
+/// call.
+unsafe fn op_boxed<F: FnOnce()>(p: *mut u64, run: bool) {
+    // SAFETY: the caller guarantees a live `Box::into_raw` pointer at `p`,
+    // reclaimed exactly once.
     let b = unsafe { Box::from_raw((p as *mut *mut F).read()) };
-    (*b)();
-}
-
-unsafe fn drop_boxed<F: FnOnce()>(p: *mut u64) {
-    drop(unsafe { Box::from_raw((p as *mut *mut F).read()) });
+    if run {
+        (*b)();
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::account::{Counter, Counters, CycleMatrix, Kind, Scope};
 use crate::callback::SmallCall;
 use crate::cpu::Cpu;
 use crate::error::{BlockedProc, SimError, StallReport, WaitTarget};
-use crate::event::{Action, CalendarQueue};
+use crate::event::{Action, CalendarQueue, Tier};
 use crate::fault::{FaultConfig, FaultLog, FaultPlan, PacketFate};
 use crate::report::{ProcReport, SimReport};
 use crate::time::{Cycles, ProcId};
@@ -154,9 +154,14 @@ pub(crate) struct Inner {
 
 impl Inner {
     fn push(&mut self, at: Cycles, action: Action) {
-        self.queue.push(at, action);
+        let tier = self.queue.push(at, action);
         if self.obs {
             wwt_obs::count(wwt_obs::Ctr::SimEventsPushed, 1);
+            match tier {
+                Tier::Ring => {}
+                Tier::Far => wwt_obs::count(wwt_obs::Ctr::SimQueueFar, 1),
+                Tier::Overflow => wwt_obs::count(wwt_obs::Ctr::SimQueueOverflow, 1),
+            }
             wwt_obs::max_queue_depth(self.queue.len() as u64);
         }
     }

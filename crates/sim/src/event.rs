@@ -5,11 +5,14 @@
 //! makes processing order deterministic for simultaneous events (FIFO).
 //! Two schedulers implement that contract:
 //!
-//! * [`CalendarQueue`] — the engine's scheduler. A ring of per-cycle FIFO
-//!   slots covering the near future plus an overflow heap for far-future
-//!   events. Simulated events overwhelmingly land within a few network
-//!   latencies of the present, so push and pop are O(1) instead of the
-//!   heap's O(log n).
+//! * [`CalendarQueue`] — the engine's scheduler, in three tiers. A ring
+//!   of per-cycle FIFO slots holds the next 4096 cycles; a second level
+//!   of 64 buckets, one per aligned block of 4096 cycles, holds
+//!   the quarter million cycles after that; an overflow heap holds
+//!   anything further out. Simulated events overwhelmingly land within a
+//!   few network latencies of the present, and message-passing senders
+//!   that run ahead of global time land within the second level, so
+//!   almost every push and pop is O(1) instead of the heap's O(log n).
 //! * [`EventQueue`] — the original `BinaryHeap` scheduler, kept as the
 //!   reference implementation and the baseline for the scheduler benches
 //!   (`benches/scheduler.rs`).
@@ -111,17 +114,33 @@ impl EventQueue {
 }
 
 /// Ring capacity of the calendar: events within this many cycles of the
-/// cursor live in per-cycle slots; anything further sits in the overflow
-/// heap until the cursor gets close. That covers dozens of network
-/// latencies, which holds every SM protocol event. MP senders, though,
-/// run far ahead of global time between polls, so many packet
-/// deliveries land beyond the ring too: about a quarter of all pushes in
-/// the benchmark's bench-scale `mp` workload overflow, besides the long
-/// fault timers (retransmit deadlines, jitter tails).
+/// cursor live in per-cycle slots. That covers dozens of network
+/// latencies, which holds every SM protocol event and most MP packet
+/// deliveries. Also the width of one second-level block.
 const RING: usize = 4096;
+const RING_BITS: u32 = RING.trailing_zeros();
 const RING_MASK: u64 = (RING as u64) - 1;
 /// One occupancy bit per slot, one summary bit per 64-slot word.
 const WORDS: usize = RING / 64;
+/// Second-level buckets, one per aligned block of `RING` cycles
+/// (`time >> RING_BITS`). Message-passing senders run up to about 2^17
+/// cycles ahead of global time between polls; 64 blocks cover 2^18.
+const FAR: usize = 64;
+/// Entries a drained bucket keeps allocated. A burst can fill one bucket
+/// with thousands of events; keeping all 64 buckets at their peak would
+/// roughly double the `mp` workload's resident set.
+const FAR_KEEP: usize = 64;
+
+/// Which tier of a [`CalendarQueue`] a push landed in.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// Within 4096 cycles of the cursor: a per-cycle slot.
+    Ring,
+    /// Within the next 64 blocks: a second-level bucket.
+    Far,
+    /// Beyond the second level: the overflow heap.
+    Overflow,
+}
 
 /// One calendar slot: the FIFO of events scheduled for one exact cycle.
 /// `head` indexes the next event to pop; the vector is cleared (not
@@ -146,23 +165,37 @@ impl Slot {
 /// per-cycle slots, each a FIFO (sequence numbers within one cycle are
 /// insertion-ordered, so a plain vector is already sorted). A two-level
 /// occupancy bitmap finds the next non-empty slot in a handful of word
-/// scans. Far-future events wait in an overflow heap and migrate into the
-/// ring as the cursor approaches; migrated events splice into their
-/// slot's pending region by sequence number, preserving the global FIFO
-/// tie-break.
+/// scans.
+///
+/// Beyond the ring, the second level keeps one bucket per aligned block
+/// of `RING` cycles, for the 64 blocks after the cursor's; a push appends
+/// to its block's bucket, so each bucket is in sequence order. Once no ring event precedes a
+/// bucket's block, the cursor moves to the block's start and the whole
+/// bucket pours into the ring. Events beyond the second level wait in an
+/// overflow heap and migrate into the ring as the cursor approaches. Both
+/// pours and migrations splice into their slot's pending region by
+/// sequence number, preserving the global FIFO tie-break.
 pub struct CalendarQueue {
     slots: Vec<Slot>,
     /// Occupancy bit per slot.
     words: [u64; WORDS],
     /// Summary bit per word of `words`.
     summary: u64,
-    /// Lower bound on every pending event's time; advanced by pops and by
-    /// sparse-gap jumps. Never rewound: the ring's slot→time mapping is
-    /// anchored to it.
+    /// Lower bound on every pending event's time; advanced by pops, pours
+    /// and sparse-gap jumps. Never rewound: the ring's slot→time mapping
+    /// and the buckets' block→bucket mapping are anchored to it.
     cursor: Cycles,
-    /// Events in the ring (excludes overflow).
+    /// Events in the ring.
     ring_len: usize,
-    /// Far-future events, earliest on top.
+    /// Second-level buckets, indexed by block modulo `FAR`. Every stored
+    /// block lies in the `FAR` blocks after the cursor's, so the mapping
+    /// is one to one.
+    far: Vec<Vec<Event>>,
+    /// Occupancy bit per bucket.
+    far_bits: u64,
+    /// Events in the second level.
+    far_len: usize,
+    /// Events beyond the second level, earliest on top.
     overflow: BinaryHeap<Event>,
     next_seq: u64,
 }
@@ -172,6 +205,7 @@ impl fmt::Debug for CalendarQueue {
         f.debug_struct("CalendarQueue")
             .field("cursor", &self.cursor)
             .field("ring_len", &self.ring_len)
+            .field("far_len", &self.far_len)
             .field("overflow", &self.overflow.len())
             .finish()
     }
@@ -185,6 +219,9 @@ impl Default for CalendarQueue {
             summary: 0,
             cursor: 0,
             ring_len: 0,
+            far: (0..FAR).map(|_| Vec::new()).collect(),
+            far_bits: 0,
+            far_len: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -199,7 +236,7 @@ impl CalendarQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.ring_len + self.far_len + self.overflow.len()
     }
 
     /// Whether the queue is empty.
@@ -209,23 +246,32 @@ impl CalendarQueue {
 
     /// Schedules `action` at absolute time `time`, which must not precede
     /// the last popped event (the engine rejects past events before they
-    /// get here).
-    pub fn push(&mut self, time: Cycles, action: Action) {
+    /// get here). Returns the tier the event landed in.
+    pub fn push(&mut self, time: Cycles, action: Action) -> Tier {
         debug_assert!(time >= self.cursor, "event at {time} behind the cursor");
         let seq = self.next_seq;
         self.next_seq += 1;
-        if time - self.cursor >= RING as u64 {
-            self.overflow.push(Event { time, seq, action });
-            return;
+        if time - self.cursor < RING as u64 {
+            self.ring_insert(time, seq, action);
+            return Tier::Ring;
         }
-        self.ring_insert(time, seq, action);
+        let block = time >> RING_BITS;
+        if block - (self.cursor >> RING_BITS) <= FAR as u64 {
+            let b = block as usize % FAR;
+            self.far[b].push(Event { time, seq, action });
+            self.far_bits |= 1 << b;
+            self.far_len += 1;
+            return Tier::Far;
+        }
+        self.overflow.push(Event { time, seq, action });
+        Tier::Overflow
     }
 
     fn ring_insert(&mut self, time: Cycles, seq: u64, action: Action) {
         let idx = (time & RING_MASK) as usize;
         let slot = &mut self.slots[idx];
         // Fast path: sequence numbers grow monotonically, so appends are
-        // already sorted. Only overflow migration can arrive out of order.
+        // already sorted. Only pours and migrations arrive out of order.
         let pending = &slot.items[slot.head.min(slot.items.len())..];
         if pending.last().is_none_or(|&(s, _)| s < seq) {
             slot.items.push((seq, action));
@@ -238,13 +284,43 @@ impl CalendarQueue {
         self.ring_len += 1;
     }
 
+    /// The earliest block held in the second level, if any.
+    fn first_far_block(&self) -> Option<u64> {
+        if self.far_bits == 0 {
+            return None;
+        }
+        let first = (self.cursor >> RING_BITS) + 1;
+        let rot = self.far_bits.rotate_right((first % FAR as u64) as u32);
+        Some(first + u64::from(rot.trailing_zeros()))
+    }
+
+    /// Moves the cursor to the start of `block` and pours its bucket into
+    /// the ring. The caller guarantees no pending event precedes the
+    /// block, so every poured event lands within the ring's reach.
+    fn pour(&mut self, block: u64) {
+        self.cursor = block << RING_BITS;
+        let b = block as usize % FAR;
+        let mut bucket = std::mem::take(&mut self.far[b]);
+        self.far_len -= bucket.len();
+        self.far_bits &= !(1 << b);
+        for e in bucket.drain(..) {
+            self.ring_insert(e.time, e.seq, e.action);
+        }
+        bucket.shrink_to(FAR_KEEP);
+        self.far[b] = bucket;
+    }
+
     /// Pulls every overflow event that now fits in the ring. When the
-    /// ring is empty the cursor first jumps to the overflow minimum, so a
-    /// sparse far future costs one heap pop, not a walk of empty slots.
+    /// ring is empty and the overflow minimum precedes the second level,
+    /// the cursor first jumps to it, so a sparse far future costs one
+    /// heap pop, not a walk of empty slots.
     fn migrate_overflow(&mut self) {
         if self.ring_len == 0 {
             if let Some(top) = self.overflow.peek() {
-                self.cursor = top.time;
+                let far_start = self.first_far_block().map(|b| b << RING_BITS);
+                if far_start.is_none_or(|s| top.time < s) {
+                    self.cursor = top.time;
+                }
             }
         }
         while self
@@ -303,7 +379,18 @@ impl CalendarQueue {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
         self.migrate_overflow();
-        let idx = self.next_slot()?;
+        let mut next = self.next_slot();
+        if let Some(block) = self.first_far_block() {
+            // Overflow events left in the heap lie beyond the ring's reach
+            // (or, with the ring empty, at or after this block), so only
+            // the ring can hold an event that precedes the block.
+            if next.is_none_or(|idx| self.slot_time(idx) >= block << RING_BITS) {
+                self.pour(block);
+                self.migrate_overflow();
+                next = self.next_slot();
+            }
+        }
+        let idx = next?;
         let time = self.slot_time(idx);
         self.cursor = time;
         let slot = &mut self.slots[idx];
@@ -368,43 +455,55 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn calendar_matches_heap_order() {
-        // Deterministic pseudo-random schedule, including same-cycle
-        // collisions (dt 0), ring-range delays, and far-future overflow
-        // events (dt > RING), each relative to the last popped time.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut step = || {
-            state = state
+    /// A deterministic LCG for the differential tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let delays: Vec<Cycles> = (0..500)
-            .map(|_| {
-                let r = step();
-                match r % 10 {
-                    0 => 0,
-                    1..=6 => r % 300,
-                    7 | 8 => r % 4000,
-                    _ => 4096 + r % 20_000,
-                }
-            })
-            .collect();
+            self.0 >> 33
+        }
+    }
+
+    /// The second level's reach in cycles: 64 blocks of `RING`.
+    const FAR_REACH: u64 = (FAR * RING) as u64;
+
+    /// Runs `EventQueue` and `CalendarQueue` through the same schedule and
+    /// asserts they pop in the same order. Each step pushes `pushes(rng)`
+    /// events at `now + delay(rng, now)`, where `now` is the last popped
+    /// time, then pops one; the queues are drained at the end. Returns how
+    /// many pushes landed in each tier (ring, second level, heap).
+    fn differential(
+        steps: usize,
+        seed: u64,
+        mut pushes: impl FnMut(&mut Lcg) -> usize,
+        mut delay: impl FnMut(&mut Lcg, Cycles) -> Cycles,
+    ) -> [usize; 3] {
+        let mut rng = Lcg(seed);
         let mut reference = EventQueue::new();
         let mut calendar = CalendarQueue::new();
-        let mut delays = delays.iter();
+        let mut tiers = [0; 3];
         let mut now = 0;
-        // Interleave: two pushes, one pop, like a running simulation.
-        loop {
-            for dt in delays.by_ref().take(2) {
-                reference.push(now + dt, resume(0));
-                calendar.push(now + dt, resume(0));
+        for step in 0.. {
+            if step < steps {
+                for _ in 0..pushes(&mut rng) {
+                    let at = now + delay(&mut rng, now);
+                    reference.push(at, resume(0));
+                    tiers[calendar.push(at, resume(0)) as usize] += 1;
+                }
             }
             match (reference.pop(), calendar.pop()) {
-                (None, None) => break,
+                (None, None) if step >= steps => break,
+                (None, None) => {}
                 (Some(a), Some(b)) => {
-                    assert_eq!((a.time, a.seq), (b.time, b.seq), "pop order diverged");
+                    assert_eq!(
+                        (a.time, a.seq),
+                        (b.time, b.seq),
+                        "pop order diverged at step {step}"
+                    );
                     now = a.time;
                 }
                 (a, b) => panic!(
@@ -415,6 +514,71 @@ mod tests {
             }
             assert_eq!(reference.len(), calendar.len());
         }
+        tiers
+    }
+
+    #[test]
+    fn calendar_matches_heap_order() {
+        // Same-cycle collisions (dt 0), ring-range delays, second-level
+        // delays and far-future heap events, each relative to the last
+        // popped time; two pushes per pop, like a running simulation.
+        let tiers = differential(
+            2_000,
+            0x9e3779b97f4a7c15,
+            |_| 2,
+            |rng, _| {
+                let r = rng.next();
+                match r % 10 {
+                    0 => 0,
+                    1..=4 => r % 300,
+                    5 | 6 => r % RING as u64,
+                    7 | 8 => RING as u64 + r % FAR_REACH,
+                    _ => FAR_REACH + r % 2_000_000,
+                }
+            },
+        );
+        assert!(
+            tiers.iter().all(|&n| n > 100),
+            "every tier exercised: {tiers:?}"
+        );
+    }
+
+    /// The long differential run: 5M interleaved pushes and pops across
+    /// all three tiers, with same-cycle collisions, block-edge times and a
+    /// queue depth that wanders. Run with `cargo test --release -p wwt-sim
+    /// -- --ignored`.
+    #[test]
+    #[ignore = "long; run in release with --ignored"]
+    fn calendar_matches_heap_order_long() {
+        // Recently scheduled absolute times, re-used for exact collisions.
+        let mut recent: [Cycles; 16] = [0; 16];
+        let tiers = differential(
+            2_500_000,
+            0x2545f4914f6cdd1d,
+            |rng| (rng.next() % 3) as usize,
+            |rng, now| {
+                let r = rng.next();
+                let dt = match r % 20 {
+                    0..=2 => 0,
+                    3 | 4 => {
+                        let t = recent[(r / 20) as usize % recent.len()];
+                        t.saturating_sub(now)
+                    }
+                    5..=10 => r % 300,
+                    11 | 12 => r % RING as u64,
+                    // The first cycle of a block a few blocks out.
+                    13 => (((now >> RING_BITS) + 1 + r % FAR as u64) << RING_BITS) - now,
+                    14..=17 => RING as u64 + r % FAR_REACH,
+                    _ => FAR_REACH + r % 4_000_000,
+                };
+                recent[(r >> 7) as usize % recent.len()] = now + dt;
+                dt
+            },
+        );
+        assert!(
+            tiers.iter().all(|&n| n > 10_000),
+            "every tier exercised: {tiers:?}"
+        );
     }
 
     #[test]
@@ -454,21 +618,85 @@ mod tests {
     #[test]
     fn overflow_migration_preserves_seq_order_at_equal_times() {
         let mut q = CalendarQueue::new();
-        // seq 0 parks in the overflow (8000 is beyond the ring horizon
-        // from cursor 0); seqs 1 and 2 land in the ring.
-        q.push(8_000, resume(0));
-        q.push(10, resume(1));
-        q.push(4_000, resume(2));
+        // From cursor 0 every time past 2^18 is beyond the second level:
+        // seqs 0, 2 and 3 park in the overflow heap.
+        assert_eq!(q.push(400_000, resume(0)), Tier::Overflow);
+        assert_eq!(q.push(10, resume(1)), Tier::Ring);
+        assert_eq!(q.push(392_000, resume(2)), Tier::Overflow);
+        assert_eq!(q.push(396_000, resume(3)), Tier::Overflow);
         assert_eq!(q.pop().unwrap().seq, 1);
+        // The ring is empty: the cursor jumps to 392000 and migrates what
+        // fits (seqs 2 and 3), but 400000 is still out of reach.
         assert_eq!(q.pop().unwrap().seq, 2);
-        // Cursor now 4000: 8000 is ring-reachable but seq 0 is still
+        assert_eq!(q.pop().unwrap().seq, 3);
+        // Cursor 396000: 400000 is ring-reachable but seq 0 is still
         // parked (pushes never migrate). Append a later seq to the same
-        // future cycle, then let the next pop migrate: the parked event
-        // must splice in *before* the resident one.
-        q.push(8_000, resume(3));
+        // cycle, then let the next pop migrate: the parked event must
+        // splice in *before* the resident one.
+        assert_eq!(q.push(400_000, resume(4)), Tier::Ring);
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
-        assert_eq!((a.time, a.seq), (8_000, 0));
-        assert_eq!((b.time, b.seq), (8_000, 3));
+        assert_eq!((a.time, a.seq), (400_000, 0));
+        assert_eq!((b.time, b.seq), (400_000, 4));
+    }
+
+    #[test]
+    fn parked_event_pops_before_a_later_ring_push_to_its_cycle() {
+        let mut q = CalendarQueue::new();
+        // From cursor 0, 4096 (the first cycle of block 1) is beyond the
+        // ring: seq 0 parks in that block's bucket.
+        assert_eq!(q.push(4_096, resume(0)), Tier::Far);
+        assert_eq!(q.push(1_000, resume(1)), Tier::Ring);
+        assert_eq!(q.pop().unwrap().seq, 1);
+        // Cursor 1000: the same cycle is now within the ring, so seq 2
+        // goes straight into the slot while seq 0 is still parked.
+        assert_eq!(q.push(4_096, resume(2)), Tier::Ring);
+        let a = q.pop().unwrap();
+        let b = q.pop().unwrap();
+        assert_eq!((a.time, a.seq), (4_096, 0));
+        assert_eq!((b.time, b.seq), (4_096, 2));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pour_splices_into_slots_with_pending_events() {
+        let mut q = CalendarQueue::new();
+        // Block 1 (cycles 4096..8192) collects seqs 0, 2 and 3.
+        assert_eq!(q.push(6_000, resume(0)), Tier::Far);
+        assert_eq!(q.push(10, resume(1)), Tier::Ring);
+        assert_eq!(q.push(6_000, resume(2)), Tier::Far);
+        assert_eq!(q.push(7_000, resume(3)), Tier::Far);
+        assert_eq!(q.pop().unwrap().seq, 1);
+        assert_eq!(q.push(2_000, resume(4)), Tier::Ring);
+        assert_eq!(q.pop().unwrap().seq, 4);
+        // Cursor 2000: two direct pushes fill slot 6000 before the pour.
+        assert_eq!(q.push(6_000, resume(5)), Tier::Ring);
+        assert_eq!(q.push(6_000, resume(6)), Tier::Ring);
+        let order: Vec<(Cycles, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.seq))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(6_000, 0), (6_000, 2), (6_000, 5), (6_000, 6), (7_000, 3)]
+        );
+    }
+
+    #[test]
+    fn sparse_gap_jumps_over_empty_buckets_to_the_heap_minimum() {
+        let mut q = CalendarQueue::new();
+        // Block 73 is past the second level from cursor 0: the heap.
+        assert_eq!(q.push(300_000, resume(0)), Tier::Overflow);
+        assert_eq!(q.push(50_000, resume(1)), Tier::Far);
+        assert_eq!(q.pop().unwrap().time, 50_000);
+        // Cursor 50000 (block 12): block 75 is within the second level.
+        assert_eq!(q.push(310_000, resume(2)), Tier::Far);
+        // The ring is empty and the heap minimum precedes the only
+        // bucket: the cursor jumps straight to it across the empty
+        // buckets in between.
+        let e = q.pop().unwrap();
+        assert_eq!((e.time, e.seq), (300_000, 0));
+        let e = q.pop().unwrap();
+        assert_eq!((e.time, e.seq), (310_000, 2));
+        assert!(q.pop().is_none());
     }
 }

@@ -71,10 +71,17 @@ fn enabled_runs_populate_the_engine_instruments() {
     let pushed = obs::counter(obs::Ctr::SimEventsPushed);
     assert!(popped > 0, "no events counted: {snap:?}");
     assert_eq!(popped, pushed, "every pushed event is eventually popped");
+    let beyond_ring =
+        obs::counter(obs::Ctr::SimQueueFar) + obs::counter(obs::Ctr::SimQueueOverflow);
+    assert!(beyond_ring <= pushed, "{snap:?}");
     assert!(obs::queue_depth_hwm() > 0, "{snap:?}");
     let table = obs::render_table(&snap);
     assert!(table.contains("engine     events popped"), "{table}");
     assert!(table.contains("depth high-water"), "{table}");
+    assert!(
+        table.contains("queue      pushes to second level"),
+        "{table}"
+    );
     assert!(table.contains("grid       experiments"), "{table}");
 }
 
