@@ -8,7 +8,7 @@
 //!             [--json OUT.json] [--faults SPEC] [--arch SPEC]
 //!             [--arch-sweep KEY=V1,V2,...] [--sweep-delta] [--diff A B]
 //!             [--diff-json OUT.json] [--obs] [--obs-json OUT.json]
-//!             [--fsck] [--retries N] [--store-faults SPEC]
+//!             [--fsck] [--store-faults SPEC]
 //!             [experiment-id ...]
 //! ```
 //!
@@ -38,19 +38,17 @@
 //! `results/cache/quarantine/` and orphaned temp/stale lock files are
 //! garbage-collected, with a report on stderr.
 //!
-//! Transiently-failed grid jobs (watchdog expiry) are retried with
-//! exponential backoff — `--retries N` bounds the attempts (default 2,
-//! `--retries 0` disables). A panicking experiment is caught at the job
-//! boundary and reported as a failed cell; the grid always finishes and
-//! summarizes unrecovered cells on stderr.
+//! A failed grid job — a stalled simulation or a panicking experiment —
+//! is reported as a failed cell and never retried: the simulator is
+//! deterministic, so a re-run fails identically. The grid always
+//! finishes, summarizes the failed cells on stderr and exits 1.
 //!
 //! `--store-faults SPEC` (e.g. `seed=7,torn=0.2,flip=0.2,eio=0.2,
-//! rename=0.2`; also readable from the `WWT_STORE_FAULTS` env var) arms
-//! the deterministic *host*-fault harness on the result store: commits
-//! tear at a seeded byte, flip a bit, or fail their rename, and reads
-//! hit one transient `EIO` per path. Every mode degrades to a warned
-//! miss plus re-simulation, so stdout stays byte-identical — the CI
-//! crash-recovery smoke drives exactly this path.
+//! rename=0.2`) arms the deterministic *host*-fault harness on the
+//! result store: commits tear at a seeded byte, flip a bit, or fail
+//! their rename, and reads hit one transient `EIO` per path. Every mode
+//! degrades to a warned miss plus re-simulation, so stdout stays
+//! byte-identical.
 //!
 //! `--faults SPEC` runs every experiment under a deterministic
 //! fault-injection plan, e.g.
@@ -148,7 +146,7 @@ fn usage() -> ! {
          [--arch preset[,key=value,...]] [--arch-sweep key=v1,v2,...]... \
          [--sweep-delta] [--diff A B] [--diff-json OUT.json] \
          [--obs] [--obs-json OUT.json] \
-         [--fsck] [--retries N] \
+         [--fsck] \
          [--store-faults seed=S,torn=P,flip=P,eio=P,rename=P] \
          [experiment-id ...]"
     );
@@ -286,7 +284,6 @@ fn main() {
     let mut obs = false;
     let mut obs_json_out: Option<String> = None;
     let mut fsck = false;
-    let mut retries = 2u32;
     let mut selectors: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -345,12 +342,6 @@ fn main() {
             }
             "--diff-json" => diff_json_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--fsck" => fsck = true,
-            "--retries" => {
-                retries = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--store-faults" => {
                 let spec = it.next().unwrap_or_else(|| usage());
                 match wwt_core::store::StoreFaults::parse(spec) {
@@ -393,8 +384,6 @@ fn main() {
         faults,
         arch,
         phases: false,
-        retries,
-        ..RunnerConfig::new(scale)
     };
 
     if fsck {

@@ -1,18 +1,18 @@
-//! Benchmark support for the WWT reproduction: shared helpers used by the
-//! Criterion benches and by the `make_tables` table-regeneration binary.
+//! Support for the WWT reproduction's `make_tables` table-regeneration
+//! binary.
 //!
 //! The heavy lifting lives in [`wwt_core::runner`]: experiments are
 //! simulated once each (with the union engine configuration for every
 //! requested artifact), optionally in parallel and through the run
-//! cache. This crate keeps the stable convenience API — [`full_report`],
-//! [`timeline_report`], [`trace_report`] — plus the command-line
-//! experiment selection used by `make_tables`.
+//! cache. This crate keeps what `make_tables` adds on top: command-line
+//! experiment selection, the stderr timing format, and the
+//! `BENCH_grid.json` log ([`bench_log`]).
 
 #![warn(missing_docs)]
 
 pub mod bench_log;
 
-use wwt_core::{render_report, run_grid, Experiment, RunnerConfig, Scale};
+use wwt_core::Experiment;
 
 /// Resolves command-line experiment selectors into a run list.
 ///
@@ -68,76 +68,9 @@ pub fn timing_total(items: &str, secs: f64, jobs: usize, hits: usize, total: usi
     format!("timing: total {items} in {secs:.2}s (jobs={jobs}, cache hits {hits}/{total})")
 }
 
-/// Runs a set of experiments and renders the full report: measured tables,
-/// the paper's published values alongside, and the headline shape checks.
-pub fn full_report(experiments: &[Experiment], scale: Scale) -> String {
-    let cfg = RunnerConfig::new(scale);
-    let artifacts = run_grid(experiments, &cfg);
-    render_report(&artifacts, scale)
-}
-
-/// Runs one experiment with time-resolved profiling and renders its
-/// per-processor activity timeline.
-pub fn timeline_report(e: Experiment, scale: Scale) -> String {
-    let cfg = RunnerConfig {
-        timeline: true,
-        ..RunnerConfig::new(scale)
-    };
-    let artifacts = run_grid(&[e], &cfg);
-    artifacts
-        .into_iter()
-        .next()
-        .and_then(|a| a.timeline)
-        .expect("timeline was requested, so the artifact must carry one")
-}
-
-/// Everything a trace-enabled run exports (the `--trace`/`--metrics`
-/// outputs of `make_tables`).
-pub use wwt_core::TraceArtifacts as TraceReport;
-
-/// Runs one experiment with structured tracing enabled and exports the
-/// trace, the latency histograms, and the result tables.
-pub fn trace_report(e: Experiment, scale: Scale) -> TraceReport {
-    let cfg = RunnerConfig {
-        trace: true,
-        ..RunnerConfig::new(scale)
-    };
-    let artifacts = run_grid(&[e], &cfg);
-    artifacts
-        .into_iter()
-        .next()
-        .and_then(|a| a.trace)
-        .expect("tracing was requested, so the artifact must carry exports")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timeline_report_renders() {
-        let t = timeline_report(Experiment::LcpMp, Scale::Test);
-        assert!(t.contains("timeline"));
-        assert!(t.contains('|'));
-    }
-
-    #[test]
-    fn report_renders_for_a_small_experiment_set() {
-        let s = full_report(&[Experiment::GaussMp, Experiment::GaussSm], Scale::Test);
-        assert!(s.contains("gauss-mp"));
-        assert!(s.contains("Computation"));
-        assert!(s.contains("headline checks pass"));
-        assert!(s.contains("Paper Table 8"));
-    }
-
-    #[test]
-    fn trace_report_exports_every_artifact() {
-        let tr = trace_report(Experiment::LcpMp, Scale::Test);
-        assert!(tr.perfetto.contains("traceEvents"));
-        assert!(tr.metrics_json.starts_with('{'));
-        assert!(!tr.metrics_table.is_empty());
-        assert!(tr.experiment_json.starts_with("{\"experiment\":\"lcp-mp\""));
-    }
 
     #[test]
     fn exact_id_selects_exactly_one_experiment() {

@@ -449,8 +449,9 @@ fn load_counting(
     // without `--obs`.
     use wwt_obs::{count_always, Ctr};
     // Repeated warnings for the same damaged path are deduplicated (the
-    // first prints, repeats only count): a grid retries and re-reads, and
-    // one bad entry must not flood stderr.
+    // first prints, repeats only count): the runner reads a missed entry
+    // twice (before and after taking the writer lock), and one bad entry
+    // must not flood stderr.
     let damaged = |why: &str| {
         let first = warn_once(
             &path.to_string_lossy(),

@@ -75,13 +75,6 @@ pub struct RunnerConfig {
     /// Participates in the run-cache key through the engine
     /// configuration.
     pub phases: bool,
-    /// How many times a transiently-failed job (watchdog expiry — the
-    /// stall class that can clear on a re-run) is re-attempted before its
-    /// cell is reported failed. Deterministic failures (deadlock, config
-    /// errors, panics) are never retried.
-    pub retries: u32,
-    /// Backoff before the first retry, doubling per attempt. Milliseconds.
-    pub retry_backoff_ms: u64,
 }
 
 impl RunnerConfig {
@@ -97,8 +90,6 @@ impl RunnerConfig {
             faults: None,
             arch: ArchParams::default(),
             phases: false,
-            retries: 2,
-            retry_backoff_ms: 50,
         }
     }
 
@@ -182,30 +173,29 @@ fn covers(a: &ExperimentArtifacts, cfg: &RunnerConfig) -> bool {
 /// Runs one experiment and derives every requested artifact from the
 /// single simulation, consulting the cache first. The job boundary is
 /// where the grid's resilience lives: a panicking experiment is caught
-/// and reported as a failed cell (never a dead grid), and transient
-/// failures are re-attempted with exponential backoff.
+/// and reported as a failed cell (never a dead grid). Failures are not
+/// retried: the simulation is deterministic, so a re-run replays the
+/// same failure at the same simulated cycle.
 fn run_one(e: Experiment, cfg: &RunnerConfig) -> ExperimentArtifacts {
     let start = Instant::now();
     wwt_obs::job_enter();
-    let (mut art, mut transient) = run_one_caught(e, cfg, start);
-    let mut attempt = 0;
-    while transient && attempt < cfg.retries {
-        attempt += 1;
-        wwt_obs::count_always(wwt_obs::Ctr::GridJobRetries, 1);
-        eprintln!(
-            "warning: {} failed transiently ({}); retry {attempt}/{}",
-            e.id(),
-            art.summary.validation_detail,
-            cfg.retries
-        );
-        // Exponential backoff: transient stalls and IO hiccups often
-        // share a cause with their neighbors (a loaded host); spreading
-        // retries out beats hammering.
-        std::thread::sleep(std::time::Duration::from_millis(
-            cfg.retry_backoff_ms.saturating_mul(1 << (attempt - 1)),
-        ));
-        (art, transient) = run_one_caught(e, cfg, start);
-    }
+    // The closure only touches `&`-captures and builds its state from
+    // scratch, so `AssertUnwindSafe` is sound — nothing observable
+    // survives the unwind.
+    let art = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_one_inner(e, cfg, start)
+    })) {
+        Ok(art) => art,
+        Err(payload) => {
+            wwt_obs::count_always(wwt_obs::Ctr::GridJobPanics, 1);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            failed_artifacts(e, cfg, &format!("panic: {msg}"), start)
+        }
+    };
     wwt_obs::job_exit();
     wwt_obs::count_always(wwt_obs::Ctr::GridExperimentsRun, 1);
     if art.from_cache {
@@ -215,36 +205,9 @@ fn run_one(e: Experiment, cfg: &RunnerConfig) -> ExperimentArtifacts {
     art
 }
 
-/// [`run_one_inner`] behind `catch_unwind`: a panic anywhere in the
-/// simulation or artifact derivation becomes a failed cell. The closure
-/// only touches `&`-captures and builds its state from scratch, so
-/// `AssertUnwindSafe` is sound — nothing observable survives the unwind.
-fn run_one_caught(
-    e: Experiment,
-    cfg: &RunnerConfig,
-    start: Instant,
-) -> (ExperimentArtifacts, bool) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one_inner(e, cfg, start)
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            wwt_obs::count_always(wwt_obs::Ctr::GridJobPanics, 1);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            // Panics are deterministic bugs, not transient weather:
-            // report the cell failed, don't retry.
-            (panic_artifacts(e, cfg, &msg, start), false)
-        }
-    }
-}
-
-/// Runs the job once. The second return value is whether a failure is
-/// *transient* — worth retrying.
-fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (ExperimentArtifacts, bool) {
+/// The job inside [`run_one`]'s panic boundary: cache lookup,
+/// simulation, artifact derivation and cache commit.
+fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> ExperimentArtifacts {
     // Test hook: panic inside the job for the named experiment, proving
     // the catch_unwind boundary turns panics into failed cells.
     if std::env::var("WWT_TEST_PANIC_EXPERIMENT").is_ok_and(|id| id == e.id()) {
@@ -263,7 +226,7 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (Experime
         if let Some(hit) =
             cache::load(dir, e, cfg.scale, &sim, &cfg.arch).filter(|hit| covers(hit, cfg))
         {
-            return (fixup(hit), false);
+            return fixup(hit);
         }
         // Miss: take the per-entry writer lock so concurrent runners
         // (worker threads or separate processes) simulate this point
@@ -274,19 +237,13 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (Experime
         if let Some(hit) =
             cache::load_recheck(dir, e, cfg.scale, &sim, &cfg.arch).filter(|hit| covers(hit, cfg))
         {
-            return (fixup(hit), false);
+            return fixup(hit);
         }
     }
 
     let out = match try_run_experiment_with_arch(e, cfg.scale, sim, cfg.arch) {
         Ok(out) => out,
-        Err(err) => {
-            // Watchdog expiry is the stall class that can clear on a
-            // re-run (it is a bound on progress, not proof of a cycle);
-            // deadlocks and config errors are deterministic.
-            let transient = matches!(err, wwt_sim::SimError::Livelock { .. });
-            return (failure_artifacts(e, cfg, &err, start), transient);
-        }
+        Err(err) => return failed_artifacts(e, cfg, &err.to_string(), start),
     };
     let timeline = cfg.timeline.then(|| {
         let bucket = timeline_bucket(cfg.scale);
@@ -322,17 +279,19 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> (Experime
         // observe either no entry or this complete commit.
         let _ = cache::save(dir, &art, &sim, &cfg.arch);
     }
-    (art, false)
+    art
 }
 
-/// Artifacts for an experiment whose job panicked: the panic message
-/// lands in `validation_detail` behind the engine-failure prefix, so the
-/// failed cell flows through reporting (and `engine_failed()`) exactly
-/// like a stalled simulation. Never cached, never retried.
-fn panic_artifacts(
+/// Artifacts for an experiment whose job failed — a stalled simulation
+/// (deadlock, livelock, watchdog expiry) or a panic. `detail` lands in
+/// `validation_detail` behind the engine-failure prefix with
+/// `validation_passed = false`, so the grid can finish the remaining
+/// experiments and the report shows exactly which run failed and why.
+/// Never cached: a re-run after a fix must re-simulate.
+fn failed_artifacts(
     e: Experiment,
     cfg: &RunnerConfig,
-    msg: &str,
+    detail: &str,
     start: Instant,
 ) -> ExperimentArtifacts {
     ExperimentArtifacts {
@@ -341,40 +300,7 @@ fn panic_artifacts(
             experiment: e,
             scale: cfg.scale,
             validation_passed: false,
-            validation_detail: format!("{ENGINE_FAILURE_PREFIX}panic: {msg}"),
-            stats: Vec::new(),
-            imbalance: 0.0,
-            wait_fraction: 0.0,
-            tables: Vec::new(),
-            events: Vec::new(),
-        },
-        timeline: None,
-        trace: None,
-        phases: None,
-        wall_secs: start.elapsed().as_secs_f64(),
-        from_cache: false,
-    }
-}
-
-/// Artifacts for an experiment whose simulation stalled (deadlock,
-/// livelock, or watchdog expiry): the structured stall report lands in
-/// `validation_detail` with `validation_passed = false`, so the grid can
-/// finish the remaining experiments and the report shows exactly which
-/// run failed and why. Failure artifacts are **never cached** — a retry
-/// after a fix must re-simulate.
-fn failure_artifacts(
-    e: Experiment,
-    cfg: &RunnerConfig,
-    err: &wwt_sim::SimError,
-    start: Instant,
-) -> ExperimentArtifacts {
-    ExperimentArtifacts {
-        experiment: e,
-        summary: ExperimentSummary {
-            experiment: e,
-            scale: cfg.scale,
-            validation_passed: false,
-            validation_detail: format!("{ENGINE_FAILURE_PREFIX}{err}"),
+            validation_detail: format!("{ENGINE_FAILURE_PREFIX}{detail}"),
             stats: Vec::new(),
             imbalance: 0.0,
             wait_fraction: 0.0,
@@ -425,19 +351,13 @@ pub fn run_grid(experiments: &[Experiment], cfg: &RunnerConfig) -> Vec<Experimen
             })
             .collect()
     };
-    // Close the grid with a stderr summary of every cell that stayed
-    // failed after retries — one place to look instead of scrolling back
-    // through interleaved worker output. Stdout stays artifact-only.
+    // Close the grid with a stderr summary of every failed cell — one
+    // place to look instead of scrolling back through interleaved worker
+    // output. Stdout stays artifact-only.
     let failed: Vec<&ExperimentArtifacts> =
         arts.iter().filter(|a| a.summary.engine_failed()).collect();
     if !failed.is_empty() {
-        eprintln!(
-            "grid: {}/{} cells failed after {} retr{}:",
-            failed.len(),
-            arts.len(),
-            cfg.retries,
-            if cfg.retries == 1 { "y" } else { "ies" }
-        );
+        eprintln!("grid: {}/{} cells failed:", failed.len(), arts.len());
         for a in &failed {
             eprintln!("  {}: {}", a.experiment.id(), a.summary.validation_detail);
         }
@@ -542,6 +462,8 @@ mod tests {
         let sm = report.find("### gauss-sm").unwrap();
         let mp = report.find("### gauss-mp").unwrap();
         assert!(sm < mp, "sections must follow input order");
+        assert!(report.contains("Paper Table 8"));
+        assert!(report.contains("headline checks pass"));
     }
 
     #[test]

@@ -202,11 +202,6 @@ impl MpMachine {
         self.nodes.borrow()[me].rchans[id.index()].last_bytes
     }
 
-    /// Messages already completed on channel `id` (non-blocking probe).
-    pub fn channel_messages_done(&self, node: ProcId, id: ChannelId) -> u64 {
-        self.nodes.borrow()[node.index()].rchans[id.index()].msgs_done
-    }
-
     pub(crate) fn handle_chan_announce(&self, cpu: &Cpu, pkt: &Packet) {
         let me = cpu.id().index();
         self.nodes.borrow_mut()[me].announces[pkt.src.index()].push_back((pkt.meta, pkt.words[0]));

@@ -41,12 +41,6 @@ pub struct MpConfig {
     pub poll_overhead: Cycles,
     /// Instructions to combine two reduction operands.
     pub reduce_combine: Cycles,
-    /// Minimum spacing between packet acceptances at one node's network
-    /// interface, in cycles. Zero (the default) reproduces the paper's
-    /// contention-free network; a positive value is a first-order
-    /// congestion model (the paper contrasts itself with LAPSE, which
-    /// models contention).
-    pub ni_accept_gap: Cycles,
     /// Extra per-message software cost inside collectives, modeling
     /// CMMD-level messaging (channel bookkeeping and handshakes per
     /// message). Zero reproduces the paper's final active-message
@@ -86,7 +80,6 @@ impl Default for MpConfig {
             chan_recv_packet_overhead: 12,
             poll_overhead: 6,
             reduce_combine: 12,
-            ni_accept_gap: 0,
             collective_msg_overhead: 0,
             retry_timeout: 1_000,
             retry_backoff: 2,

@@ -64,8 +64,6 @@ pub(crate) struct MpNode {
     pub(crate) rx_cell: WaitCell,
     pub(crate) rx_armed: bool,
     pub(crate) dispatched: u64,
-    /// Earliest time the NI can accept the next packet (congestion model).
-    pub(crate) ni_free: Cycles,
     // CMMD channel state.
     pub(crate) rchans: Vec<RecvChannel>,
     pub(crate) announces: Vec<VecDeque<(u32, u32)>>,
@@ -112,7 +110,6 @@ impl MpNode {
             rx_cell: WaitCell::new(),
             rx_armed: false,
             dispatched: 0,
-            ni_free: 0,
             rchans: Vec::new(),
             announces: (0..nprocs).map(|_| VecDeque::new()).collect(),
             red_inbox: FastMap::default(),
@@ -347,18 +344,10 @@ impl MpMachine {
     }
 
     /// Puts `pkt` on the wire at `depart`, consulting the fault plan for
-    /// its fate. Computes the arrival time (network latency plus the
-    /// optional congestion model) and schedules [`MpMachine::deliver`].
+    /// its fate. Computes the arrival time (the contention-free network
+    /// latency) and schedules [`MpMachine::deliver`].
     fn inject(self: &Rc<Self>, pkt: Packet, depart: Cycles) {
         let mut arrival = (depart + self.config.arch.net_latency).max(self.sim.now());
-        if self.config.ni_accept_gap > 0 {
-            // First-order congestion: the destination NI accepts at most
-            // one packet per gap; later packets queue in the network.
-            let mut nodes = self.nodes.borrow_mut();
-            let dest = &mut nodes[pkt.dest.index()];
-            arrival = arrival.max(dest.ni_free);
-            dest.ni_free = arrival + self.config.ni_accept_gap;
-        }
         if self.reliable {
             match self.sim.fault_fate(pkt.src, pkt.dest) {
                 PacketFate::Drop => {
@@ -868,11 +857,6 @@ impl MpMachine {
     /// Waits at the machine's hardware barrier.
     pub async fn barrier(&self, cpu: &Cpu) {
         self.barrier.wait(cpu, Kind::BarrierWait).await;
-    }
-
-    /// Total bytes a run would report for one packet (sanity helper).
-    pub fn packet_bytes() -> u32 {
-        PACKET_BYTES
     }
 }
 

@@ -274,44 +274,3 @@ fn deterministic_under_heavy_cross_traffic() {
     };
     assert_eq!(run(), run());
 }
-
-#[test]
-fn ni_accept_gap_serializes_incasts() {
-    // Many nodes blast one receiver: with a positive acceptance gap the
-    // last packet arrives later than in the contention-free model.
-    let elapsed_with_gap = |gap: u64| {
-        let n = 9;
-        let mut e = Engine::new(n, SimConfig::default());
-        let m = MpMachine::new(
-            &e,
-            MpConfig {
-                ni_accept_gap: gap,
-                ..MpConfig::default()
-            },
-        );
-        m.set_handler(tag::USER_BASE, |_| {});
-        for p in e.proc_ids() {
-            let m = Rc::clone(&m);
-            let cpu = e.cpu(p);
-            e.spawn(p, async move {
-                if p.index() == 0 {
-                    m.poll_until(&cpu, |got| got >= 8 * 10).await;
-                } else {
-                    for k in 0..10 {
-                        m.am_send(&cpu, ProcId::new(0), tag::USER_BASE, k, [0; 4])
-                            .await;
-                    }
-                }
-            });
-        }
-        e.run().elapsed()
-    };
-    let free = elapsed_with_gap(0);
-    // The receiver dispatches a packet in well under 200 cycles, so a
-    // 200-cycle acceptance gap makes arrival the bottleneck.
-    let congested = elapsed_with_gap(200);
-    assert!(
-        congested > free + 8 * 10 * 100,
-        "gap must slow the incast: {congested} vs {free}"
-    );
-}

@@ -86,9 +86,6 @@ pub enum Ctr {
     GridExperimentsRun,
     /// Of those, how many replayed from the run cache.
     GridExperimentsCached,
-    /// Grid jobs re-attempted after a transient failure (store IO error
-    /// or watchdog expiry).
-    GridJobRetries,
     /// Grid jobs whose experiment panicked (caught at the job boundary
     /// and reported as a failed cell).
     GridJobPanics,
@@ -105,7 +102,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in index order.
-    pub const ALL: [Ctr; 22] = [
+    pub const ALL: [Ctr; 21] = [
         Ctr::SimEventsPushed,
         Ctr::SimEventsPopped,
         Ctr::SimQueueFar,
@@ -122,7 +119,6 @@ impl Ctr {
         Ctr::CacheCorruptRecovered,
         Ctr::GridExperimentsRun,
         Ctr::GridExperimentsCached,
-        Ctr::GridJobRetries,
         Ctr::GridJobPanics,
         Ctr::StoreFsckQuarantined,
         Ctr::StoreFsckSwept,
@@ -149,7 +145,6 @@ impl Ctr {
             Ctr::CacheCorruptRecovered => "cache_corrupt_recovered",
             Ctr::GridExperimentsRun => "grid_experiments_run",
             Ctr::GridExperimentsCached => "grid_experiments_cached",
-            Ctr::GridJobRetries => "grid_job_retries",
             Ctr::GridJobPanics => "grid_job_panics",
             Ctr::StoreFsckQuarantined => "store_fsck_quarantined",
             Ctr::StoreFsckSwept => "store_fsck_swept",

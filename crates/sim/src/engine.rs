@@ -13,7 +13,7 @@ use crate::callback::SmallCall;
 use crate::cpu::Cpu;
 use crate::error::{BlockedProc, SimError, StallReport, WaitTarget};
 use crate::event::{Action, CalendarQueue, Tier};
-use crate::fault::{FaultConfig, FaultLog, FaultPlan, PacketFate};
+use crate::fault::{FaultConfig, FaultPlan, PacketFate};
 use crate::report::{ProcReport, SimReport};
 use crate::time::{Cycles, ProcId};
 use crate::trace::{Metric, TraceData, TraceEvent, TraceWhat};
@@ -268,15 +268,6 @@ impl Sim {
             .faults
             .as_mut()
             .map_or(0, |plan| plan.miss_jitter())
-    }
-
-    /// Snapshot of the injected-fault log, if fault injection is active.
-    pub fn fault_log(&self) -> Option<FaultLog> {
-        self.inner
-            .borrow()
-            .faults
-            .as_ref()
-            .map(|plan| plan.log().clone())
     }
 
     /// Schedules the task of processor `p` to be re-polled at time `at`.

@@ -13,8 +13,6 @@
 //! [`FaultConfig::parse`]. Probabilities are stored in parts-per-million so
 //! the config stays `Copy + Eq` and hashes stably into the run-cache key.
 
-use std::fmt;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -229,56 +227,11 @@ pub enum PacketFate {
     },
 }
 
-/// Tally of every fault the plan injected, for reporting and tests.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultLog {
-    /// Packets dropped by random drop.
-    pub drops: u64,
-    /// Packets dropped because an endpoint was inside a fail window.
-    pub fail_drops: u64,
-    /// Packets duplicated.
-    pub dups: u64,
-    /// Packets delayed (reordered).
-    pub delays: u64,
-    /// Total extra latency injected into delayed/duplicated packets.
-    pub delay_cycles: Cycles,
-    /// Shared-miss jitter draws that fired (shared-memory machine).
-    pub miss_jitters: u64,
-    /// Total jitter cycles charged into shared-miss latency.
-    pub miss_jitter_cycles: Cycles,
-}
-
-impl FaultLog {
-    /// Total number of injected faults of any kind.
-    pub fn total(&self) -> u64 {
-        self.drops + self.fail_drops + self.dups + self.delays + self.miss_jitters
-    }
-}
-
-impl fmt::Display for FaultLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "drops={} fail_drops={} dups={} delays={} delay_cycles={} \
-             miss_jitters={} miss_jitter_cycles={}",
-            self.drops,
-            self.fail_drops,
-            self.dups,
-            self.delays,
-            self.delay_cycles,
-            self.miss_jitters,
-            self.miss_jitter_cycles,
-        )
-    }
-}
-
-/// The live fault oracle: a [`FaultConfig`] plus its private RNG and the
-/// log of everything injected so far.
+/// The live fault oracle: a [`FaultConfig`] plus its private RNG.
 #[derive(Debug)]
 pub struct FaultPlan {
     cfg: FaultConfig,
     rng: SmallRng,
-    log: FaultLog,
 }
 
 impl FaultPlan {
@@ -287,18 +240,7 @@ impl FaultPlan {
         FaultPlan {
             cfg,
             rng: SmallRng::seed_from_u64(cfg.seed),
-            log: FaultLog::default(),
         }
-    }
-
-    /// The configuration the plan was built from.
-    pub fn config(&self) -> FaultConfig {
-        self.cfg
-    }
-
-    /// The log of injected faults so far.
-    pub fn log(&self) -> &FaultLog {
-        &self.log
     }
 
     fn draw(&mut self, ppm: u32) -> bool {
@@ -316,24 +258,18 @@ impl FaultPlan {
     pub fn packet_fate(&mut self, src: usize, dest: usize, at: Cycles) -> PacketFate {
         if let Some(w) = self.cfg.fail {
             if w.contains(at) && (src == w.proc || dest == w.proc) {
-                self.log.fail_drops += 1;
                 return PacketFate::Drop;
             }
         }
         if self.draw(self.cfg.drop_ppm) {
-            self.log.drops += 1;
             return PacketFate::Drop;
         }
         if self.draw(self.cfg.dup_ppm) {
             let extra = self.extra_latency();
-            self.log.dups += 1;
-            self.log.delay_cycles += extra;
             return PacketFate::Duplicate { extra };
         }
         if self.draw(self.cfg.reorder_ppm) {
             let extra = self.extra_latency();
-            self.log.delays += 1;
-            self.log.delay_cycles += extra;
             return PacketFate::Deliver { extra };
         }
         PacketFate::Deliver { extra: 0 }
@@ -344,10 +280,7 @@ impl FaultPlan {
     /// latency; zero otherwise. This is the SM analogue of packet delay.
     pub fn miss_jitter(&mut self) -> Cycles {
         if self.draw(self.cfg.reorder_ppm) {
-            let extra = self.extra_latency();
-            self.log.miss_jitters += 1;
-            self.log.miss_jitter_cycles += extra;
-            extra
+            self.extra_latency()
         } else {
             0
         }
@@ -439,7 +372,6 @@ mod tests {
             plan.packet_fate(0, 2, 150),
             PacketFate::Deliver { extra: 0 }
         );
-        assert_eq!(plan.log().fail_drops, 2);
     }
 
     #[test]
@@ -449,6 +381,5 @@ mod tests {
             assert_eq!(plan.packet_fate(0, 1, i), PacketFate::Deliver { extra: 0 });
             assert_eq!(plan.miss_jitter(), 0);
         }
-        assert_eq!(plan.log().total(), 0);
     }
 }

@@ -61,7 +61,7 @@ pub use callback::SmallCall;
 pub use cpu::{Cpu, ScopeGuard};
 pub use engine::{Engine, Sim, SimConfig};
 pub use error::{BlockedProc, SimError, StallReport, WaitTarget};
-pub use fault::{FaultConfig, FaultLog, FaultPlan, PacketFate, ProcWindow, SlowWindow};
+pub use fault::{FaultConfig, FaultPlan, PacketFate, ProcWindow, SlowWindow};
 pub use hash::{FastMap, FastSet};
 pub use report::{PhaseMark, ProcReport, SimReport};
 pub use time::{Cycles, ProcId};

@@ -15,17 +15,17 @@
 //! thread interleaving or operation order, exactly like `FaultPlan`'s
 //! per-packet draws. The one stateful mode is the transient `EIO`: it
 //! fires only on the *first* read of a given path (tracked
-//! process-globally), so a retry or a re-run observes the error clearing,
-//! which is what "transient" means.
+//! process-globally), so a later read of that path observes the error
+//! clearing, which is what "transient" means.
 //!
-//! The plan is config-gated (pass it to [`crate::StoreConfig`]) or
-//! env-gated: setting `WWT_STORE_FAULTS=seed=7,torn=0.5,...` makes every
-//! [`crate::Store::open`] in the process inject faults, which is how the
-//! CI crash-recovery smoke and `make_tables --store-faults` drive it.
+//! The plan is passed to [`crate::StoreConfig`] directly, or set
+//! process-wide with [`set_global_faults`] so that every
+//! [`crate::Store::open`] injects faults; `make_tables --store-faults`
+//! takes the second route.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::entry::fnv1a;
 
@@ -185,38 +185,18 @@ impl fmt::Display for StoreFaults {
     }
 }
 
-/// The process-global fault plan consulted by [`crate::Store::open`]:
-/// seeded from the `WWT_STORE_FAULTS` environment variable on first use,
-/// overridable via [`set_global_faults`]. `None` (the default) injects
-/// nothing.
-static GLOBAL: Mutex<Option<Option<StoreFaults>>> = Mutex::new(None);
-static ENV_INIT: OnceLock<Option<StoreFaults>> = OnceLock::new();
-
-fn env_faults() -> Option<StoreFaults> {
-    *ENV_INIT.get_or_init(|| {
-        let spec = std::env::var("WWT_STORE_FAULTS").ok()?;
-        match StoreFaults::parse(&spec) {
-            Ok(f) => Some(f),
-            Err(err) => {
-                eprintln!("warning: ignoring invalid WWT_STORE_FAULTS ('{spec}'): {err}");
-                None
-            }
-        }
-    })
-}
+/// The process-global fault plan consulted by [`crate::Store::open`],
+/// set via [`set_global_faults`]. `None` (the default) injects nothing.
+static GLOBAL: Mutex<Option<StoreFaults>> = Mutex::new(None);
 
 /// Sets (or clears, with `None`) the process-global store-fault plan.
-/// Overrides `WWT_STORE_FAULTS` for the rest of the process.
 pub fn set_global_faults(faults: Option<StoreFaults>) {
-    *GLOBAL.lock().unwrap_or_else(|e| e.into_inner()) = Some(faults);
+    *GLOBAL.lock().unwrap_or_else(|e| e.into_inner()) = faults;
 }
 
 /// The effective process-global fault plan.
 pub fn global_faults() -> Option<StoreFaults> {
-    if let Some(explicit) = *GLOBAL.lock().unwrap_or_else(|e| e.into_inner()) {
-        return explicit;
-    }
-    env_faults()
+    *GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Clears the transient-EIO "already fired" memory, so a fresh test run

@@ -1,12 +1,10 @@
 //! Crash-safe content-addressed result store.
 //!
-//! The run cache under `results/cache/` is the seed of the sweep
-//! service's serving layer (ROADMAP item 3): a long-running daemon can
-//! only serve cached simulation points at memory speed if the store
-//! underneath it survives crashes, torn writes, bit rot, and concurrent
-//! writers **without ever emitting a wrong table**. This crate is that
-//! store, factored out of `wwt-core`'s cache so the discipline is
-//! reusable and testable in isolation:
+//! The run cache under `results/cache/` replays simulation points from
+//! disk, so the store underneath it must survive crashes, torn writes,
+//! bit rot, and concurrent writers **without ever emitting a wrong
+//! table**. This crate is that store, factored out of `wwt-core`'s cache
+//! so the discipline is reusable and testable in isolation:
 //!
 //! * **Self-validating entries.** Every entry is wrapped in a versioned
 //!   header carrying the payload length and an FNV-1a checksum
@@ -24,10 +22,10 @@
 //!   quarantines corrupt ones (into `quarantine/`, with an obs counter),
 //!   and garbage-collects orphaned temp and stale lock files.
 //! * **Host-fault injection.** A seeded, deterministic [`StoreFaults`]
-//!   plan (config- or `WWT_STORE_FAULTS`-gated) tears commits at byte N,
-//!   flips bits, injects transient `EIO`s, and fails renames, so tests
-//!   can prove every failure mode degrades to a warned miss plus
-//!   re-simulation producing byte-identical output.
+//!   plan (per store, or process-wide via [`set_global_faults`]) tears
+//!   commits at byte N, flips bits, injects transient `EIO`s, and fails
+//!   renames, so tests can prove every failure mode degrades to a warned
+//!   miss plus re-simulation producing byte-identical output.
 //!
 //! Nothing in this crate interprets payloads; `wwt-core`'s cache keeps
 //! the (de)serialization and keying, and everything else that wants
@@ -129,9 +127,8 @@ pub struct Store {
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl Store {
-    /// Opens the store at `root` with the process-global fault plan (the
-    /// `WWT_STORE_FAULTS` env var or [`set_global_faults`]) and default
-    /// lock timing.
+    /// Opens the store at `root` with the process-global fault plan (set
+    /// via [`set_global_faults`]) and default lock timing.
     pub fn open(root: impl Into<PathBuf>) -> Store {
         Store::with_config(
             root,

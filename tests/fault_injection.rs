@@ -5,8 +5,9 @@
 
 use proptest::prelude::*;
 
-use wwt::sim::FaultConfig;
-use wwt::{render_report, run_grid, Experiment, RunnerConfig, Scale};
+use wwt::arch::ArchParams;
+use wwt::sim::{FaultConfig, SimConfig};
+use wwt::{render_report, run_grid, try_run_experiment_with_arch, Experiment, RunnerConfig, Scale};
 
 fn cfg(jobs: usize, faults: Option<FaultConfig>) -> RunnerConfig {
     RunnerConfig {
@@ -135,6 +136,28 @@ fn a_dead_node_fails_its_experiment_but_not_the_grid() {
     assert!(report.contains("validation: FAIL — engine failure: livelock"));
     let seq = render_report(&run_grid(&es, &cfg(1, Some(faults))), Scale::Test);
     assert_eq!(report, seq);
+
+    // The watchdog counts simulated cycles, so the livelock is as
+    // deterministic as a clean run: two direct runs with the grid's
+    // engine configuration fail with the same text, and the grid cell
+    // (simulated once, never retried) carries exactly that text.
+    let sim = SimConfig {
+        faults: Some(faults),
+        watchdog: Some(10_000_000),
+        ..SimConfig::default()
+    };
+    let fail = || {
+        try_run_experiment_with_arch(Experiment::Em3dMp, Scale::Test, sim, ArchParams::default())
+            .expect_err("a dead node must stall the run")
+            .to_string()
+    };
+    let first = fail();
+    assert_eq!(first, fail(), "a livelock recurs identically on a re-run");
+    assert!(
+        mp.summary.validation_detail.ends_with(&first),
+        "the grid cell reports the direct run's failure: {}",
+        mp.summary.validation_detail
+    );
 }
 
 #[test]

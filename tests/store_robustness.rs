@@ -225,31 +225,19 @@ fn corrupt_entries_warn_once_per_path_and_are_counted() {
 }
 
 #[test]
-fn grid_retries_transient_watchdog_failures() {
-    // Retry accounting: a deterministic failure (config error → not
-    // transient) is attempted once; the retry counter only moves for
-    // the transient class. Exercised indirectly: a panic cell with
-    // retries configured must still be attempted exactly once.
+fn a_failed_cell_is_attempted_exactly_once() {
+    // The grid never re-runs a failed cell: the simulator is
+    // deterministic, so a second attempt would fail the same way. A
+    // panicking cell goes through the job boundary exactly once.
     let _g = lock();
     let panics_before = wwt::obs::counter(wwt::obs::Ctr::GridJobPanics);
-    let retries_before = wwt::obs::counter(wwt::obs::Ctr::GridJobRetries);
     std::env::set_var("WWT_TEST_PANIC_EXPERIMENT", Experiment::LcpMp.id());
-    let arts = run_grid(
-        &[Experiment::LcpMp],
-        &RunnerConfig {
-            retries: 3,
-            ..RunnerConfig::new(Scale::Test)
-        },
-    );
+    let arts = run_grid(&[Experiment::LcpMp], &RunnerConfig::new(Scale::Test));
     std::env::remove_var("WWT_TEST_PANIC_EXPERIMENT");
     assert!(arts[0].summary.engine_failed());
     assert_eq!(
         wwt::obs::counter(wwt::obs::Ctr::GridJobPanics) - panics_before,
         1,
-        "a panic is deterministic: one attempt, no retries"
-    );
-    assert_eq!(
-        wwt::obs::counter(wwt::obs::Ctr::GridJobRetries) - retries_before,
-        0
+        "one attempt, no re-run"
     );
 }
