@@ -101,7 +101,9 @@ impl Validation {
 pub struct AppRun {
     /// The full simulator measurement report.
     pub report: SimReport,
-    /// Cumulative phase-boundary snapshots.
+    /// Cumulative phase-boundary snapshots. Only EM3D records them (its
+    /// `init`/`main` split feeds the paper's per-phase tables); the other
+    /// apps leave this empty.
     pub phases: Vec<Phase>,
     /// Outcome of the application's self check.
     pub validation: Validation,

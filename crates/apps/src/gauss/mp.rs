@@ -12,7 +12,7 @@ use std::rc::Rc;
 use wwt_mp::{MpConfig, MpMachine, TreeShape};
 use wwt_sim::{Engine, ProcId, SimError};
 
-use crate::common::{block_range, AppRun, PhaseRecorder, Validation};
+use crate::common::{block_range, AppRun, Validation};
 use crate::gauss::{gen_row, validate_solution, GaussParams};
 
 /// Encodes (owner processor, owner-local row index) into a reduction tag.
@@ -39,7 +39,6 @@ pub fn run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> AppRun {
 pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppRun, SimError> {
     let mut engine = Engine::new(p.procs, mcfg.sim);
     let m = MpMachine::new(&engine, mcfg);
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let n = p.n;
     let row_bytes = ((n + 1) * 8) as u64;
 
@@ -58,7 +57,6 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
     for proc in engine.proc_ids() {
         let m = Rc::clone(&m);
         let cpu = engine.cpu(proc);
-        let rec = Rc::clone(&rec);
         let solution = Rc::clone(&solution);
         let p = p.clone();
         let rows = rows_off[proc.index()];
@@ -77,9 +75,6 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
                 cpu.compute(4 * (n as u64 + 1));
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- forward elimination --------------------------------------
             let mut used = vec![false; nloc];
@@ -164,9 +159,6 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
                 }
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("forward");
-            }
 
             // --- back substitution ----------------------------------------
             let mut x = vec![0.0f64; n];
@@ -192,7 +184,6 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
             }
             m.barrier(&cpu).await;
             if me == 0 {
-                rec.mark("backward");
                 *solution.borrow_mut() = x;
             }
         });
@@ -207,7 +198,7 @@ pub fn try_run(p: &GaussParams, mcfg: MpConfig, shape: TreeShape) -> Result<AppR
     };
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("n".into(), n as f64)],
         artifact: x,

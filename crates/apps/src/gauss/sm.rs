@@ -13,7 +13,7 @@ use std::rc::Rc;
 use wwt_sim::{Engine, SimError};
 use wwt_sm::{SmCollectives, SmConfig, SmMachine};
 
-use crate::common::{block_range, AppRun, PhaseRecorder, Validation};
+use crate::common::{block_range, AppRun, Validation};
 use crate::gauss::mp::{dec_pivot, enc_pivot};
 use crate::gauss::{gen_row, validate_solution, GaussParams};
 
@@ -30,7 +30,6 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let mut engine = Engine::new(p.procs, scfg.sim);
     let m = SmMachine::new(&engine, scfg);
     let coll = Rc::new(SmCollectives::new(&m));
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let n = p.n;
     let row_bytes = ((n + 1) * 8) as u64;
 
@@ -51,7 +50,6 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         let m = Rc::clone(&m);
         let coll = Rc::clone(&coll);
         let cpu = engine.cpu(proc);
-        let rec = Rc::clone(&rec);
         let rows_base = Rc::clone(&rows_base);
         let solution = Rc::clone(&solution);
         let p = p.clone();
@@ -70,9 +68,6 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 cpu.compute(4 * (n as u64 + 1));
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- forward elimination --------------------------------------
             let mut used = vec![false; nloc];
@@ -146,9 +141,6 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 }
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("forward");
-            }
 
             // --- back substitution ----------------------------------------
             let mut x = vec![0.0f64; n];
@@ -174,7 +166,6 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             }
             m.barrier(&cpu).await;
             if me == 0 {
-                rec.mark("backward");
                 *solution.borrow_mut() = x;
             }
         });
@@ -189,7 +180,7 @@ pub fn try_run(p: &GaussParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     };
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("n".into(), n as f64)],
         artifact: x,

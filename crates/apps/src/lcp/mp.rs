@@ -14,7 +14,7 @@ use std::rc::Rc;
 use wwt_mp::{ChannelId, MpConfig, MpMachine, SendChannel, TreeShape};
 use wwt_sim::{Engine, ProcId, SimError};
 
-use crate::common::{AppRun, PhaseRecorder, Validation};
+use crate::common::{AppRun, Validation};
 use crate::lcp::{gen_matrix, gen_q, psor_row, validate_lcp, LcpMode, LcpParams};
 
 /// Runs LCP-MP (synchronous) or ALCP-MP (asynchronous) and returns the
@@ -35,7 +35,6 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
     assert_eq!(p.n % p.procs, 0, "rows must divide evenly");
     let mut engine = Engine::new(p.procs, mcfg.sim);
     let m = MpMachine::new(&engine, mcfg);
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let q = Rc::new(gen_q(p));
     let mat = Rc::new(gen_matrix(p));
     let nloc = p.n / p.procs;
@@ -47,7 +46,6 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
     for proc in engine.proc_ids() {
         let m = Rc::clone(&m);
         let cpu = engine.cpu(proc);
-        let rec = Rc::clone(&rec);
         let q = Rc::clone(&q);
         let mat = Rc::clone(&mat);
         let solution = Rc::clone(&solution);
@@ -122,9 +120,6 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
             m.touch_write(&cpu, z_buf, (p.n * 8) as u64);
             cpu.compute(8 * nnz_total as u64);
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- solve --------------------------------------------------------
             let mut z = vec![0.0f64; p.n];
@@ -212,7 +207,6 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
             solution.borrow_mut()[my_lo..my_lo + nloc].copy_from_slice(&z[my_lo..my_lo + nloc]);
             if me == 0 {
                 steps_taken.set(steps);
-                rec.mark("main");
             }
         });
     }
@@ -227,7 +221,7 @@ pub fn try_run(p: &LcpParams, mcfg: MpConfig, mode: LcpMode) -> Result<AppRun, S
     };
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("steps".into(), steps_taken.get() as f64)],
         artifact: z,

@@ -16,7 +16,7 @@ use wwt_mem::GAddr;
 use wwt_sim::{Engine, SimError};
 use wwt_sm::{SmCollectives, SmConfig, SmMachine};
 
-use crate::common::{AppRun, PhaseRecorder, Validation};
+use crate::common::{AppRun, Validation};
 use crate::lcp::{gen_matrix, gen_q, psor_row, validate_lcp, LcpMode, LcpParams};
 
 /// Runs LCP-SM (synchronous) or ALCP-SM (asynchronous) and returns the
@@ -34,7 +34,6 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
     let mut engine = Engine::new(p.procs, scfg.sim);
     let m = SmMachine::new(&engine, scfg);
     let coll = Rc::new(SmCollectives::new(&m));
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let q = Rc::new(gen_q(p));
     let mat = Rc::new(gen_matrix(p));
     let nloc = p.n / p.procs;
@@ -53,7 +52,6 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
         let m = Rc::clone(&m);
         let coll = Rc::clone(&coll);
         let cpu = engine.cpu(proc);
-        let rec = Rc::clone(&rec);
         let q = Rc::clone(&q);
         let mat = Rc::clone(&mat);
         let chunks = Rc::clone(&chunks);
@@ -81,9 +79,6 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
             m.touch_write(&cpu, chunks[me], block_bytes).await;
             cpu.compute(8 * nnz_total as u64);
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- solve ------------------------------------------------------------
             let mut z = vec![0.0f64; p.n];
@@ -176,7 +171,6 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
             solution.borrow_mut()[my_lo..my_lo + nloc].copy_from_slice(&z[my_lo..my_lo + nloc]);
             if me == 0 {
                 steps_taken.set(steps);
-                rec.mark("main");
             }
         });
     }
@@ -191,7 +185,7 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
     };
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("steps".into(), steps_taken.get() as f64)],
         artifact: z,

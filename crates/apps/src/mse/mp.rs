@@ -14,7 +14,7 @@ use std::rc::Rc;
 use wwt_mp::{packet::tag, ChannelId, MpConfig, MpMachine, SendChannel};
 use wwt_sim::{Engine, ProcId, SimError};
 
-use crate::common::{AppRun, PhaseRecorder};
+use crate::common::AppRun;
 use crate::mse::{build_system, validate_solution, Geometry, MseParams};
 
 /// Application tag for solution requests.
@@ -52,7 +52,6 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     assert_eq!(p.bodies % p.procs, 0, "bodies must divide evenly");
     let mut engine = Engine::new(p.procs, mcfg.sim);
     let m = MpMachine::new(&engine, mcfg);
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let geo = Rc::new(Geometry::new(p));
     let sys = Rc::new(build_system(&geo));
     let nm = p.unknowns();
@@ -104,7 +103,6 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     for proc in engine.proc_ids() {
         let m = Rc::clone(&m);
         let cpu = engine.cpu(proc);
-        let rec = Rc::clone(&rec);
         let geo = Rc::clone(&geo);
         let sys = Rc::clone(&sys);
         let svc = Rc::clone(&svc);
@@ -159,9 +157,6 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
             m.touch_write(&cpu, rhs_buf, (nb * mm * 8) as u64);
             m.touch_write(&cpu, z_all, (nm * 8) as u64);
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- asynchronous Jacobi with the exchange schedule --------------
             let mut z = vec![0.0f64; nm];
@@ -231,9 +226,6 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     .await;
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("main");
-            }
             {
                 let mut sol = solution.borrow_mut();
                 for &k in &my_bodies {
@@ -249,7 +241,7 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     let validation = validate_solution(p, &z);
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("iters".into(), p.iters as f64)],
         artifact: z,

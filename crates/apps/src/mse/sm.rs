@@ -15,7 +15,7 @@ use wwt_mem::GAddr;
 use wwt_sim::{Engine, SimError};
 use wwt_sm::{CreateGate, SmConfig, SmMachine};
 
-use crate::common::{AppRun, PhaseRecorder};
+use crate::common::AppRun;
 use crate::mse::{build_system, validate_solution, Geometry, MseParams};
 
 /// Runs MSE-SM and returns the measurements (Tables 5 and 7).
@@ -33,7 +33,6 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let mut engine = Engine::new(p.procs, scfg.sim);
     let m = SmMachine::new(&engine, scfg);
     let gate = Rc::new(CreateGate::new());
-    let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let geo = Rc::new(Geometry::new(p));
     let sys = Rc::new(build_system(&geo));
     let nm = p.unknowns();
@@ -53,7 +52,6 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         let m = Rc::clone(&m);
         let cpu = engine.cpu(proc);
         let gate = Rc::clone(&gate);
-        let rec = Rc::clone(&rec);
         let geo = Rc::clone(&geo);
         let sys = Rc::clone(&sys);
         let z_chunks = Rc::clone(&z_chunks);
@@ -93,9 +91,6 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 cpu.compute(p.unbalanced_init_cycles);
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("init");
-            }
 
             // --- asynchronous Jacobi with the exchange schedule --------------
             let mut z = vec![0.0f64; nm];
@@ -142,9 +137,6 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 }
             }
             m.barrier(&cpu).await;
-            if me == 0 {
-                rec.mark("main");
-            }
             {
                 let mut sol = solution.borrow_mut();
                 for &k in &my_bodies {
@@ -160,7 +152,7 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let validation = validate_solution(p, &z);
     Ok(AppRun {
         report,
-        phases: rec.phases(),
+        phases: Vec::new(),
         validation,
         stats: vec![("iters".into(), p.iters as f64)],
         artifact: z,

@@ -105,9 +105,7 @@
 //! any `--jobs`, clean or faulted). A background sampler also feeds a
 //! flight recorder whose last snapshots attach to any
 //! `SimError` diagnostic. `--obs-json OUT.json` writes the recorded
-//! snapshots as JSON (implies `--obs`). Grid invocations with
-//! `--obs` also record the snapshots to `results/OBS_grid.json` next to
-//! `BENCH_grid.json`.
+//! snapshots as JSON (implies `--obs`).
 
 use std::path::PathBuf;
 
@@ -247,22 +245,20 @@ fn cache_summary() {
 }
 
 /// Emits the end-of-run host-metrics outputs: the self-profile table on
-/// stderr plus the optional JSON file. Returns the recorded
-/// snapshots as JSON (flight recorder + one final snapshot) so the grid
-/// path can also drop it next to `BENCH_grid.json`. Stdout is never
+/// stderr plus, when asked for, the recorded snapshots (the flight
+/// recorder and one final snapshot) as a JSON file. Stdout is never
 /// touched — simulated output must stay byte-identical under `--obs`.
-fn obs_finish(obs_json_out: Option<&str>) -> String {
+fn obs_finish(obs_json_out: Option<&str>) {
     use wwt_core::obs;
     let last = obs::snapshot_now();
     eprint!("{}", obs::render_table(&last));
-    let mut snaps = obs::recent_snapshots();
-    snaps.push(last);
-    let json = obs::render_json(&snaps);
     if let Some(path) = obs_json_out {
-        std::fs::write(path, &json).unwrap_or_else(|err| panic!("writing {path}: {err}"));
+        let mut snaps = obs::recent_snapshots();
+        snaps.push(last);
+        std::fs::write(path, obs::render_json(&snaps))
+            .unwrap_or_else(|err| panic!("writing {path}: {err}"));
         eprintln!("wrote obs json {path}");
     }
-    json
 }
 
 fn main() {
@@ -621,17 +617,7 @@ fn main() {
         eprintln!("could not record results/BENCH_grid.json: {err}");
     }
     if obs {
-        let snaps_json = obs_finish(obs_json_out.as_deref());
-        // The self-profile artifact rides along with the grid's timing
-        // record (same best-effort discipline as BENCH_grid.json).
-        // Atomic temp + rename: a killed run leaves the previous
-        // snapshot file intact, never a truncated one.
-        let path = "results/OBS_grid.json";
-        if let Err(err) = wwt_core::store::atomic_write(path, snaps_json.as_bytes()) {
-            eprintln!("could not record {path}: {err}");
-        } else {
-            eprintln!("wrote obs snapshots {path}");
-        }
+        obs_finish(obs_json_out.as_deref());
     }
 
     // A stalled simulation (deadlock, livelock, watchdog expiry) renders

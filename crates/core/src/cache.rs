@@ -1,23 +1,31 @@
-//! The persistent run cache: experiment artifacts keyed by
-//! (experiment, scale, engine-config hash).
+//! The persistent run cache: experiment artifacts keyed by the simulated
+//! model alone — (experiment, scale, fault plan, hardware point).
 //!
 //! A paper-scale grid takes minutes; most `make_tables` invocations
 //! re-run experiments whose inputs did not change. The runner therefore
 //! persists each experiment's [`ExperimentArtifacts`] — the reportable
-//! summary plus any rendered timeline/trace artifacts — to one file per
-//! (experiment, scale, config) triple and replays it on the next
-//! invocation.
+//! summary plus any rendered timeline/trace/phase artifacts — to one file
+//! per model point and replays it on the next invocation.
 //!
-//! Two properties carry the design:
+//! Three properties carry the design:
 //!
 //! * **Exactness.** Every `f64` is stored as its IEEE-754 bit pattern, so
 //!   a report rendered from a cached summary is byte-identical to one
 //!   rendered from the fresh run (the simulator itself is deterministic,
 //!   so the cached numbers *are* the numbers a re-run would produce).
 //! * **Invalidation by construction.** The file name embeds an FNV-1a
-//!   hash of the full engine configuration (quantum, seed, profiling,
-//!   tracing) plus a format version; changing any of them simply misses
-//!   the cache, and stale entries are inert.
+//!   hash of the format version, the experiment and scale, the fault
+//!   plan, the hardware point and both machines' cost tables; changing
+//!   any of them simply misses the cache, and stale entries are inert.
+//!   Nothing else keys an entry: every other [`wwt_sim::SimConfig`] field
+//!   (profiling, tracing, phase marks, watchdog, event cap) only runs or
+//!   observes a simulation, a failed run is never cached, and a completed
+//!   run's numbers do not depend on them.
+//! * **Coverage is part of the lookup.** Those observation flags instead
+//!   decide which artifacts a lookup needs. An entry that lacks one is a
+//!   miss; the runner re-simulates with the flags that were asked for and
+//!   the new entry replaces the old one (artifact sets are never merged).
+//!   A hit returns only the requested artifacts.
 //!
 //! The format is a versioned, line-oriented text file with length-
 //! prefixed blobs for rendered artifacts. Any parse failure — truncation,
@@ -43,36 +51,43 @@ use crate::experiment::{Experiment, ExperimentSummary, Scale};
 use crate::runner::ExperimentArtifacts;
 use crate::table::{BreakdownTable, EventTable, Row};
 
-/// Bump when the serialization format or the meaning of cached fields
-/// changes; old entries then miss instead of misparsing.
+/// Bump when the serialization format, the meaning of cached fields or
+/// the key changes; old entries then miss instead of misparsing.
 /// Version 2: phase-profile blobs, percentile fields in metrics blobs.
 /// Version 3: entries live inside checksummed `wwt-store` containers
 /// (pre-store files keep their old names and are simply never read;
 /// `--fsck` quarantines them).
-const FORMAT_VERSION: u32 = 3;
+/// Version 4: the key holds the model alone; observation flags only
+/// decide which artifacts a lookup needs.
+const FORMAT_VERSION: u32 = 4;
 
-/// The cache key hash: experiment, scale, full engine config, the full
-/// hardware base, both machines' full configurations, and the format
-/// version. `SimConfig`, `MpConfig`, and `SmConfig` are `Copy + Debug`
-/// with stable field order, so their debug renderings are faithful
+/// The cache key hash: the format version, the experiment and scale, the
+/// fault plan, the hardware base, and both machines' cost tables. Of
+/// `sim` only [`wwt_sim::SimConfig::faults`] is read: the machine
+/// configurations are built from an engine config reduced to the fault
+/// plan, and their `Debug` renderings (stable field order) serve as
 /// canonical forms; [`ArchParams::canonical`] is canonical by
-/// construction. Hashing the complete machine configurations (not just
-/// the swept base) means *any* future machine-cost change misses the
-/// cache instead of replaying a stale result — a swept run can never
-/// replay a cached default-config artifact.
+/// construction. Hashing the complete cost tables (not just the swept
+/// base) means *any* future machine-cost change misses the cache instead
+/// of replaying a stale result — a swept run can never replay a cached
+/// default-config artifact.
 pub fn config_hash(
     e: Experiment,
     scale: Scale,
     sim: &wwt_sim::SimConfig,
     arch: &ArchParams,
 ) -> u64 {
-    let mp = wwt_mp::MpConfig::with_arch(*arch, *sim);
-    let sm = wwt_sm::SmConfig::with_arch(*arch, *sim);
+    let model = wwt_sim::SimConfig {
+        faults: sim.faults,
+        ..wwt_sim::SimConfig::default()
+    };
+    let mp = wwt_mp::MpConfig::with_arch(*arch, model);
+    let sm = wwt_sm::SmConfig::with_arch(*arch, model);
     let key = format!(
         "v{FORMAT_VERSION}|{}|{}|{:?}|{}|{mp:?}|{sm:?}",
         e.id(),
         scale.name(),
-        sim,
+        model.faults,
         arch.canonical(),
     );
     fnv1a(key.as_bytes())
@@ -389,6 +404,30 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
     })
 }
 
+/// Fits a parsed entry to a lookup under `sim`: a run under `sim` renders
+/// a timeline when profiling, trace exports when tracing, and a phase
+/// profile when marking phases. `None` (a miss) when the entry lacks one
+/// of those; otherwise the entry with every other artifact dropped.
+fn narrow(mut a: ExperimentArtifacts, sim: &wwt_sim::SimConfig) -> Option<ExperimentArtifacts> {
+    let timeline = sim.profile_bucket.is_some();
+    if (timeline && a.timeline.is_none())
+        || (sim.trace && a.trace.is_none())
+        || (sim.phase_marks && a.phases.is_none())
+    {
+        return None;
+    }
+    if !timeline {
+        a.timeline = None;
+    }
+    if !sim.trace {
+        a.trace = None;
+    }
+    if !sim.phase_marks {
+        a.phases = None;
+    }
+    Some(a)
+}
+
 /// Loads a cache entry directly by file path (the `--diff <path>` form),
 /// recovering the experiment and scale from the entry header instead of
 /// requiring the caller to know the key. `None` on any damage.
@@ -405,11 +444,13 @@ pub fn load_path(path: &Path) -> Option<ExperimentArtifacts> {
     parse(&text, e, scale)
 }
 
-/// Loads the cached artifacts for one (experiment, scale, config) triple.
-/// Any missing, truncated, or version-skewed entry is a miss (`None`).
-/// A file that exists but cannot be read or parsed additionally warns on
-/// stderr — the entry is damaged, not merely absent — and the runner then
-/// re-simulates and overwrites it.
+/// Loads the cached artifacts for one (experiment, scale, config, arch)
+/// point, narrowed to what a run under `sim` produces. Any missing,
+/// truncated, or version-skewed entry is a miss (`None`), and so is an
+/// intact entry that lacks a requested artifact. A file that exists but
+/// cannot be read or parsed additionally warns on stderr — the entry is
+/// damaged, not merely absent — and the runner then re-simulates and
+/// overwrites it.
 pub fn load(
     dir: &Path,
     e: Experiment,
@@ -491,15 +532,19 @@ fn load_counting(
         damaged("damaged (payload is not UTF-8)");
         return None;
     };
-    let parsed = parse(&text, e, scale);
-    match &parsed {
-        Some(_) => {
-            count_always(Ctr::CacheHits, 1);
-            count_always(Ctr::CacheBytesRead, text.len() as u64);
+    let Some(parsed) = parse(&text, e, scale) else {
+        damaged("truncated or corrupt");
+        return None;
+    };
+    let Some(hit) = narrow(parsed, sim) else {
+        if count_miss {
+            count_always(Ctr::CacheMisses, 1);
         }
-        None => damaged("truncated or corrupt"),
-    }
-    parsed
+        return None;
+    };
+    count_always(Ctr::CacheHits, 1);
+    count_always(Ctr::CacheBytesRead, text.len() as u64);
+    Some(hit)
 }
 
 /// The process-wide run-cache totals, as
@@ -620,29 +665,50 @@ mod tests {
         assert!(parse("", a.experiment, Scale::Test).is_none());
     }
 
+    /// Observation and execution flags never split a model point; the
+    /// fault plan, the hardware point, the scale and the experiment do.
     #[test]
-    fn config_hash_separates_engine_configs() {
+    fn config_hash_keys_the_model_alone() {
         let base = wwt_sim::SimConfig::default();
         let arch = ArchParams::default();
-        let traced = wwt_sim::SimConfig {
-            trace: true,
-            ..base
-        };
-        let profiled = wwt_sim::SimConfig {
-            profile_bucket: Some(2_000),
-            ..base
-        };
         let e = Experiment::Em3dSm;
         let h = |sim: &wwt_sim::SimConfig| config_hash(e, Scale::Test, sim, &arch);
-        assert_ne!(h(&base), h(&traced));
-        assert_ne!(h(&base), h(&profiled));
+        let observed = [
+            wwt_sim::SimConfig {
+                trace: true,
+                ..base
+            },
+            wwt_sim::SimConfig {
+                profile_bucket: Some(2_000),
+                ..base
+            },
+            wwt_sim::SimConfig {
+                phase_marks: true,
+                ..base
+            },
+            wwt_sim::SimConfig {
+                watchdog: Some(10_000_000),
+                ..base
+            },
+            wwt_sim::SimConfig {
+                max_events: 1_000,
+                ..base
+            },
+        ];
+        for sim in &observed {
+            assert_eq!(h(&base), h(sim), "{sim:?} must share the plain key");
+        }
+        let faulted = wwt_sim::SimConfig {
+            faults: Some(wwt_sim::FaultConfig::parse("seed=1,drop=0.01").unwrap()),
+            ..base
+        };
+        assert_ne!(h(&base), h(&faulted));
+        let fast = ArchParams::parse("net_latency=50").unwrap();
+        assert_ne!(h(&base), config_hash(e, Scale::Test, &base, &fast));
+        assert_ne!(h(&base), config_hash(e, Scale::Paper, &base, &arch));
         assert_ne!(
-            config_hash(Experiment::Em3dSm, Scale::Test, &base, &arch),
+            h(&base),
             config_hash(Experiment::Em3dMp, Scale::Test, &base, &arch)
-        );
-        assert_ne!(
-            config_hash(e, Scale::Test, &base, &arch),
-            config_hash(e, Scale::Paper, &base, &arch)
         );
     }
 
@@ -702,7 +768,16 @@ mod tests {
         save(&dir, &a, &sim, &arch).unwrap();
         let b = load(&dir, a.experiment, Scale::Test, &sim, &arch).unwrap();
         assert_eq!(a.summary, b.summary);
-        // A different engine config misses.
+        // A hit carries only the requested artifacts.
+        assert_eq!((b.timeline, b.phases), (None, None));
+        let profiled = wwt_sim::SimConfig {
+            profile_bucket: Some(2_000),
+            ..sim
+        };
+        let b = load(&dir, a.experiment, Scale::Test, &profiled, &arch).unwrap();
+        assert_eq!(b.timeline, a.timeline);
+        assert!(b.phases.is_none());
+        // An entry without a requested artifact misses.
         let traced = wwt_sim::SimConfig { trace: true, ..sim };
         assert!(load(&dir, a.experiment, Scale::Test, &traced, &arch).is_none());
         let _ = fs::remove_dir_all(&dir);

@@ -400,20 +400,26 @@ pub fn run_experiment(e: Experiment, scale: Scale) -> ExperimentOutput {
     run_experiment_with(e, scale, wwt_sim::SimConfig::default())
 }
 
-/// Runs one experiment with explicit engine settings on the paper's
-/// hardware base.
+/// Runs one experiment with explicit engine settings (e.g. time-resolved
+/// profiling for [`crate::render_timeline`]) on the paper's hardware
+/// base.
+///
+/// Panics if the simulation stalls; [`try_run_experiment_with_arch`] is
+/// the fallible variant a grid runner should prefer.
 pub fn run_experiment_with(
     e: Experiment,
     scale: Scale,
     sim: wwt_sim::SimConfig,
 ) -> ExperimentOutput {
-    run_experiment_with_arch(e, scale, sim, ArchParams::default())
+    try_run_experiment_with_arch(e, scale, sim, ArchParams::default())
+        .unwrap_or_else(|err| panic!("{e}: {err}"))
 }
 
 static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of experiment simulations performed (calls to
-/// [`run_experiment`] / [`run_experiment_with`]). A diagnostic hook: the
+/// [`try_run_experiment_with_arch`], which the other entry points wrap).
+/// A diagnostic hook: the
 /// runner's tests use it to assert that one `make_tables` invocation
 /// simulates each experiment exactly once, however many artifacts it
 /// exports.
@@ -421,24 +427,10 @@ pub fn simulations_performed() -> u64 {
     SIMULATIONS.load(Ordering::Relaxed)
 }
 
-/// Runs one experiment with explicit engine settings (e.g. time-resolved
-/// profiling for [`crate::render_timeline`]) on an explicit hardware
-/// base — the entry point for architecture sweeps. Experiments that
-/// themselves vary the hardware (e.g. the Table-16 1 MB cache) apply
-/// their variation on top of `arch`.
-///
-/// Panics if the simulation stalls; [`try_run_experiment_with_arch`] is
-/// the fallible variant a grid runner should prefer.
-pub fn run_experiment_with_arch(
-    e: Experiment,
-    scale: Scale,
-    sim: wwt_sim::SimConfig,
-    arch: ArchParams,
-) -> ExperimentOutput {
-    try_run_experiment_with_arch(e, scale, sim, arch).unwrap_or_else(|err| panic!("{e}: {err}"))
-}
-
-/// Fallible variant of [`run_experiment_with_arch`]: an engine failure
+/// Runs one experiment with explicit engine settings on an explicit
+/// hardware base — the entry point for grids and architecture sweeps.
+/// Experiments that themselves vary the hardware (e.g. the Table-16 1 MB
+/// cache) apply their variation on top of `arch`. An engine failure
 /// (deadlock, livelock, watchdog expiry) surfaces as a structured
 /// [`wwt_sim::SimError`] naming the stalled processors instead of
 /// panicking, so a grid run can report the failing experiment and still

@@ -32,8 +32,8 @@ pub mod table;
 pub mod timeline;
 
 pub use experiment::{
-    run_experiment, run_experiment_with, run_experiment_with_arch, simulations_performed,
-    try_run_experiment_with_arch, Experiment, ExperimentOutput, ExperimentSummary, Machine, Scale,
+    run_experiment, run_experiment_with, simulations_performed, try_run_experiment_with_arch,
+    Experiment, ExperimentOutput, ExperimentSummary, Machine, Scale,
 };
 pub use export::{breakdown_json, experiment_json};
 pub use paper::{headline_checks, paper_reference, HeadlineCheck, PaperTable};

@@ -20,9 +20,10 @@
 //!   per-experiment summaries, the rendered report is **byte-identical
 //!   regardless of job count**.
 //! * **Run caching.** With [`RunnerConfig::cache_dir`] set, each
-//!   experiment's artifacts persist keyed by (experiment, scale, engine
-//!   config hash); a repeated invocation with an unchanged configuration
-//!   replays from disk without simulating. See [`crate::cache`].
+//!   experiment's artifacts persist keyed by the model point (experiment,
+//!   scale, fault plan, hardware base); a repeated invocation on that
+//!   point replays from disk without simulating when the entry holds
+//!   every requested artifact. See [`crate::cache`].
 //!
 //! Wall-clock timing per experiment is reported in
 //! [`ExperimentArtifacts::wall_secs`] so callers can surface grid timing
@@ -63,8 +64,8 @@ pub struct RunnerConfig {
     /// directory (created on demand).
     pub cache_dir: Option<PathBuf>,
     /// Deterministic fault-injection plan, applied to every experiment.
-    /// Participates in the run-cache key (through the engine
-    /// configuration), so faulted and fault-free artifacts never mix.
+    /// Participates in the run-cache key, so faulted and fault-free
+    /// artifacts never mix.
     pub faults: Option<wwt_sim::FaultConfig>,
     /// The hardware base every experiment runs on (the paper's Table-1
     /// machine by default). Participates in the run-cache key, so
@@ -72,8 +73,6 @@ pub struct RunnerConfig {
     pub arch: ArchParams,
     /// Record phase marks at barriers/collectives and derive a
     /// [`wwt_diff::RunProfile`] per experiment (the `--diff` input).
-    /// Participates in the run-cache key through the engine
-    /// configuration.
     pub phases: bool,
 }
 
@@ -156,20 +155,6 @@ pub struct ExperimentArtifacts {
     pub from_cache: bool,
 }
 
-/// Does a (possibly cached) artifact set cover everything `cfg` asks for?
-fn covers(a: &ExperimentArtifacts, cfg: &RunnerConfig) -> bool {
-    if cfg.timeline && a.timeline.is_none() {
-        return false;
-    }
-    if cfg.trace && a.trace.is_none() {
-        return false;
-    }
-    if cfg.phases && a.phases.is_none() {
-        return false;
-    }
-    true
-}
-
 /// Runs one experiment and derives every requested artifact from the
 /// single simulation, consulting the cache first. The job boundary is
 /// where the grid's resilience lives: a panicking experiment is caught
@@ -223,9 +208,7 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> Experimen
     // lives at function scope.
     let _write_lock;
     if let Some(dir) = &cfg.cache_dir {
-        if let Some(hit) =
-            cache::load(dir, e, cfg.scale, &sim, &cfg.arch).filter(|hit| covers(hit, cfg))
-        {
+        if let Some(hit) = cache::load(dir, e, cfg.scale, &sim, &cfg.arch) {
             return fixup(hit);
         }
         // Miss: take the per-entry writer lock so concurrent runners
@@ -234,9 +217,7 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> Experimen
         // winner's entry on the re-check below.
         let name = cache::entry_name(e, cfg.scale, &sim, &cfg.arch);
         _write_lock = wwt_store::Store::open(dir).lock(&name);
-        if let Some(hit) =
-            cache::load_recheck(dir, e, cfg.scale, &sim, &cfg.arch).filter(|hit| covers(hit, cfg))
-        {
+        if let Some(hit) = cache::load_recheck(dir, e, cfg.scale, &sim, &cfg.arch) {
             return fixup(hit);
         }
     }

@@ -14,7 +14,7 @@ use wwt_sim::{Cycles, SimConfig};
 /// depending on communication intensity).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct MpConfig {
-    /// Engine-level settings (quantum, seed, profiling).
+    /// Engine-level settings (fault plan, profiling, tracing).
     pub sim: SimConfig,
     /// The shared hardware base (Table 1), common to both machines.
     pub arch: ArchParams,

@@ -170,7 +170,7 @@ impl MpMachine {
     pub fn new(engine: &Engine, config: MpConfig) -> Rc<Self> {
         let sim = Rc::clone(engine.sim());
         let n = sim.nprocs();
-        let seed = sim.config().seed;
+        let seed = wwt_sim::ENGINE_SEED;
         let tracing = sim.tracing();
         let reliable = sim.config().faults.is_some_and(|f| f.perturbs_network());
         Rc::new(MpMachine {

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::account::{Counter, Kind, Scope};
-use crate::engine::Sim;
+use crate::engine::{Sim, QUANTUM};
 use crate::fault::SlowWindow;
 use crate::time::{Cycles, ProcId};
 use crate::trace::TraceWhat;
@@ -25,7 +25,6 @@ pub struct Cpu {
     id: ProcId,
     // Cached from the (immutable) engine config: hot path avoidance.
     profile_bucket: Option<Cycles>,
-    quantum: Cycles,
     tracing: bool,
     phase_marks: bool,
     // The fault plan's slow window, if it targets this processor.
@@ -54,7 +53,6 @@ impl Cpu {
             sim,
             id,
             profile_bucket: config.profile_bucket,
-            quantum: config.quantum,
             tracing,
             phase_marks,
             slow,
@@ -217,7 +215,7 @@ impl Cpu {
         Resync {
             cpu: self,
             // Pretend we already yielded if we are within the quantum.
-            armed: clock.saturating_sub(now) <= self.quantum,
+            armed: clock.saturating_sub(now) <= QUANTUM,
         }
     }
 

@@ -18,21 +18,28 @@ use crate::report::{ProcReport, SimReport};
 use crate::time::{Cycles, ProcId};
 use crate::trace::{Metric, TraceData, TraceEvent, TraceWhat};
 
+/// Maximum distance (in cycles) a processor may run ahead of global time
+/// before an access to *shared* state forces a re-synchronization.
+///
+/// This mirrors the Wisconsin Wind Tunnel's quantum, which equals the
+/// 100-cycle minimum network latency: within that window no other
+/// processor's action can be observed, so local execution is safe. It is
+/// a property of the simulated machine, not a run option, and it does not
+/// follow a swept network latency.
+pub const QUANTUM: Cycles = 100;
+
+/// Seed for all engine-level pseudo-randomness (the machines derive one
+/// stream per node from it).
+pub const ENGINE_SEED: u64 = 0x5eed_0001;
+
 /// Engine-level configuration.
 ///
 /// Machine-specific parameters (cache geometry, network latency, protocol
 /// costs) live in the machine crates; this only controls the engine itself.
+/// Only [`SimConfig::faults`] changes simulated numbers; every other field
+/// runs or observes a simulation, so the run cache keys on `faults` alone.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Maximum distance (in cycles) a processor may run ahead of global time
-    /// before an access to *shared* state forces a re-synchronization.
-    ///
-    /// This mirrors the Wisconsin Wind Tunnel's quantum, which equals the
-    /// 100-cycle minimum network latency: within that window no other
-    /// processor's action can be observed, so local execution is safe.
-    pub quantum: Cycles,
-    /// Seed for all engine-level pseudo-randomness.
-    pub seed: u64,
     /// Safety cap on processed events; exceeding it aborts the run.
     pub max_events: u64,
     /// When set, record a time-resolved profile: per processor, a
@@ -49,7 +56,7 @@ pub struct SimConfig {
     /// Optional deterministic fault injection. `None` (the default) is the
     /// perfectly reliable network of the paper; `Some` installs a seeded
     /// [`FaultPlan`] that the machine models consult at packet-delivery
-    /// time. Participates in the run-cache key through `Debug`.
+    /// time. The one field that participates in the run-cache key.
     pub faults: Option<FaultConfig>,
     /// Progress watchdog: if no processor task is resumed for this many
     /// simulated cycles while machine events keep flowing, the run aborts
@@ -67,8 +74,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            quantum: 100,
-            seed: 0x5eed_0001,
             max_events: u64::MAX,
             profile_bucket: None,
             trace: false,

@@ -59,7 +59,7 @@ pub use account::{Counter, Counters, CycleMatrix, Kind, Scope};
 pub use barrier::HwBarrier;
 pub use callback::SmallCall;
 pub use cpu::{Cpu, ScopeGuard};
-pub use engine::{Engine, Sim, SimConfig};
+pub use engine::{Engine, Sim, SimConfig, ENGINE_SEED, QUANTUM};
 pub use error::{BlockedProc, SimError, StallReport, WaitTarget};
 pub use fault::{FaultConfig, FaultPlan, PacketFate, ProcWindow, SlowWindow};
 pub use hash::{FastMap, FastSet};

@@ -3,14 +3,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wwt_sim::{Counter, Cpu, Engine, HwBarrier, Kind, ProcId, Scope, SimConfig};
+use wwt_sim::{Counter, Cpu, Engine, HwBarrier, Kind, ProcId, Scope, SimConfig, QUANTUM};
 
 #[test]
 fn quantum_bounds_run_ahead_skew() {
     // With resync_if_ahead, a processor's observable actions never run
     // more than one quantum past global time.
     let mut e = Engine::new(2, SimConfig::default());
-    let quantum = e.sim().config().quantum;
     let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
     for p in e.proc_ids() {
         let cpu = e.cpu(p);
@@ -25,7 +24,7 @@ fn quantum_bounds_run_ahead_skew() {
     }
     e.run();
     for &(clock, now) in log.borrow().iter() {
-        assert!(clock <= now + quantum, "skew {clock} vs {now}");
+        assert!(clock <= now + QUANTUM, "skew {clock} vs {now}");
     }
 }
 

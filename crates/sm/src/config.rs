@@ -32,7 +32,7 @@ pub enum ProtocolMode {
 /// SM-specific coherence-protocol costs (Table 3).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SmConfig {
-    /// Engine-level settings (quantum, seed, profiling).
+    /// Engine-level settings (fault plan, profiling, tracing).
     pub sim: SimConfig,
     /// The shared hardware base (Table 1), common to both machines. The
     /// Table-16 EM3D variant sets `cache` to

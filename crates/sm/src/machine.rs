@@ -80,7 +80,7 @@ impl SmMachine {
         let sim = Rc::clone(engine.sim());
         let n = sim.nprocs();
         assert!(n <= 128, "Dir_nNB full map supports up to 128 nodes");
-        let seed = sim.config().seed;
+        let seed = wwt_sim::ENGINE_SEED;
         Rc::new(SmMachine {
             sim,
             nodes: RefCell::new(

@@ -116,6 +116,12 @@ fn cache_replays_byte_identically_without_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Per-process cache counters as (hits, misses).
+fn cache_counts() -> (u64, u64) {
+    let (hits, misses, _, _) = wwt::cache::stats();
+    (hits, misses)
+}
+
 #[test]
 fn changed_engine_config_misses_the_cache() {
     let _g = lock();
@@ -125,9 +131,9 @@ fn changed_engine_config_misses_the_cache() {
         ..RunnerConfig::new(Scale::Test)
     };
     let e = [Experiment::LcpMp];
-    run_grid(&e, &plain);
-    // Same experiment, but now with profiling: the engine config (and so
-    // the cache key) differs, so the runner must simulate again.
+    let cold = run_grid(&e, &plain);
+    // Same model point, but now with profiling: the entry holds no
+    // timeline, so the lookup misses and the runner simulates again.
     let profiled = RunnerConfig {
         timeline: true,
         ..plain.clone()
@@ -137,5 +143,61 @@ fn changed_engine_config_misses_the_cache() {
     assert_eq!(simulations_performed() - before, 1);
     assert!(!arts[0].from_cache);
     assert!(arts[0].timeline.is_some());
+    // Observation flags do not key the entry: the timeline run's entry
+    // covers a plain request, which replays without simulating.
+    let before = simulations_performed();
+    let (hits, _) = cache_counts();
+    let warm = run_grid(&e, &plain);
+    assert_eq!(simulations_performed() - before, 0);
+    assert_eq!(cache_counts().0 - hits, 1);
+    assert!(warm[0].from_cache);
+    assert!(
+        warm[0].timeline.is_none(),
+        "a replay carries only requested artifacts"
+    );
+    assert_eq!(warm[0].summary, cold[0].summary);
+    // A fault plan changes the model, so it still misses.
+    let faulted = RunnerConfig {
+        faults: Some(wwt::sim::FaultConfig::parse("seed=1,drop=0.01").unwrap()),
+        ..plain.clone()
+    };
+    let before = simulations_performed();
+    let arts = run_grid(&e, &faulted);
+    assert_eq!(simulations_performed() - before, 1);
+    assert!(!arts[0].from_cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_entry_that_does_not_cover_the_request_is_one_miss() {
+    let _g = lock();
+    let dir = scratch_cache("cover");
+    let phases = RunnerConfig {
+        phases: true,
+        cache_dir: Some(dir.clone()),
+        ..RunnerConfig::new(Scale::Test)
+    };
+    let e = [Experiment::GaussMp];
+    run_grid(&e, &phases);
+    let timeline = RunnerConfig {
+        timeline: true,
+        phases: false,
+        ..phases.clone()
+    };
+    let (hits, misses) = cache_counts();
+    let arts = run_grid(&e, &timeline);
+    assert_eq!(cache_counts(), (hits, misses + 1), "one miss, zero hits");
+    assert!(!arts[0].from_cache);
+    // The new entry replaced the old one; their artifact sets were not
+    // merged, so the phase request now misses in turn.
+    let entries = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|f| f.as_ref().unwrap().path().extension() == Some("run".as_ref()))
+        .count();
+    assert_eq!(entries, 1);
+    let (hits, misses) = cache_counts();
+    let arts = run_grid(&e, &phases);
+    assert_eq!(cache_counts(), (hits, misses + 1));
+    assert!(arts[0].phases.is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

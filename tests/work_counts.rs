@@ -102,7 +102,7 @@ fn gauss_mp_flat_work_is_pinned() {
         gauss_work(TreeShape::Flat),
         Work {
             events: 21067,
-            allocs: 3209
+            allocs: 3194
         }
     );
 }
@@ -113,7 +113,7 @@ fn gauss_mp_binary_work_is_pinned() {
         gauss_work(TreeShape::Binary),
         Work {
             events: 19747,
-            allocs: 4376
+            allocs: 4361
         }
     );
 }
@@ -124,7 +124,7 @@ fn gauss_mp_lopsided_work_is_pinned() {
         gauss_work(TreeShape::Lopsided),
         Work {
             events: 19156,
-            allocs: 4153
+            allocs: 4138
         }
     );
 }
@@ -142,7 +142,7 @@ fn lcp_mp_async_work_is_pinned() {
         work,
         Work {
             events: 24270,
-            allocs: 4791
+            allocs: 4780
         }
     );
 }
