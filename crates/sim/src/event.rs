@@ -13,11 +13,14 @@
 //!   few network latencies of the present, and message-passing senders
 //!   that run ahead of global time land within the second level, so
 //!   almost every push and pop is O(1) instead of the heap's O(log n).
+//!   Every payload lives in one pool of 64-byte nodes; the slots,
+//!   buckets and heap hold node indices, so moving an event between
+//!   tiers relinks it and never copies its action.
 //! * [`EventQueue`] — the original `BinaryHeap` scheduler, kept as the
 //!   reference implementation and the baseline for the scheduler benches
 //!   (`benches/scheduler.rs`).
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -127,9 +130,16 @@ const WORDS: usize = RING / 64;
 /// cycles ahead of global time between polls; 64 blocks cover 2^18.
 const FAR: usize = 64;
 /// Entries a drained bucket keeps allocated. A burst can fill one bucket
-/// with thousands of events; keeping every bucket at its peak raised the
-/// benchmark's `mp` peak RSS from 16.9 to 29.1 MB.
+/// with thousands of events; keeping every bucket at its peak, even at
+/// 16 bytes an entry, raised the benchmark's `mp` peak RSS from 8.5 to
+/// 10.8 MB.
 const FAR_KEEP: usize = 64;
+
+/// End of a node list, and an empty slot's `head` and `tail`.
+const NIL: u32 = u32::MAX;
+
+// A pool node is one sequence number and one action: one 64-byte line.
+const _: () = assert!(std::mem::size_of::<(u64, Action)>() == 64);
 
 /// Which tier of a [`CalendarQueue`] a push landed in.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -142,41 +152,52 @@ pub enum Tier {
     Overflow,
 }
 
-/// One calendar slot: the FIFO of events scheduled for one exact cycle.
-/// `head` indexes the next event to pop; the vector is cleared (not
-/// shifted) once fully drained, so a slot's allocation is reused across
-/// laps of the ring.
-#[derive(Default)]
+/// One calendar slot: the FIFO of pool nodes scheduled for one exact
+/// cycle, linked through [`CalendarQueue::next`] in sequence order. Both
+/// ends are `NIL` when the slot is empty.
+#[derive(Copy, Clone)]
 struct Slot {
-    head: usize,
-    items: Vec<(u64, Action)>,
+    head: u32,
+    tail: u32,
 }
 
-impl Slot {
-    fn is_drained(&self) -> bool {
-        self.head >= self.items.len()
-    }
-}
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A calendar-queue scheduler: O(1) push and pop with the exact
 /// (time, seq) pop order of [`EventQueue`].
 ///
-/// The near future — `RING` cycles from the cursor — is a ring of
-/// per-cycle slots, each a FIFO (sequence numbers within one cycle are
-/// insertion-ordered, so a plain vector is already sorted). A two-level
-/// occupancy bitmap finds the next non-empty slot in a handful of word
-/// scans.
+/// Every pending payload lives in one node pool: `nodes` holds a
+/// `(seq, Action)` per node, and the parallel `next` links each node to
+/// the next one in its ring slot or in the LIFO free list. A payload is
+/// written once on push and moved once on pop; the tiers below only
+/// ever move node indices.
 ///
-/// Beyond the ring, the second level keeps one bucket per aligned block
-/// of `RING` cycles, for the 64 blocks after the cursor's; a push appends
-/// to its block's bucket, so each bucket is in sequence order. Once no
-/// ring event precedes a bucket's block, the cursor moves to the block's
-/// start and the whole bucket pours into the ring. Events beyond the
-/// second level wait in an overflow heap and migrate into the ring as the
-/// cursor approaches. Both pours and migrations splice into their slot's
-/// pending region by sequence number, preserving the global FIFO
-/// tie-break.
+/// The near future — `RING` cycles from the cursor — is a ring of
+/// per-cycle slots, each a `head`/`tail` list of nodes in sequence order.
+/// A push appends at the tail (sequence numbers grow monotonically); a
+/// two-level occupancy bitmap finds the next non-empty slot in a handful
+/// of word scans.
+///
+/// Beyond the ring, the second level keeps one bucket of `(time, node)`
+/// pairs per aligned block of `RING` cycles, for the 64 blocks after the
+/// cursor's; a push appends to its block's bucket, so each bucket is in
+/// sequence order. Once no ring event precedes a bucket's block, the
+/// cursor moves to the block's start and the bucket's nodes are linked
+/// into the ring. Events beyond the second level wait in an overflow heap
+/// of `(time, seq, node)` and migrate into the ring as the cursor
+/// approaches. Both pours and migrations splice into their slot's list by
+/// sequence number, preserving the global FIFO tie-break.
 pub struct CalendarQueue {
+    /// The node pool. Free nodes hold a `Resume(0)` placeholder, so
+    /// dropping the queue drops every pending `Call` exactly once.
+    nodes: Vec<(u64, Action)>,
+    /// Per node: the next node in its slot or in the free list, or `NIL`.
+    next: Vec<u32>,
+    /// Head of the free list: the node the last pop released.
+    free: u32,
     slots: Vec<Slot>,
     /// Occupancy bit per slot.
     words: [u64; WORDS],
@@ -188,16 +209,17 @@ pub struct CalendarQueue {
     cursor: Cycles,
     /// Events in the ring.
     ring_len: usize,
-    /// Second-level buckets, indexed by block modulo `FAR`. Every stored
-    /// block lies in the `FAR` blocks after the cursor's, so the mapping
-    /// is one to one.
-    far: Vec<Vec<Event>>,
+    /// Second-level buckets of `(time, node)`, indexed by block modulo
+    /// `FAR`. Every stored block lies in the `FAR` blocks after the
+    /// cursor's, so the mapping is one to one.
+    far: Vec<Vec<(Cycles, u32)>>,
     /// Occupancy bit per bucket.
     far_bits: u64,
     /// Events in the second level.
     far_len: usize,
-    /// Events beyond the second level, earliest on top.
-    overflow: BinaryHeap<Event>,
+    /// Events beyond the second level as `(time, seq, node)`, earliest on
+    /// top.
+    overflow: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
     next_seq: u64,
 }
 
@@ -215,7 +237,10 @@ impl fmt::Debug for CalendarQueue {
 impl Default for CalendarQueue {
     fn default() -> Self {
         CalendarQueue {
-            slots: (0..RING).map(|_| Slot::default()).collect(),
+            nodes: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY; RING],
             words: [0; WORDS],
             summary: 0,
             cursor: 0,
@@ -252,36 +277,82 @@ impl CalendarQueue {
         debug_assert!(time >= self.cursor, "event at {time} behind the cursor");
         let seq = self.next_seq;
         self.next_seq += 1;
+        let n = self.alloc(seq, action);
         if time - self.cursor < RING as u64 {
-            self.ring_insert(time, seq, action);
+            // The newest sequence number: always the slot's last.
+            let idx = (time & RING_MASK) as usize;
+            match self.slots[idx].tail {
+                NIL => self.link_first(idx, n),
+                t => self.next[t as usize] = n,
+            }
+            self.slots[idx].tail = n;
+            self.ring_len += 1;
             return Tier::Ring;
         }
         let block = time >> RING_BITS;
         if block - (self.cursor >> RING_BITS) <= FAR as u64 {
             let b = block as usize % FAR;
-            self.far[b].push(Event { time, seq, action });
+            self.far[b].push((time, n));
             self.far_bits |= 1 << b;
             self.far_len += 1;
             return Tier::Far;
         }
-        self.overflow.push(Event { time, seq, action });
+        self.overflow.push(Reverse((time, seq, n)));
         Tier::Overflow
     }
 
-    fn ring_insert(&mut self, time: Cycles, seq: u64, action: Action) {
-        let idx = (time & RING_MASK) as usize;
-        let slot = &mut self.slots[idx];
-        // Fast path: sequence numbers grow monotonically, so appends are
-        // already sorted. Only pours and migrations arrive out of order.
-        let pending = &slot.items[slot.head.min(slot.items.len())..];
-        if pending.last().is_none_or(|&(s, _)| s < seq) {
-            slot.items.push((seq, action));
-        } else {
-            let pos = slot.head + pending.partition_point(|&(s, _)| s < seq);
-            slot.items.insert(pos, (seq, action));
+    /// Stores a payload in a node, reusing the most recently freed one.
+    fn alloc(&mut self, seq: u64, action: Action) -> u32 {
+        let n = self.free;
+        if n != NIL {
+            self.free = self.next[n as usize];
+            self.next[n as usize] = NIL;
+            self.nodes[n as usize] = (seq, action);
+            return n;
         }
+        let n = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&n| n != NIL)
+            .expect("fewer than 2^32 - 1 pending events");
+        self.nodes.push((seq, action));
+        self.next.push(NIL);
+        n
+    }
+
+    /// Makes node `n` the only node of the empty slot `idx` (the caller
+    /// sets `tail`) and marks the slot occupied.
+    fn link_first(&mut self, idx: usize, n: u32) {
+        self.slots[idx].head = n;
         self.words[idx / 64] |= 1 << (idx % 64);
         self.summary |= 1 << (idx / 64);
+    }
+
+    /// Links node `n`, scheduled at `time`, into its ring slot in sequence
+    /// order. Pours and migrations arrive out of order relative to direct
+    /// pushes, so this walks the slot's list when `n` is not the newest.
+    fn ring_link(&mut self, time: Cycles, n: u32) {
+        let idx = (time & RING_MASK) as usize;
+        let seq = self.nodes[n as usize].0;
+        let slot = self.slots[idx];
+        if slot.tail == NIL {
+            self.link_first(idx, n);
+            self.slots[idx].tail = n;
+        } else if self.nodes[slot.tail as usize].0 < seq {
+            self.next[slot.tail as usize] = n;
+            self.slots[idx].tail = n;
+        } else {
+            // The tail's seq is larger, so the walk stops before the end.
+            let (mut prev, mut cur) = (NIL, slot.head);
+            while self.nodes[cur as usize].0 < seq {
+                prev = cur;
+                cur = self.next[cur as usize];
+            }
+            self.next[n as usize] = cur;
+            match prev {
+                NIL => self.slots[idx].head = n,
+                p => self.next[p as usize] = n,
+            }
+        }
         self.ring_len += 1;
     }
 
@@ -295,17 +366,18 @@ impl CalendarQueue {
         Some(first + u64::from(rot.trailing_zeros()))
     }
 
-    /// Moves the cursor to the start of `block` and pours its bucket into
-    /// the ring. The caller guarantees no pending event precedes the
-    /// block, so every poured event lands within the ring's reach.
+    /// Moves the cursor to the start of `block` and links its bucket's
+    /// nodes into the ring. The caller guarantees no pending event
+    /// precedes the block, so every poured event lands within the ring's
+    /// reach.
     fn pour(&mut self, block: u64) {
         self.cursor = block << RING_BITS;
         let b = block as usize % FAR;
         let mut bucket = std::mem::take(&mut self.far[b]);
         self.far_len -= bucket.len();
         self.far_bits &= !(1 << b);
-        for e in bucket.drain(..) {
-            self.ring_insert(e.time, e.seq, e.action);
+        for (time, n) in bucket.drain(..) {
+            self.ring_link(time, n);
         }
         bucket.shrink_to(FAR_KEEP);
         self.far[b] = bucket;
@@ -317,20 +389,19 @@ impl CalendarQueue {
     /// heap pop, not a walk of empty slots.
     fn migrate_overflow(&mut self) {
         if self.ring_len == 0 {
-            if let Some(top) = self.overflow.peek() {
+            if let Some(&Reverse((time, _, _))) = self.overflow.peek() {
                 let far_start = self.first_far_block().map(|b| b << RING_BITS);
-                if far_start.is_none_or(|s| top.time < s) {
-                    self.cursor = top.time;
+                if far_start.is_none_or(|s| time < s) {
+                    self.cursor = time;
                 }
             }
         }
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|e| e.time - self.cursor < RING as u64)
-        {
-            let e = self.overflow.pop().expect("peeked");
-            self.ring_insert(e.time, e.seq, e.action);
+        while let Some(&Reverse((time, _, n))) = self.overflow.peek() {
+            if time - self.cursor >= RING as u64 {
+                break;
+            }
+            self.overflow.pop();
+            self.ring_link(time, n);
         }
     }
 
@@ -394,27 +465,31 @@ impl CalendarQueue {
         let idx = next?;
         let time = self.slot_time(idx);
         self.cursor = time;
-        let slot = &mut self.slots[idx];
-        let (seq, action) = std::mem::replace(
-            &mut slot.items[slot.head],
-            (0, Action::Resume(ProcId::new(0))),
-        );
-        slot.head += 1;
-        if slot.is_drained() {
-            slot.items.clear();
-            slot.head = 0;
+        let n = self.slots[idx].head;
+        let after = std::mem::replace(&mut self.next[n as usize], self.free);
+        self.free = n;
+        self.slots[idx].head = after;
+        if after == NIL {
+            self.slots[idx].tail = NIL;
             self.words[idx / 64] &= !(1 << (idx % 64));
             if self.words[idx / 64] == 0 {
                 self.summary &= !(1 << (idx / 64));
             }
         }
         self.ring_len -= 1;
+        let (seq, action) = std::mem::replace(
+            &mut self.nodes[n as usize],
+            (0, Action::Resume(ProcId::new(0))),
+        );
         Some(Event { time, seq, action })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
     use super::*;
 
     fn resume(p: usize) -> Action {
@@ -472,8 +547,16 @@ mod tests {
     /// The second level's reach in cycles: 64 blocks of `RING`.
     const FAR_REACH: u64 = (FAR * RING) as u64;
 
+    /// A calendar payload that names its own key: invoked, it writes
+    /// `(time, seq)` to `log`.
+    fn keyed(log: &Rc<Cell<(Cycles, u64)>>, time: Cycles, seq: u64) -> Action {
+        let log = Rc::clone(log);
+        Action::Call(SmallCall::new(move || log.set((time, seq))))
+    }
+
     /// Runs `EventQueue` and `CalendarQueue` through the same schedule and
-    /// asserts they pop in the same order. Each step pushes `pushes(rng)`
+    /// asserts they pop in the same order, each calendar event carrying
+    /// the payload pushed with its key. Each step pushes `pushes(rng)`
     /// events at `now + delay(rng, now)`, where `now` is the last popped
     /// time, then pops one; the queues are drained at the end. Returns how
     /// many pushes landed in each tier (ring, second level, heap).
@@ -486,14 +569,17 @@ mod tests {
         let mut rng = Lcg(seed);
         let mut reference = EventQueue::new();
         let mut calendar = CalendarQueue::new();
+        let log = Rc::new(Cell::new((0, 0)));
         let mut tiers = [0; 3];
+        let mut seq = 0;
         let mut now = 0;
         for step in 0.. {
             if step < steps {
                 for _ in 0..pushes(&mut rng) {
                     let at = now + delay(&mut rng, now);
                     reference.push(at, resume(0));
-                    tiers[calendar.push(at, resume(0)) as usize] += 1;
+                    tiers[calendar.push(at, keyed(&log, at, seq)) as usize] += 1;
+                    seq += 1;
                 }
             }
             match (reference.pop(), calendar.pop()) {
@@ -506,6 +592,15 @@ mod tests {
                         "pop order diverged at step {step}"
                     );
                     now = a.time;
+                    let Action::Call(f) = b.action else {
+                        panic!("calendar popped a placeholder at step {step}");
+                    };
+                    f.invoke();
+                    assert_eq!(
+                        log.get(),
+                        (b.time, b.seq),
+                        "payload paired with the wrong key at step {step}"
+                    );
                 }
                 (a, b) => panic!(
                     "queues disagree on emptiness: reference={:?} calendar={:?}",
@@ -580,6 +675,78 @@ mod tests {
             tiers.iter().all(|&n| n > 10_000),
             "every tier exercised: {tiers:?}"
         );
+    }
+
+    /// How often each closure of the ownership test ran and was dropped.
+    #[derive(Default)]
+    struct Ledger {
+        ran: RefCell<Vec<u32>>,
+        dropped: RefCell<Vec<u32>>,
+    }
+
+    /// Captured by one closure; records its drop, run or not.
+    struct Token {
+        id: usize,
+        ledger: Rc<Ledger>,
+    }
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.ledger.dropped.borrow_mut()[self.id] += 1;
+        }
+    }
+
+    #[test]
+    fn every_call_runs_or_drops_once_and_the_pool_reuses_nodes() {
+        let ledger = Rc::new(Ledger::default());
+        let mut q = CalendarQueue::new();
+        let mut rng = Lcg(0x5851f42d4c957f2d);
+        let (mut now, mut peak, mut invoked) = (0, 0, 0);
+        let mut tiers = [0; 3];
+        for step in 0..5_250 {
+            // Alternate filling and draining phases, so later pushes must
+            // reuse nodes that earlier pops freed. The run ends filling.
+            let (pushes, pops) = if step / 500 % 2 == 0 { (2, 1) } else { (1, 2) };
+            for _ in 0..pushes {
+                let id = ledger.ran.borrow().len();
+                ledger.ran.borrow_mut().push(0);
+                ledger.dropped.borrow_mut().push(0);
+                let token = Token {
+                    id,
+                    ledger: Rc::clone(&ledger),
+                };
+                let r = rng.next();
+                let delay = match r % 3 {
+                    0 => r % RING as u64,
+                    1 => RING as u64 + r % FAR_REACH,
+                    _ => FAR_REACH + r % 1_000_000,
+                };
+                let call = SmallCall::new(move || token.ledger.ran.borrow_mut()[token.id] += 1);
+                tiers[q.push(now + delay, Action::Call(call)) as usize] += 1;
+                peak = peak.max(q.len());
+            }
+            for _ in 0..pops {
+                let Some(e) = q.pop() else { break };
+                now = e.time;
+                // Invoke every other popped call; drop the rest unrun.
+                if let Action::Call(f) = e.action {
+                    if e.seq % 2 == 0 {
+                        f.invoke();
+                        invoked += 1;
+                    }
+                }
+            }
+            assert_eq!(q.nodes.len(), peak, "the pool outgrew the peak depth");
+        }
+        let pushed = ledger.ran.borrow().len();
+        assert!(tiers.iter().all(|&n| n > 500), "every tier used: {tiers:?}");
+        assert!(pushed > 2 * peak, "{pushed} pushes fit in {peak} nodes");
+        assert!(!q.is_empty(), "the queue is dropped with events pending");
+        drop(q);
+        assert!(ledger.dropped.borrow().iter().all(|&d| d == 1));
+        assert!(ledger.ran.borrow().iter().all(|&r| r <= 1));
+        assert_eq!(ledger.ran.borrow().iter().sum::<u32>(), invoked);
+        assert_eq!(Rc::strong_count(&ledger), 1, "every capture released");
     }
 
     #[test]

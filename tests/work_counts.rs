@@ -1,6 +1,6 @@
-//! Pinned work counts for the message-passing runs: events the engine
-//! processes and heap allocations made inside `try_run`, exact, at
-//! small scale.
+//! Pinned work counts for the message-passing runs and the shared-memory
+//! Gauss and EM3D runs: events the engine processes and heap allocations
+//! made inside `try_run`, exact, at small scale.
 //!
 //! Wall time on a shared host drifts by ±20%; these counts do not. A
 //! schedule-preserving change (queue internals, allocation reuse) must
@@ -10,9 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wwt::apps::{gauss, lcp, AppRun};
+use wwt::apps::{em3d, gauss, lcp, AppRun};
 use wwt::mp::{MpConfig, TreeShape};
 use wwt::sim::SimError;
+use wwt::sm::SmConfig;
 
 thread_local! {
     /// Allocations made on this thread. Per thread, so the test harness's
@@ -102,7 +103,7 @@ fn gauss_mp_flat_work_is_pinned() {
         gauss_work(TreeShape::Flat),
         Work {
             events: 21067,
-            allocs: 3194
+            allocs: 690
         }
     );
 }
@@ -113,7 +114,7 @@ fn gauss_mp_binary_work_is_pinned() {
         gauss_work(TreeShape::Binary),
         Work {
             events: 19747,
-            allocs: 4361
+            allocs: 536
         }
     );
 }
@@ -124,7 +125,7 @@ fn gauss_mp_lopsided_work_is_pinned() {
         gauss_work(TreeShape::Lopsided),
         Work {
             events: 19156,
-            allocs: 4138
+            allocs: 524
         }
     );
 }
@@ -142,7 +143,31 @@ fn lcp_mp_async_work_is_pinned() {
         work,
         Work {
             events: 24270,
-            allocs: 4780
+            allocs: 1036
+        }
+    );
+}
+
+#[test]
+fn gauss_sm_work_is_pinned() {
+    let work = measure(|| gauss::sm::try_run(&gauss::GaussParams::small(), SmConfig::default()));
+    assert_eq!(
+        work,
+        Work {
+            events: 15473,
+            allocs: 2787
+        }
+    );
+}
+
+#[test]
+fn em3d_sm_work_is_pinned() {
+    let work = measure(|| em3d::sm::try_run(&em3d::Em3dParams::small(), SmConfig::default()));
+    assert_eq!(
+        work,
+        Work {
+            events: 10797,
+            allocs: 861
         }
     );
 }
