@@ -20,6 +20,8 @@
 pub mod mp;
 pub mod sm;
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,9 +110,9 @@ pub enum Em3dHint {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Electric-field node.
-    E,
+    E = 0,
     /// Magnetic-field node.
-    H,
+    H = 1,
 }
 
 impl Side {
@@ -125,24 +127,28 @@ impl Side {
 
 /// One directed edge of the generated graph: from a source node (on
 /// `from_side` of processor `src_proc`) to a sink on the other side.
+/// Indices are `u32` ([`gen_graph`] checks that they fit), so an edge
+/// takes 20 bytes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// Which side the source is on.
     pub from_side: Side,
     /// Source processor.
-    pub src_proc: usize,
+    pub src_proc: u32,
     /// Source node index within its side and processor.
-    pub src_idx: usize,
+    pub src_idx: u32,
     /// Sink processor.
-    pub dst_proc: usize,
+    pub dst_proc: u32,
     /// Sink node index within the other side on the sink processor.
-    pub dst_idx: usize,
+    pub dst_idx: u32,
 }
 
 /// The full generated workload graph, identical for both program versions.
 #[derive(Clone, Debug)]
 pub struct Em3dGraph {
-    /// All edges, grouped by source processor, in generation order.
+    /// All edges, grouped by source processor, in generation order:
+    /// processor `q`'s out-edges are `edges[q * n .. (q + 1) * n]` with
+    /// `n = (e_per_proc + h_per_proc) * degree`.
     pub edges: Vec<Edge>,
     /// Edge weights, aligned with `edges`.
     pub weights: Vec<f64>,
@@ -153,10 +159,27 @@ pub struct Em3dGraph {
 }
 
 /// Generates the deterministic workload graph for `p`.
+///
+/// Panics, before allocating anything, if the edge count does not fit
+/// in `u32`. Whenever an edge exists, every processor id and node index
+/// the graph stores is below the edge count, so this bounds them too.
 pub fn gen_graph(p: &Em3dParams) -> Em3dGraph {
+    let n_edges = p
+        .e_per_proc
+        .checked_add(p.h_per_proc)
+        .and_then(|n| n.checked_mul(p.procs))
+        .and_then(|n| n.checked_mul(p.degree))
+        .filter(|&n| u32::try_from(n).is_ok())
+        .unwrap_or_else(|| {
+            panic!(
+                "EM3D graph too large: {} procs x ({} E + {} H nodes) x degree {} \
+                 overflows the u32 edge count and node indices",
+                p.procs, p.e_per_proc, p.h_per_proc, p.degree
+            )
+        });
     let mut rng = SmallRng::seed_from_u64(p.seed);
-    let mut edges = Vec::new();
-    let mut weights = Vec::new();
+    let mut edges = Vec::with_capacity(n_edges);
+    let mut weights = Vec::with_capacity(n_edges);
     for src_proc in 0..p.procs {
         for (side, count, other_count) in [
             (Side::E, p.e_per_proc, p.h_per_proc),
@@ -178,10 +201,10 @@ pub fn gen_graph(p: &Em3dParams) -> Em3dGraph {
                     let dst_idx = rng.gen_range(0..other_count);
                     edges.push(Edge {
                         from_side: side,
-                        src_proc,
-                        src_idx,
-                        dst_proc,
-                        dst_idx,
+                        src_proc: src_proc as u32,
+                        src_idx: src_idx as u32,
+                        dst_proc: dst_proc as u32,
+                        dst_idx: dst_idx as u32,
                     });
                     weights.push(rng.gen_range(0.01..0.99) / (p.degree as f64));
                 }
@@ -203,22 +226,84 @@ pub fn gen_graph(p: &Em3dParams) -> Em3dGraph {
     }
 }
 
-/// In-edge lists per (proc, sink idx): `(src_proc, src_idx, weight)`, in
-/// deterministic edge order. Returns `(in_e, in_h)` where `in_e` holds the
-/// in-edges of E sinks (sources are H nodes) and vice versa.
-pub(crate) type InEdges = Vec<Vec<Vec<(usize, usize, f64)>>>;
+/// One processor's in-edges on one side, compressed by row: sink `i`'s
+/// in-edges are `edges[start[i]..start[i + 1]]`, each `(src_proc,
+/// src_idx, weight)`, in global edge order.
+#[derive(Debug)]
+pub(crate) struct Csr {
+    start: Vec<u32>,
+    edges: Vec<(u32, u32, f64)>,
+}
 
-pub(crate) fn build_in_edges(p: &Em3dParams, g: &Em3dGraph) -> (InEdges, InEdges) {
-    let mut in_e: InEdges = vec![vec![Vec::new(); p.e_per_proc]; p.procs];
-    let mut in_h: InEdges = vec![vec![Vec::new(); p.h_per_proc]; p.procs];
-    for (edge, &w) in g.edges.iter().zip(&g.weights) {
-        match edge.from_side {
-            // E sources feed H sinks; H sources feed E sinks.
-            Side::E => in_h[edge.dst_proc][edge.dst_idx].push((edge.src_proc, edge.src_idx, w)),
-            Side::H => in_e[edge.dst_proc][edge.dst_idx].push((edge.src_proc, edge.src_idx, w)),
-        }
+impl Csr {
+    /// Every in-edge of every sink, sink by sink.
+    pub fn edges(&self) -> &[(u32, u32, f64)] {
+        &self.edges
     }
-    (in_e, in_h)
+
+    /// Each sink's range in [`Csr::edges`], in sink order.
+    pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.start.windows(2).map(|w| w[0] as usize..w[1] as usize)
+    }
+}
+
+/// The one in-edge table every EM3D version reads: a [`Csr`] per
+/// (processor, sink side), plus each edge's place in it.
+#[derive(Debug)]
+pub(crate) struct InEdges {
+    /// Indexed `proc * 2 + side` (E sinks, then H sinks).
+    tables: Vec<Csr>,
+    slot: Vec<u32>,
+}
+
+impl InEdges {
+    /// Aligned with `Em3dGraph::edges`: each edge's index in its sink's
+    /// table (EM3D-SM's node-major slot in the sink's in-edge arrays).
+    pub fn slots(&self) -> &[u32] {
+        &self.slot
+    }
+
+    /// The in-edges of `sink_side` nodes on processor `proc`.
+    pub fn table(&self, proc: usize, sink_side: Side) -> &Csr {
+        &self.tables[proc * 2 + sink_side as usize]
+    }
+}
+
+/// Builds the in-edge table with a counting pass, then fills it in
+/// global edge order, so each sink's in-edges keep that order and the
+/// reference's sums are the simulated versions' sums.
+pub(crate) fn build_in_edges(p: &Em3dParams, g: &Em3dGraph) -> InEdges {
+    let table = |e: &Edge| e.dst_proc as usize * 2 + e.from_side.other() as usize;
+    let mut tables: Vec<Csr> = (0..p.procs)
+        .flat_map(|_| [p.e_per_proc, p.h_per_proc])
+        .map(|sinks| Csr {
+            start: vec![0; sinks + 1],
+            edges: Vec::new(),
+        })
+        .collect();
+    for e in &g.edges {
+        tables[table(e)].start[e.dst_idx as usize + 1] += 1;
+    }
+    for t in &mut tables {
+        for i in 1..t.start.len() {
+            t.start[i] += t.start[i - 1];
+        }
+        t.edges = vec![(0, 0, 0.0); t.start[t.start.len() - 1] as usize];
+    }
+    let mut cursor: Vec<Vec<u32>> = tables.iter().map(|t| t.start.clone()).collect();
+    let slot = g
+        .edges
+        .iter()
+        .zip(&g.weights)
+        .map(|(e, &w)| {
+            let t = table(e);
+            let c = &mut cursor[t][e.dst_idx as usize];
+            tables[t].edges[*c as usize] = (e.src_proc, e.src_idx, w);
+            *c += 1;
+            *c - 1
+        })
+        .collect();
+    InEdges { tables, slot }
 }
 
 /// Host-side sequential reference: runs the same computation and returns
@@ -227,38 +312,37 @@ pub fn reference(p: &Em3dParams, g: &Em3dGraph) -> (Vec<Vec<f64>>, Vec<Vec<f64>>
     reference_with(p, g, &build_in_edges(p, g))
 }
 
-/// [`reference`] over in-edge lists the caller already built with
+/// [`reference`] over the in-edge table the caller already built with
 /// [`build_in_edges`].
 pub(crate) fn reference_with(
     p: &Em3dParams,
     g: &Em3dGraph,
-    (in_e, in_h): &(InEdges, InEdges),
+    ins: &InEdges,
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    // One half-step: every sink on `side` subtracts the weighted sum of
+    // its in-neighbors' `src` values.
+    let half = |side: Side, sink: &[Vec<f64>], src: &[Vec<f64>]| -> Vec<Vec<f64>> {
+        (0..p.procs)
+            .map(|proc| {
+                let t = ins.table(proc, side);
+                t.ranges()
+                    .zip(&sink[proc])
+                    .map(|(row, &old)| {
+                        let mut acc = 0.0;
+                        for &(sp, si, w) in &t.edges()[row] {
+                            acc += w * src[sp as usize][si as usize];
+                        }
+                        old - acc
+                    })
+                    .collect()
+            })
+            .collect()
+    };
     let mut e = g.e0.clone();
     let mut h = g.h0.clone();
     for _ in 0..p.iters {
-        let mut e_new = e.clone();
-        for proc in 0..p.procs {
-            for i in 0..p.e_per_proc {
-                let mut acc = 0.0;
-                for &(sp, si, w) in &in_e[proc][i] {
-                    acc += w * h[sp][si];
-                }
-                e_new[proc][i] = e[proc][i] - acc;
-            }
-        }
-        e = e_new;
-        let mut h_new = h.clone();
-        for proc in 0..p.procs {
-            for i in 0..p.h_per_proc {
-                let mut acc = 0.0;
-                for &(sp, si, w) in &in_h[proc][i] {
-                    acc += w * e[sp][si];
-                }
-                h_new[proc][i] = h[proc][i] - acc;
-            }
-        }
-        h = h_new;
+        e = half(Side::E, &e, &h);
+        h = half(Side::H, &h, &e);
     }
     (e, h)
 }
@@ -286,6 +370,91 @@ pub(crate) fn validate_values(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The nested in-edge lists the table replaced, kept as its oracle:
+    /// per (proc, sink idx), `(src_proc, src_idx, weight)` in global edge
+    /// order, E sinks then H sinks.
+    type Nested = Vec<Vec<Vec<(usize, usize, f64)>>>;
+
+    fn nested_in_edges(p: &Em3dParams, g: &Em3dGraph) -> (Nested, Nested) {
+        let mut in_e: Nested = vec![vec![Vec::new(); p.e_per_proc]; p.procs];
+        let mut in_h: Nested = vec![vec![Vec::new(); p.h_per_proc]; p.procs];
+        for (edge, &w) in g.edges.iter().zip(&g.weights) {
+            let ins = match edge.from_side {
+                Side::E => &mut in_h,
+                Side::H => &mut in_e,
+            };
+            ins[edge.dst_proc as usize][edge.dst_idx as usize].push((
+                edge.src_proc as usize,
+                edge.src_idx as usize,
+                w,
+            ));
+        }
+        (in_e, in_h)
+    }
+
+    /// Every sink's table row equals the oracle's list, entry for entry
+    /// and in the same order (weights bit for bit).
+    fn assert_table_matches_oracle(p: &Em3dParams, g: &Em3dGraph, ins: &InEdges) {
+        let (in_e, in_h) = nested_in_edges(p, g);
+        for (side, nested) in [(Side::E, &in_e), (Side::H, &in_h)] {
+            for (q, sinks) in nested.iter().enumerate() {
+                let t = ins.table(q, side);
+                assert_eq!(t.ranges().count(), sinks.len());
+                for (i, (row, want)) in t.ranges().zip(sinks).enumerate() {
+                    let got: Vec<_> = t.edges()[row]
+                        .iter()
+                        .map(|&(sp, si, w)| (sp as usize, si as usize, w.to_bits()))
+                        .collect();
+                    let want: Vec<_> = want
+                        .iter()
+                        .map(|&(sp, si, w)| (sp, si, w.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "proc {q} {side:?} sink {i}");
+                }
+            }
+        }
+    }
+
+    fn assert_all_match_oracles(p: &Em3dParams) {
+        let g = gen_graph(p);
+        let ins = build_in_edges(p, &g);
+        assert_table_matches_oracle(p, &g, &ins);
+        sm::tests::assert_slots_match_oracle(p, &g, &ins);
+        mp::tests::assert_plans_match_oracle(p, &g, &ins);
+    }
+
+    #[test]
+    fn in_edge_table_matches_oracles_small() {
+        assert_all_match_oracles(&Em3dParams::small());
+    }
+
+    #[test]
+    fn in_edge_table_matches_oracles_wide_span() {
+        assert_all_match_oracles(&Em3dParams {
+            procs: 8,
+            span: 3,
+            remote_pct: 60,
+            ..Em3dParams::small()
+        });
+    }
+
+    /// The paper's graph: 640,000 edges. Slow in a debug build; run with
+    /// `cargo test --release -p wwt-apps -- --ignored`.
+    #[test]
+    #[ignore]
+    fn in_edge_table_matches_oracles_paper_graph() {
+        assert_all_match_oracles(&Em3dParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "EM3D graph too large")]
+    fn oversized_graph_is_rejected_up_front() {
+        gen_graph(&Em3dParams {
+            e_per_proc: 1 << 32,
+            ..Em3dParams::small()
+        });
+    }
 
     #[test]
     fn graph_generation_is_deterministic() {

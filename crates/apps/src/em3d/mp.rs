@@ -9,80 +9,62 @@
 //! All communication is sender-initiated, in bulk, and handshake-free —
 //! the three properties the paper credits for EM3D-MP's 2x win.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wwt_mp::{ChannelId, MpConfig, MpMachine, SendChannel};
 use wwt_sim::{Engine, ProcId, SimError};
 
 use crate::common::{AppRun, PhaseRecorder};
-use crate::em3d::{gen_graph, reference, validate_values, Em3dGraph, Em3dParams, Side};
-
-/// Where an in-edge's source value lives.
-#[derive(Copy, Clone, Debug)]
-enum SrcRef {
-    /// A node on this processor (index within the source side's array).
-    Local(usize),
-    /// A ghost slot fed by processor `src`.
-    Ghost { src: usize, slot: usize },
-}
+use crate::em3d::{
+    build_in_edges, gen_graph, reference_with, validate_values, Csr, Em3dGraph, Em3dParams,
+    InEdges, Side,
+};
 
 /// Per-processor communication plan derived from the shared graph.
 #[derive(Debug, Default)]
 struct ProcPlan {
     /// E-side values to send, per destination: my E node indices.
-    send_e: Vec<Vec<usize>>,
+    send_e: Vec<Vec<u32>>,
     /// H-side values to send, per destination.
-    send_h: Vec<Vec<usize>>,
+    send_h: Vec<Vec<u32>>,
     /// Edge-info records to transmit during initialization, per
     /// destination: (sink idx, sink side, weight).
     send_info: Vec<Vec<(u32, Side, f64)>>,
-    /// Resolved in-edges of my E nodes: (weight, where the H source is).
-    in_e: Vec<Vec<(f64, SrcRef)>>,
-    /// Resolved in-edges of my H nodes.
-    in_h: Vec<Vec<(f64, SrcRef)>>,
+    /// Per sink side, aligned with my [`InEdges`] table for that side:
+    /// the ghost slot a remote source's value lands in (unused for
+    /// local sources).
+    ghost: [Vec<u32>; 2],
 }
 
-fn build_plans(p: &Em3dParams, g: &Em3dGraph) -> Vec<ProcPlan> {
+fn build_plans(p: &Em3dParams, g: &Em3dGraph, ins: &InEdges) -> Vec<ProcPlan> {
     let mut plans: Vec<ProcPlan> = (0..p.procs)
-        .map(|_| ProcPlan {
+        .map(|q| ProcPlan {
             send_e: vec![Vec::new(); p.procs],
             send_h: vec![Vec::new(); p.procs],
             send_info: vec![Vec::new(); p.procs],
-            in_e: vec![Vec::new(); p.e_per_proc],
-            in_h: vec![Vec::new(); p.h_per_proc],
+            ghost: [Side::E, Side::H].map(|side| vec![0; ins.table(q, side).edges().len()]),
         })
         .collect();
     // Ghost slots are assigned in global edge order, which is also the
     // order senders gather values in, so slot k of the ghost array always
-    // receives the k-th value of the bulk message.
-    let mut slots: HashMap<(usize, usize, Side), usize> = HashMap::new();
-    for (edge, &w) in g.edges.iter().zip(&g.weights) {
-        let sink_side = edge.from_side.other();
-        let src_ref = if edge.src_proc == edge.dst_proc {
-            SrcRef::Local(edge.src_idx)
-        } else {
-            let ctr = slots
-                .entry((edge.src_proc, edge.dst_proc, edge.from_side))
-                .or_insert(0);
-            let slot = *ctr;
-            *ctr += 1;
-            let sender = &mut plans[edge.src_proc];
-            match edge.from_side {
-                Side::E => sender.send_e[edge.dst_proc].push(edge.src_idx),
-                Side::H => sender.send_h[edge.dst_proc].push(edge.src_idx),
-            }
-            sender.send_info[edge.dst_proc].push((edge.dst_idx as u32, sink_side, w));
-            SrcRef::Ghost {
-                src: edge.src_proc,
-                slot,
-            }
-        };
-        let sink = &mut plans[edge.dst_proc];
-        match sink_side {
-            Side::E => sink.in_e[edge.dst_idx].push((w, src_ref)),
-            Side::H => sink.in_h[edge.dst_idx].push((w, src_ref)),
+    // receives the k-th value of the bulk message. The next slot per
+    // (source proc, sink proc, source side):
+    let mut next = vec![0u32; p.procs * p.procs * 2];
+    for ((edge, &w), &slot) in g.edges.iter().zip(&g.weights).zip(ins.slots()) {
+        let (src, dst) = (edge.src_proc as usize, edge.dst_proc as usize);
+        if src == dst {
+            continue;
         }
+        let sink_side = edge.from_side.other();
+        let ctr = &mut next[(src * p.procs + dst) * 2 + edge.from_side as usize];
+        plans[dst].ghost[sink_side as usize][slot as usize] = *ctr;
+        *ctr += 1;
+        let sender = &mut plans[src];
+        match edge.from_side {
+            Side::E => sender.send_e[dst].push(edge.src_idx),
+            Side::H => sender.send_h[dst].push(edge.src_idx),
+        }
+        sender.send_info[dst].push((edge.dst_idx, sink_side, w));
     }
     plans
 }
@@ -104,7 +86,8 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     let m = MpMachine::new(&engine, mcfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let g = Rc::new(gen_graph(p));
-    let plans = Rc::new(build_plans(p, &g));
+    let ins = Rc::new(build_in_edges(p, &g));
+    let plans = Rc::new(build_plans(p, &g, &ins));
     // Each task records where its value arrays actually start (allocation
     // is 32-byte aligned, so offsets are not simply array-size multiples).
     let val_offs: Rc<std::cell::RefCell<Vec<(u64, u64)>>> =
@@ -115,6 +98,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
         let cpu = engine.cpu(proc);
         let rec = Rc::clone(&rec);
         let g = Rc::clone(&g);
+        let ins = Rc::clone(&ins);
         let plans = Rc::clone(&plans);
         let val_offs = Rc::clone(&val_offs);
         let p = p.clone();
@@ -122,6 +106,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
             let me = proc.index();
             let np = p.procs;
             let plan = &plans[me];
+            let (in_e, in_h) = (ins.table(me, Side::E), ins.table(me, Side::H));
 
             // --- local memory layout --------------------------------------
             let e_vals = m.alloc(proc, (p.e_per_proc * 8) as u64, 32);
@@ -140,8 +125,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                 }
             }
             // In-edge stream arrays (weights + pointers, 16 bytes/edge).
-            let in_e_deg: usize = plan.in_e.iter().map(Vec::len).sum();
-            let in_h_deg: usize = plan.in_h.iter().map(Vec::len).sum();
+            let (in_e_deg, in_h_deg) = (in_e.edges().len(), in_h.edges().len());
             let in_e_stream = m.alloc(proc, (in_e_deg as u64 * 16).max(16), 32);
             let in_h_stream = m.alloc(proc, (in_h_deg as u64 * 16).max(16), 32);
             // Send gather buffers.
@@ -297,7 +281,8 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     &m,
                     &cpu,
                     &p,
-                    &plan.in_e,
+                    in_e,
+                    &plan.ghost[Side::E as usize],
                     e_vals,
                     h_vals,
                     &ghost_h,
@@ -320,7 +305,8 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     &m,
                     &cpu,
                     &p,
-                    &plan.in_h,
+                    in_h,
+                    &plan.ghost[Side::H as usize],
                     h_vals,
                     e_vals,
                     &ghost_e,
@@ -362,7 +348,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
         got_e.push(e);
         got_h.push(h);
     }
-    let refv = reference(p, &g);
+    let refv = reference_with(p, &g, &ins);
     let validation = validate_values(&refv, &got_e, &got_h);
     Ok(AppRun {
         report,
@@ -373,33 +359,34 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     })
 }
 
-/// One half-step over `sinks` (in-edge lists of the side being updated):
-/// streams the in-edge arrays, reads each source value (local array or
-/// ghost slot), and writes the updated sink values.
+/// One half-step over `sinks` (the in-edge table of the side being
+/// updated, with its ghost slots): streams the in-edge arrays, reads each
+/// source value (local array or ghost slot), and writes the updated sink
+/// values.
 #[allow(clippy::too_many_arguments)]
 async fn half_step(
     m: &Rc<MpMachine>,
     cpu: &wwt_sim::Cpu,
     p: &Em3dParams,
-    sinks: &[Vec<(f64, SrcRef)>],
+    sinks: &Csr,
+    ghost: &[u32],
     sink_vals: u64,
     src_vals: u64,
     ghosts: &[u64],
     stream: u64,
 ) {
     let proc = cpu.id();
-    let mut edge_cursor = 0u64;
-    for (i, ins) in sinks.iter().enumerate() {
-        let deg = ins.len() as u64;
+    for (i, row) in sinks.ranges().enumerate() {
+        let deg = row.len() as u64;
         if deg > 0 {
-            m.touch_read(cpu, stream + edge_cursor * 16, deg * 16);
-            edge_cursor += deg;
+            m.touch_read(cpu, stream + row.start as u64 * 16, deg * 16);
         }
         let mut acc = 0.0;
-        for &(w, src) in ins {
-            let addr = match src {
-                SrcRef::Local(si) => src_vals + (si * 8) as u64,
-                SrcRef::Ghost { src, slot } => ghosts[src] + (slot * 8) as u64,
+        for (&(sp, si, w), &slot) in sinks.edges()[row.clone()].iter().zip(&ghost[row]) {
+            let addr = if sp as usize == proc.index() {
+                src_vals + si as u64 * 8
+            } else {
+                ghosts[sp as usize] + slot as u64 * 8
             };
             m.touch_read(cpu, addr, 8);
             acc += w * m.peek_f64(proc, addr);
@@ -418,14 +405,14 @@ async fn half_step(
 fn gather_send(
     m: &Rc<MpMachine>,
     cpu: &wwt_sim::Cpu,
-    list: &[usize],
+    list: &[u32],
     vals: u64,
     buf: u64,
     ch: &SendChannel,
 ) {
     let proc = cpu.id();
     for (k, &idx) in list.iter().enumerate() {
-        let src = vals + (idx * 8) as u64;
+        let src = vals + idx as u64 * 8;
         m.touch_read(cpu, src, 8);
         let v = m.peek_f64(proc, src);
         m.poke_f64(proc, buf + (k * 8) as u64, v);
@@ -436,8 +423,104 @@ fn gather_send(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Where an in-edge's source value lives, as the deleted plan
+    /// resolved it.
+    #[derive(Copy, Clone, Debug, PartialEq)]
+    enum SrcRef {
+        /// A node on this processor (index within the source side's array).
+        Local(usize),
+        /// A ghost slot fed by processor `src`.
+        Ghost { src: usize, slot: usize },
+    }
+
+    /// The plan the table replaced, kept as its oracle: send lists, edge
+    /// info, and per-sink resolved in-edges `[E sinks, H sinks]`, with
+    /// ghost slots counted in a map in global edge order.
+    struct OraclePlan {
+        send_e: Vec<Vec<usize>>,
+        send_h: Vec<Vec<usize>>,
+        send_info: Vec<Vec<(u32, Side, f64)>>,
+        ins: [Vec<Vec<(f64, SrcRef)>>; 2],
+    }
+
+    fn oracle_plans(p: &Em3dParams, g: &Em3dGraph) -> Vec<OraclePlan> {
+        let mut plans: Vec<OraclePlan> = (0..p.procs)
+            .map(|_| OraclePlan {
+                send_e: vec![Vec::new(); p.procs],
+                send_h: vec![Vec::new(); p.procs],
+                send_info: vec![Vec::new(); p.procs],
+                ins: [
+                    vec![Vec::new(); p.e_per_proc],
+                    vec![Vec::new(); p.h_per_proc],
+                ],
+            })
+            .collect();
+        let mut slots: HashMap<(usize, usize, Side), usize> = HashMap::new();
+        for (edge, &w) in g.edges.iter().zip(&g.weights) {
+            let (src, dst) = (edge.src_proc as usize, edge.dst_proc as usize);
+            let (src_idx, dst_idx) = (edge.src_idx as usize, edge.dst_idx as usize);
+            let sink_side = edge.from_side.other();
+            let src_ref = if src == dst {
+                SrcRef::Local(src_idx)
+            } else {
+                let ctr = slots.entry((src, dst, edge.from_side)).or_insert(0);
+                let slot = *ctr;
+                *ctr += 1;
+                let sender = &mut plans[src];
+                match edge.from_side {
+                    Side::E => sender.send_e[dst].push(src_idx),
+                    Side::H => sender.send_h[dst].push(src_idx),
+                }
+                sender.send_info[dst].push((dst_idx as u32, sink_side, w));
+                SrcRef::Ghost { src, slot }
+            };
+            plans[dst].ins[sink_side as usize][dst_idx].push((w, src_ref));
+        }
+        plans
+    }
+
+    /// Every in-edge resolves to the oracle's address, in the oracle's
+    /// order, and the send lists and edge info are the oracle's.
+    pub(crate) fn assert_plans_match_oracle(p: &Em3dParams, g: &Em3dGraph, ins: &InEdges) {
+        let plans = build_plans(p, g, ins);
+        for (q, (plan, want)) in plans.iter().zip(oracle_plans(p, g)).enumerate() {
+            let widen = |l: &Vec<Vec<u32>>| -> Vec<Vec<usize>> {
+                l.iter()
+                    .map(|v| v.iter().map(|&i| i as usize).collect())
+                    .collect()
+            };
+            assert_eq!(widen(&plan.send_e), want.send_e, "proc {q} send_e");
+            assert_eq!(widen(&plan.send_h), want.send_h, "proc {q} send_h");
+            assert_eq!(plan.send_info, want.send_info, "proc {q} send_info");
+            for side in [Side::E, Side::H] {
+                let t = ins.table(q, side);
+                let ghost = &plan.ghost[side as usize];
+                let sinks = &want.ins[side as usize];
+                assert_eq!(t.ranges().count(), sinks.len());
+                for (i, (row, want)) in t.ranges().zip(sinks).enumerate() {
+                    let got: Vec<(f64, SrcRef)> = row
+                        .map(|k| {
+                            let (sp, si, w) = t.edges()[k];
+                            let src = if sp as usize == q {
+                                SrcRef::Local(si as usize)
+                            } else {
+                                SrcRef::Ghost {
+                                    src: sp as usize,
+                                    slot: ghost[k] as usize,
+                                }
+                            };
+                            (w, src)
+                        })
+                        .collect();
+                    assert_eq!(&got, want, "proc {q} {side:?} sink {i}");
+                }
+            }
+        }
+    }
     use wwt_sim::{Counter, Kind, Scope};
 
     #[test]

@@ -20,82 +20,12 @@ use wwt_sm::{McsLock, SmConfig, SmMachine};
 
 use crate::common::{AppRun, PhaseRecorder};
 use crate::em3d::{
-    build_in_edges, gen_graph, reference_with, validate_values, Em3dGraph, Em3dHint, Em3dParams,
-    InEdges, Side,
+    build_in_edges, gen_graph, reference_with, validate_values, Csr, Em3dHint, Em3dParams, Side,
 };
 
 /// Number of locks per destination processor protecting its in-edge
 /// structures (hashed by sink node index).
 const LOCKS_PER_PROC: usize = 16;
-
-/// One remote or local in-edge record to install during initialization.
-#[derive(Copy, Clone, Debug)]
-struct FillRecord {
-    dst_proc: usize,
-    side: Side,
-    /// Flat slot in the destination's (node-major) in-edge arrays.
-    slot: usize,
-    /// Sink node index (for lock hashing).
-    dst_idx: usize,
-    weight: f64,
-    src_proc: usize,
-    src_idx: usize,
-}
-
-struct Layout {
-    /// Per (proc, side): flat in-edge count.
-    in_e_deg: Vec<usize>,
-    in_h_deg: Vec<usize>,
-    /// Fill records grouped by the *source* processor (who installs them).
-    fills: Vec<Vec<FillRecord>>,
-}
-
-fn build_layout(p: &Em3dParams, g: &Em3dGraph, (in_e, in_h): &(InEdges, InEdges)) -> Layout {
-    // Node-major slot bases per (proc, side, node).
-    let bases = |ins: &InEdges| -> Vec<Vec<usize>> {
-        ins.iter()
-            .map(|nodes| {
-                let mut start = 0;
-                nodes
-                    .iter()
-                    .map(|l| {
-                        let s = start;
-                        start += l.len();
-                        s
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let base_e = bases(in_e);
-    let base_h = bases(in_h);
-    let mut cursor_e: Vec<Vec<usize>> = base_e.clone();
-    let mut cursor_h: Vec<Vec<usize>> = base_h.clone();
-    let mut fills: Vec<Vec<FillRecord>> = vec![Vec::new(); p.procs];
-    for (edge, &w) in g.edges.iter().zip(&g.weights) {
-        let side = edge.from_side.other();
-        let cursor = match side {
-            Side::E => &mut cursor_e,
-            Side::H => &mut cursor_h,
-        };
-        let slot = cursor[edge.dst_proc][edge.dst_idx];
-        cursor[edge.dst_proc][edge.dst_idx] += 1;
-        fills[edge.src_proc].push(FillRecord {
-            dst_proc: edge.dst_proc,
-            side,
-            slot,
-            dst_idx: edge.dst_idx,
-            weight: w,
-            src_proc: edge.src_proc,
-            src_idx: edge.src_idx,
-        });
-    }
-    Layout {
-        in_e_deg: in_e.iter().map(|n| n.iter().map(Vec::len).sum()).collect(),
-        in_h_deg: in_h.iter().map(|n| n.iter().map(Vec::len).sum()).collect(),
-        fills,
-    }
-}
 
 /// Shared-memory addresses of one processor's arrays.
 #[derive(Clone, Debug)]
@@ -128,10 +58,10 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let m = SmMachine::new(&engine, scfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let g = Rc::new(gen_graph(p));
-    // Built once per run for the layout, the tasks (each reads only its
-    // own row) and the final reference check.
+    // Built once per run for the layout, the init passes, the main loop
+    // and the final reference check.
     let ins = Rc::new(build_in_edges(p, &g));
-    let layout = Rc::new(build_layout(p, &g, &ins));
+    let in_bytes = |q: usize, side: Side| (ins.table(q, side).edges().len() * 8).max(8) as u64;
 
     // Allocate every processor's arrays up front (allocation-policy aware:
     // `gmalloc(q, ..)` homes on q only under the Local policy).
@@ -141,10 +71,10 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 e_vals: m.gmalloc(q, (p.e_per_proc * 8) as u64, 32),
                 h_vals: m.gmalloc(q, (p.h_per_proc * 8) as u64, 32),
                 counts: m.gmalloc(q, ((p.e_per_proc + p.h_per_proc) * 8) as u64, 32),
-                in_e_w: m.gmalloc(q, (layout.in_e_deg[q] * 8).max(8) as u64, 32),
-                in_e_ptr: m.gmalloc(q, (layout.in_e_deg[q] * 8).max(8) as u64, 32),
-                in_h_w: m.gmalloc(q, (layout.in_h_deg[q] * 8).max(8) as u64, 32),
-                in_h_ptr: m.gmalloc(q, (layout.in_h_deg[q] * 8).max(8) as u64, 32),
+                in_e_w: m.gmalloc(q, in_bytes(q, Side::E), 32),
+                in_e_ptr: m.gmalloc(q, in_bytes(q, Side::E), 32),
+                in_h_w: m.gmalloc(q, in_bytes(q, Side::H), 32),
+                in_h_ptr: m.gmalloc(q, in_bytes(q, Side::H), 32),
                 starts: m.gmalloc(q, ((p.e_per_proc + p.h_per_proc) * 8) as u64, 32),
             })
             .collect(),
@@ -160,7 +90,6 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         let cpu = engine.cpu(proc);
         let rec = Rc::clone(&rec);
         let g = Rc::clone(&g);
-        let layout = Rc::clone(&layout);
         let ins = Rc::clone(&ins);
         let arrays = Rc::clone(&arrays);
         let locks = Rc::clone(&locks);
@@ -168,6 +97,16 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         engine.spawn(proc, async move {
             let me = proc.index();
             let a = &arrays[me];
+            // My out-edges (`gen_graph` groups edges by source processor),
+            // with their weights and slots at the sinks: the in-edge
+            // records I install.
+            let per_proc = (p.e_per_proc + p.h_per_proc) * p.degree;
+            let mine = me * per_proc..(me + 1) * per_proc;
+            let (my_edges, my_weights, my_slots) = (
+                &g.edges[mine.clone()],
+                &g.weights[mine.clone()],
+                &ins.slots()[mine],
+            );
 
             // --- initialization -------------------------------------------
             // Local node values.
@@ -185,16 +124,17 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
             // Pass 1: increment in-degree counts at the sinks (remote
             // writes under locks).
-            for rec_ in &layout.fills[me] {
-                let d = &arrays[rec_.dst_proc];
-                let side_off = match rec_.side {
+            for e in my_edges {
+                let (dst, dst_idx) = (e.dst_proc as usize, e.dst_idx as usize);
+                let side_off = match e.from_side.other() {
                     Side::E => 0,
                     Side::H => p.e_per_proc,
                 };
-                let cnt = d.counts.offset_by(((side_off + rec_.dst_idx) * 8) as u64);
-                let remote = rec_.dst_proc != me;
-                if remote {
-                    let lock = &locks[rec_.dst_proc][rec_.dst_idx % LOCKS_PER_PROC];
+                let cnt = arrays[dst]
+                    .counts
+                    .offset_by(((side_off + dst_idx) * 8) as u64);
+                if dst != me {
+                    let lock = &locks[dst][dst_idx % LOCKS_PER_PROC];
                     lock.acquire(&m, &cpu).await;
                     let c = m.read_u64(&cpu, cnt).await;
                     m.write_u64(&cpu, cnt, c + 1).await;
@@ -217,44 +157,36 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
             // Pass 2: install (weight, source-pointer) records at the
             // sinks, bumping a cursor under the same locks.
-            for rec_ in &layout.fills[me] {
-                let d = &arrays[rec_.dst_proc];
-                let (w_arr, ptr_arr) = match rec_.side {
-                    Side::E => (d.in_e_w, d.in_e_ptr),
-                    Side::H => (d.in_h_w, d.in_h_ptr),
-                };
+            for ((e, &weight), &slot) in my_edges.iter().zip(my_weights).zip(my_slots) {
+                let (dst, dst_idx) = (e.dst_proc as usize, e.dst_idx as usize);
+                let d = &arrays[dst];
                 // The source value this edge reads in the main loop: E
                 // sinks read H sources and vice versa.
-                let src_vals = match rec_.side {
-                    Side::E => arrays[rec_.src_proc].h_vals,
-                    Side::H => arrays[rec_.src_proc].e_vals,
+                let (w_arr, ptr_arr, src_vals, side_off) = match e.from_side.other() {
+                    Side::E => (d.in_e_w, d.in_e_ptr, a.h_vals, 0),
+                    Side::H => (d.in_h_w, d.in_h_ptr, a.e_vals, p.e_per_proc),
                 };
-                let src_addr = src_vals.offset_by((rec_.src_idx * 8) as u64);
-                let w_slot = w_arr.offset_by((rec_.slot * 8) as u64);
-                let p_slot = ptr_arr.offset_by((rec_.slot * 8) as u64);
-                let remote = rec_.dst_proc != me;
-                if remote {
-                    let lock = &locks[rec_.dst_proc][rec_.dst_idx % LOCKS_PER_PROC];
+                let src_addr = src_vals.offset_by(e.src_idx as u64 * 8);
+                let w_slot = w_arr.offset_by(slot as u64 * 8);
+                let p_slot = ptr_arr.offset_by(slot as u64 * 8);
+                if dst != me {
+                    let lock = &locks[dst][dst_idx % LOCKS_PER_PROC];
                     lock.acquire(&m, &cpu).await;
                     // Cursor bump (read + write of the count word).
-                    let side_off = match rec_.side {
-                        Side::E => 0,
-                        Side::H => p.e_per_proc,
-                    };
-                    let cnt = d.counts.offset_by(((side_off + rec_.dst_idx) * 8) as u64);
+                    let cnt = d.counts.offset_by(((side_off + dst_idx) * 8) as u64);
                     let c = m.read_u64(&cpu, cnt).await;
                     m.write_u64(&cpu, cnt, c + 1).await;
-                    m.write_f64(&cpu, w_slot, rec_.weight).await;
+                    m.write_f64(&cpu, w_slot, weight).await;
                     m.write_u64(&cpu, p_slot, src_addr.raw()).await;
                     lock.release(&m, &cpu).await;
                 } else {
-                    m.poke_f64(w_slot, rec_.weight);
+                    m.poke_f64(w_slot, weight);
                     m.poke_u64(p_slot, src_addr.raw());
                     m.touch_write(&cpu, w_slot, 8).await;
                     m.touch_write(&cpu, p_slot, 8).await;
                 }
                 // Host-side ground truth regardless of simulated timing.
-                m.poke_f64(w_slot, rec_.weight);
+                m.poke_f64(w_slot, weight);
                 m.poke_u64(p_slot, src_addr.raw());
                 cpu.compute(10);
             }
@@ -264,37 +196,35 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             }
 
             // --- main loop --------------------------------------------------
-            let (in_e, in_h) = (&ins.0, &ins.1);
-            let my_in_e: Vec<usize> = in_e[me].iter().map(Vec::len).collect();
-            let my_in_h: Vec<usize> = in_h[me].iter().map(Vec::len).collect();
+            let (in_e, in_h) = (ins.table(me, Side::E), ins.table(me, Side::H));
             // Unique remote source blocks per half (for flush/prefetch
             // hints): H sources feed the E half and vice versa.
-            let remote_blocks = |ins: &Vec<Vec<(usize, usize, f64)>>, side: Side| -> Vec<GAddr> {
+            let remote_blocks = |ins: &Csr, src_side: Side| -> Vec<GAddr> {
                 let mut blocks: Vec<u64> = ins
+                    .edges()
                     .iter()
-                    .flatten()
-                    .filter(|&&(sp, _, _)| sp != me)
+                    .filter(|&&(sp, _, _)| sp as usize != me)
                     .map(|&(sp, si, _)| {
-                        let vals = match side {
-                            Side::H => arrays[sp].h_vals,
-                            Side::E => arrays[sp].e_vals,
+                        let vals = match src_side {
+                            Side::H => arrays[sp as usize].h_vals,
+                            Side::E => arrays[sp as usize].e_vals,
                         };
-                        vals.offset_by((si * 8) as u64).block().raw()
+                        vals.offset_by(si as u64 * 8).block().raw()
                     })
                     .collect();
                 blocks.sort_unstable();
                 blocks.dedup();
                 blocks.into_iter().map(GAddr::from_raw).collect()
             };
-            let remote_h = remote_blocks(&in_e[me], Side::H);
-            let remote_e = remote_blocks(&in_h[me], Side::E);
+            let remote_h = remote_blocks(in_e, Side::H);
+            let remote_e = remote_blocks(in_h, Side::E);
             for _ in 0..p.iters {
                 if p.hint == Em3dHint::Prefetch {
                     for b in &remote_h {
                         m.prefetch(&cpu, *b, 32).await;
                     }
                 }
-                half_step(&m, &cpu, &p, a.e_vals, a.in_e_w, a.in_e_ptr, &my_in_e).await;
+                half_step(&m, &cpu, &p, a.e_vals, a.in_e_w, a.in_e_ptr, in_e).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_h {
                         m.flush(&cpu, *b, 32).await;
@@ -308,7 +238,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                         m.prefetch(&cpu, *b, 32).await;
                     }
                 }
-                half_step(&m, &cpu, &p, a.h_vals, a.in_h_w, a.in_h_ptr, &my_in_h).await;
+                half_step(&m, &cpu, &p, a.h_vals, a.in_h_w, a.in_h_ptr, in_h).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_e {
                         m.flush(&cpu, *b, 32).await;
@@ -355,10 +285,10 @@ async fn half_step(
     sink_vals: GAddr,
     w_arr: GAddr,
     ptr_arr: GAddr,
-    degrees: &[usize],
+    ins: &Csr,
 ) {
-    let mut cursor = 0usize;
-    for (i, &deg) in degrees.iter().enumerate() {
+    for (i, row) in ins.ranges().enumerate() {
+        let (cursor, deg) = (row.start, row.len());
         if deg > 0 {
             // Stream the weight and pointer arrays for this node.
             m.touch_read(cpu, w_arr.offset_by((cursor * 8) as u64), (deg * 8) as u64)
@@ -377,7 +307,6 @@ async fn half_step(
             m.touch_read(cpu, src, 8).await;
             acc += w * m.peek_f64(src);
         }
-        cursor += deg;
         let sink = sink_vals.offset_by((i * 8) as u64);
         let old = m.peek_f64(sink);
         m.touch_write(cpu, sink, 8).await;
@@ -387,12 +316,66 @@ async fn half_step(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::em3d::{Em3dGraph, InEdges};
     use wwt_mem::CacheGeometry;
     use wwt_mp::MpConfig;
     use wwt_sim::{Counter, Kind, Scope};
     use wwt_sm::{AllocPolicy, ProtocolMode};
+
+    /// The slots the deleted fill-record layout gave each edge, kept as
+    /// the table's oracle: node-major bases per (proc, side, sink) from
+    /// the in-degrees, then a cursor per sink bumped in global edge order.
+    /// Also returns the per-(proc, side) in-degree totals.
+    fn layout_slots(p: &Em3dParams, g: &Em3dGraph) -> (Vec<usize>, Vec<[usize; 2]>) {
+        let sinks = [p.e_per_proc, p.h_per_proc];
+        let mut deg: Vec<[Vec<usize>; 2]> =
+            (0..p.procs).map(|_| sinks.map(|n| vec![0; n])).collect();
+        for e in &g.edges {
+            deg[e.dst_proc as usize][e.from_side.other() as usize][e.dst_idx as usize] += 1;
+        }
+        let totals = deg
+            .iter()
+            .map(|d| d.each_ref().map(|v| v.iter().sum()))
+            .collect();
+        let mut cursor: Vec<[Vec<usize>; 2]> = deg
+            .iter()
+            .map(|d| {
+                d.each_ref().map(|v| {
+                    let mut start = 0;
+                    v.iter()
+                        .map(|&n| {
+                            start += n;
+                            start - n
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let slots = g
+            .edges
+            .iter()
+            .map(|e| {
+                let c = &mut cursor[e.dst_proc as usize][e.from_side.other() as usize]
+                    [e.dst_idx as usize];
+                *c += 1;
+                *c - 1
+            })
+            .collect();
+        (slots, totals)
+    }
+
+    /// The table's per-edge slots and in-degree totals equal the layout's.
+    pub(crate) fn assert_slots_match_oracle(p: &Em3dParams, g: &Em3dGraph, ins: &InEdges) {
+        let (slots, totals) = layout_slots(p, g);
+        let got: Vec<usize> = ins.slots().iter().map(|&s| s as usize).collect();
+        assert!(got == slots, "per-edge slots differ from the layout's");
+        for (q, t) in totals.iter().enumerate() {
+            let got = [Side::E, Side::H].map(|side| ins.table(q, side).edges().len());
+            assert_eq!(&got, t, "proc {q} in-degree totals");
+        }
+    }
 
     #[test]
     fn matches_sequential_reference_bitwise() {
