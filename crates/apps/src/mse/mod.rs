@@ -420,7 +420,7 @@ mod tests {
     /// FNV-1a-64 over the little-endian bits of every solution value.
     fn artifact_digest(z: &[f64]) -> u64 {
         let bytes: Vec<u8> = z.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
-        wwt_store::fnv1a(&bytes)
+        wwt_sim::hash::fnv1a(&bytes)
     }
 
     #[test]

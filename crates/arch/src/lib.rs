@@ -275,7 +275,7 @@ impl ArchParams {
     /// Stable across processes and runs; safe to embed in cache keys
     /// and file names.
     pub fn stable_hash(&self) -> u64 {
-        wwt_store::fnv1a(self.canonical().as_bytes())
+        wwt_sim::hash::fnv1a(self.canonical().as_bytes())
     }
 
     /// Whether this is exactly the paper's machine.

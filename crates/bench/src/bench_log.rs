@@ -109,9 +109,9 @@ fn is_current(rec: &str) -> bool {
 
 /// Appends `record` to the log at `path`, dropping records of other
 /// schemas and compacting to [`KEEP_PER_KEY`] per configuration key.
-/// The rewrite is atomic (temp + rename via [`wwt_core::store`]): a run
-/// killed mid-append leaves the previous log intact, never a truncated
-/// document. A truncated or foreign file found on disk — a crash from a
+/// The rewrite is atomic (temp + rename via
+/// [`wwt_core::cache::atomic_write`]): a run killed mid-append leaves the
+/// previous log intact, never a truncated document. A truncated or foreign file found on disk — a crash from a
 /// build predating atomic appends, a hand edit — starts the log over
 /// with just the new record rather than erroring forever.
 pub fn append_bench_record(path: &str, record: &str) -> std::io::Result<()> {
@@ -149,7 +149,7 @@ pub fn append_bench_record(path: &str, record: &str) -> std::io::Result<()> {
         .filter(|(_, &k)| k)
         .map(|(r, _)| r.as_str())
         .collect();
-    wwt_core::store::atomic_write(
+    wwt_core::cache::atomic_write(
         path,
         format!("{{\"runs\":[\n{}]}}\n", kept.join(",\n")).as_bytes(),
     )

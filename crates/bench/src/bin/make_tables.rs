@@ -8,7 +8,6 @@
 //!             [--json OUT.json] [--faults SPEC] [--arch SPEC]
 //!             [--arch-sweep KEY=V1,V2,...] [--sweep-delta] [--diff A B]
 //!             [--diff-json OUT.json] [--obs] [--obs-json OUT.json]
-//!             [--fsck] [--store-faults SPEC]
 //!             [experiment-id ...]
 //! ```
 //!
@@ -31,24 +30,15 @@
 //! Runs are cached under `results/cache/`, keyed by (experiment, scale,
 //! engine-config hash): a repeated invocation with unchanged inputs
 //! replays from disk. `--no-cache` bypasses the cache entirely. Entries
-//! live in checksummed `wwt-store` containers committed atomically, so a
-//! damaged entry (torn write, bit rot, a crashed writer's leftovers) is a
-//! warned miss that re-simulates — never wrong output. `--fsck` runs a
-//! store scan first: corrupt entries are quarantined under
-//! `results/cache/quarantine/` and orphaned temp/stale lock files are
-//! garbage-collected, with a report on stderr.
+//! live in checksummed containers published by atomic rename, so a
+//! damaged entry (torn write, bit rot) is a warned miss that re-simulates
+//! and overwrites it — never wrong output. The end-of-run `cache:` line
+//! on stderr counts hits, misses and corrupt entries recovered.
 //!
 //! A failed grid job — a stalled simulation or a panicking experiment —
 //! is reported as a failed cell and never retried: the simulator is
 //! deterministic, so a re-run fails identically. The grid always
 //! finishes, summarizes the failed cells on stderr and exits 1.
-//!
-//! `--store-faults SPEC` (e.g. `seed=7,torn=0.2,flip=0.2,eio=0.2,
-//! rename=0.2`) arms the deterministic *host*-fault harness on the
-//! result store: commits tear at a seeded byte, flip a bit, or fail
-//! their rename, and reads hit one transient `EIO` per path. Every mode
-//! degrades to a warned miss plus re-simulation, so stdout stays
-//! byte-identical.
 //!
 //! `--faults SPEC` runs every experiment under a deterministic
 //! fault-injection plan, e.g.
@@ -144,8 +134,6 @@ fn usage() -> ! {
          [--arch preset[,key=value,...]] [--arch-sweep key=v1,v2,...]... \
          [--sweep-delta] [--diff A B] [--diff-json OUT.json] \
          [--obs] [--obs-json OUT.json] \
-         [--fsck] \
-         [--store-faults seed=S,torn=P,flip=P,eio=P,rename=P] \
          [experiment-id ...]"
     );
     eprintln!(
@@ -228,19 +216,11 @@ fn resolve_diff_side(
 }
 
 /// One-line end-of-run cache effectiveness summary on stderr
-/// (always-on counters, so this works without `--obs`). Deduplicated
-/// corrupt-entry warnings surface here as a suppressed-repeats count, so
-/// a quiet stderr is never mistaken for a healthy store.
+/// (always-on counters, so this works without `--obs`).
 fn cache_summary() {
     let (hits, misses, bytes, corrupt) = wwt_core::cache::stats();
-    let suppressed = wwt_core::store::suppressed_warnings();
-    let suffix = if suppressed > 0 {
-        format!(" ({suppressed} repeat warnings suppressed)")
-    } else {
-        String::new()
-    };
     eprintln!(
-        "cache: {hits} hits, {misses} misses, {bytes} bytes read, {corrupt} corrupt entries recovered{suffix}"
+        "cache: {hits} hits, {misses} misses, {bytes} bytes read, {corrupt} corrupt entries recovered"
     );
 }
 
@@ -279,7 +259,6 @@ fn main() {
     let mut diff_json_out: Option<String> = None;
     let mut obs = false;
     let mut obs_json_out: Option<String> = None;
-    let mut fsck = false;
     let mut selectors: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -337,23 +316,16 @@ fn main() {
                 diff = Some((a, b));
             }
             "--diff-json" => diff_json_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fsck" => fsck = true,
-            "--store-faults" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                match wwt_core::store::StoreFaults::parse(spec) {
-                    Ok(f) => wwt_core::store::set_global_faults(Some(f)),
-                    Err(err) => {
-                        eprintln!("invalid --store-faults spec: {err}");
-                        usage();
-                    }
-                }
-            }
             "--obs" => obs = true,
             "--obs-json" => {
                 obs = true;
                 obs_json_out = Some(it.next().cloned().unwrap_or_else(|| usage()));
             }
             "--help" | "-h" => usage(),
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown option '{flag}'");
+                usage();
+            }
             id => selectors.push(id.to_string()),
         }
     }
@@ -381,30 +353,6 @@ fn main() {
         arch,
         phases: false,
     };
-
-    if fsck {
-        // Scan-and-repair the store before anything reads it: corrupt
-        // entries move to quarantine/ (each then re-simulates as a plain
-        // miss), crash leftovers are swept. The scan reads what is really
-        // on disk — an armed --store-faults plan does not apply to it.
-        let Some(dir) = &cfg.cache_dir else {
-            eprintln!("--fsck needs the run cache; drop --no-cache");
-            std::process::exit(2);
-        };
-        let report = wwt_core::store::Store::with_config(
-            dir.clone(),
-            wwt_core::store::StoreConfig::default(),
-        )
-        .fsck();
-        eprintln!("{report}");
-        // Quarantined entries are corrupt entries recovered (the grid
-        // re-simulates and recommits them): surface them in the always-on
-        // cache counters so the end-of-run summary reflects the repair.
-        wwt_core::obs::count_always(
-            wwt_core::obs::Ctr::CacheCorruptRecovered,
-            report.quarantined.len() as u64,
-        );
-    }
 
     if let Some((spec_a, spec_b)) = diff {
         // Diff mode: stdout carries only the rendered diff (a self-diff

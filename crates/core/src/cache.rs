@@ -33,17 +33,22 @@
 //! error.
 //!
 //! Since format version 3 the serialized text is the *payload* of a
-//! `wwt-store` entry: the store wraps it in a checksummed container,
-//! commits it atomically (temp + rename + dir fsync), and verifies the
-//! checksum on every read, so torn writes and bit rot surface as typed
-//! corruption — a warned miss — instead of a silent misparse. This module
-//! keeps the keying and (de)serialization; all file handling lives in
-//! [`wwt_store`].
+//! checksummed container (the private `container` module): entries are
+//! published atomically (temp + rename + dir fsync), and every read
+//! verifies the checksum, so a torn write or bit rot is a warned miss
+//! that re-simulates and overwrites the entry, never a silent misparse.
+//! There are no writer locks: an entry is a pure function of its key and
+//! a rename is atomic, so two runners racing one key both simulate and
+//! either rename leaves a correct entry.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use wwt_store::{fnv1a, warn_once, ReadError, Store};
+mod container;
+
+pub use container::atomic_write;
+use container::ReadError;
+use wwt_sim::hash::fnv1a;
 
 use wwt_arch::ArchParams;
 
@@ -55,8 +60,7 @@ use crate::table::{BreakdownTable, EventTable, Row};
 /// the key changes; old entries then miss instead of misparsing.
 /// Version 2: phase-profile blobs, percentile fields in metrics blobs.
 /// Version 3: entries live inside checksummed `wwt-store` containers
-/// (pre-store files keep their old names and are simply never read;
-/// `--fsck` quarantines them).
+/// (older files keep their old names and are simply never read).
 /// Version 4: the key holds the model alone; observation flags only
 /// decide which artifacts a lookup needs.
 const FORMAT_VERSION: u32 = 4;
@@ -93,23 +97,6 @@ pub fn config_hash(
     fnv1a(key.as_bytes())
 }
 
-/// The store entry name (file name within the cache directory) for one
-/// (experiment, scale, config, arch) tuple — also the name the runner
-/// locks while simulating the point.
-pub fn entry_name(
-    e: Experiment,
-    scale: Scale,
-    sim: &wwt_sim::SimConfig,
-    arch: &ArchParams,
-) -> String {
-    format!(
-        "{}-{}-{:016x}.run",
-        e.id(),
-        scale.name(),
-        config_hash(e, scale, sim, arch)
-    )
-}
-
 /// The cache file path for one (experiment, scale, config, arch) tuple.
 pub fn entry_path(
     dir: &Path,
@@ -118,7 +105,12 @@ pub fn entry_path(
     sim: &wwt_sim::SimConfig,
     arch: &ArchParams,
 ) -> PathBuf {
-    dir.join(entry_name(e, scale, sim, arch))
+    dir.join(format!(
+        "{}-{}-{:016x}.run",
+        e.id(),
+        scale.name(),
+        config_hash(e, scale, sim, arch)
+    ))
 }
 
 fn push_f64(out: &mut String, tag: &str, v: f64) {
@@ -204,10 +196,10 @@ fn serialize(a: &ExperimentArtifacts) -> Option<String> {
     Some(out)
 }
 
-/// Persists one artifact set through the store: checksummed container,
-/// atomic temp-write + rename + dir fsync, no temp file left behind on
-/// failure. Best-effort: errors (and unrepresentable data) are reported
-/// but expected to be ignored by the caller.
+/// Persists one artifact set: checksummed container, atomic temp-write,
+/// rename and dir fsync, no temp file left behind on failure.
+/// Best-effort: errors (and unrepresentable data) are reported but
+/// expected to be ignored by the caller.
 pub fn save(
     dir: &Path,
     a: &ExperimentArtifacts,
@@ -217,8 +209,8 @@ pub fn save(
     let Some(body) = serialize(a) else {
         return Ok(()); // unrepresentable: skip caching, never fail the run
     };
-    let name = entry_name(a.experiment, a.summary.scale, sim, arch);
-    Store::open(dir).commit(&name, body.as_bytes())
+    let path = entry_path(dir, a.experiment, a.summary.scale, sim, arch);
+    atomic_write(path, &container::encode(body.as_bytes()))
 }
 
 /// A forgiving cursor over the cache text. Every accessor returns
@@ -432,7 +424,7 @@ fn narrow(mut a: ExperimentArtifacts, sim: &wwt_sim::SimConfig) -> Option<Experi
 /// recovering the experiment and scale from the entry header instead of
 /// requiring the caller to know the key. `None` on any damage.
 pub fn load_path(path: &Path) -> Option<ExperimentArtifacts> {
-    let text = String::from_utf8(wwt_store::read_entry_file(path)?).ok()?;
+    let text = String::from_utf8(container::read(path).ok()?).ok()?;
     let mut lines = text.lines();
     let _header = lines.next()?;
     let e = Experiment::from_id(lines.next()?.strip_prefix("experiment ")?)?;
@@ -448,9 +440,9 @@ pub fn load_path(path: &Path) -> Option<ExperimentArtifacts> {
 /// point, narrowed to what a run under `sim` produces. Any missing,
 /// truncated, or version-skewed entry is a miss (`None`), and so is an
 /// intact entry that lacks a requested artifact. A file that exists but
-/// cannot be read or parsed additionally warns on stderr — the entry is
-/// damaged, not merely absent — and the runner then re-simulates and
-/// overwrites it.
+/// cannot be read or parsed additionally warns on stderr and counts as a
+/// recovered corruption — the entry is damaged, not merely absent — and
+/// the runner then re-simulates and overwrites it.
 pub fn load(
     dir: &Path,
     e: Experiment,
@@ -458,88 +450,42 @@ pub fn load(
     sim: &wwt_sim::SimConfig,
     arch: &ArchParams,
 ) -> Option<ExperimentArtifacts> {
-    load_counting(dir, e, scale, sim, arch, true)
-}
-
-/// [`load`] for the runner's post-lock re-check: a hit still counts (the
-/// race loser replays the winner's entry), but a miss is not re-counted —
-/// the lookup already counted its miss before taking the writer lock, and
-/// one cold cell is one miss.
-pub fn load_recheck(
-    dir: &Path,
-    e: Experiment,
-    scale: Scale,
-    sim: &wwt_sim::SimConfig,
-    arch: &ArchParams,
-) -> Option<ExperimentArtifacts> {
-    load_counting(dir, e, scale, sim, arch, false)
-}
-
-fn load_counting(
-    dir: &Path,
-    e: Experiment,
-    scale: Scale,
-    sim: &wwt_sim::SimConfig,
-    arch: &ArchParams,
-    count_miss: bool,
-) -> Option<ExperimentArtifacts> {
-    let name = entry_name(e, scale, sim, arch);
-    let path = dir.join(&name);
     // Cache counters are always-on (a few ticks per experiment, nowhere
     // near a hot path): the grid runner's end-of-run cache summary works
     // without `--obs`.
     use wwt_obs::{count_always, Ctr};
-    // Repeated warnings for the same damaged path are deduplicated (the
-    // first prints, repeats only count): the runner reads a missed entry
-    // twice (before and after taking the writer lock), and one bad entry
-    // must not flood stderr.
-    let damaged = |why: &str| {
-        let first = warn_once(
-            &path.to_string_lossy(),
-            &format!("run cache entry {} is {why}; re-running", path.display()),
+    let path = entry_path(dir, e, scale, sim, arch);
+    let damaged = |why: &dyn std::fmt::Display| {
+        eprintln!(
+            "warning: run cache entry {} is {why}; re-running",
+            path.display()
         );
-        if count_miss {
-            count_always(Ctr::CacheMisses, 1);
-        }
-        // One corruption event per path: the runner re-reads a damaged
-        // entry (miss check, then the post-lock re-check) before
-        // recommitting, and that is still a single recovery.
-        if first {
-            count_always(Ctr::CacheCorruptRecovered, 1);
-        }
+        count_always(Ctr::CacheCorruptRecovered, 1);
+        count_always(Ctr::CacheMisses, 1);
     };
-    let payload = match Store::open(dir).read(&name) {
+    let payload = match container::read(&path) {
         Ok(payload) => payload,
         Err(ReadError::NotFound) => {
-            if count_miss {
-                count_always(Ctr::CacheMisses, 1);
-            }
+            count_always(Ctr::CacheMisses, 1);
             return None;
         }
-        Err(err @ ReadError::Io(_)) => {
-            // Includes injected transient EIOs: degrade to a miss — the
-            // simulator is deterministic, so re-running reproduces the
-            // exact bytes the unreadable entry held.
-            damaged(&format!("unreadable ({err})"));
-            return None;
-        }
-        Err(ReadError::Corrupt(why)) => {
-            damaged(&format!("damaged ({why})"));
+        Err(err) => {
+            // The simulator is deterministic, so re-running reproduces
+            // the exact bytes the damaged entry held.
+            damaged(&err);
             return None;
         }
     };
     let Ok(text) = String::from_utf8(payload) else {
-        damaged("damaged (payload is not UTF-8)");
+        damaged(&"damaged (payload is not UTF-8)");
         return None;
     };
     let Some(parsed) = parse(&text, e, scale) else {
-        damaged("truncated or corrupt");
+        damaged(&"truncated or corrupt");
         return None;
     };
     let Some(hit) = narrow(parsed, sim) else {
-        if count_miss {
-            count_always(Ctr::CacheMisses, 1);
-        }
+        count_always(Ctr::CacheMisses, 1);
         return None;
     };
     count_always(Ctr::CacheHits, 1);

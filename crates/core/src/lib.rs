@@ -58,4 +58,3 @@ pub use wwt_obs as obs;
 pub use wwt_sim as sim;
 pub use wwt_sim::trace;
 pub use wwt_sm as sm;
-pub use wwt_store as store;

@@ -89,20 +89,11 @@ pub enum Ctr {
     /// Grid jobs whose experiment panicked (caught at the job boundary
     /// and reported as a failed cell).
     GridJobPanics,
-    /// Corrupt store entries moved to quarantine by an fsck pass.
-    StoreFsckQuarantined,
-    /// Orphaned temp files and stale lock files garbage-collected by an
-    /// fsck pass.
-    StoreFsckSwept,
-    /// Stale writer locks broken and taken over.
-    StoreLockTakeovers,
-    /// Host faults the `StoreFaults` harness actually injected.
-    StoreFaultsInjected,
 }
 
 impl Ctr {
     /// Every counter, in index order.
-    pub const ALL: [Ctr; 21] = [
+    pub const ALL: [Ctr; 17] = [
         Ctr::SimEventsPushed,
         Ctr::SimEventsPopped,
         Ctr::SimQueueFar,
@@ -120,10 +111,6 @@ impl Ctr {
         Ctr::GridExperimentsRun,
         Ctr::GridExperimentsCached,
         Ctr::GridJobPanics,
-        Ctr::StoreFsckQuarantined,
-        Ctr::StoreFsckSwept,
-        Ctr::StoreLockTakeovers,
-        Ctr::StoreFaultsInjected,
     ];
 
     /// Stable snake_case name (the JSON/Prometheus key).
@@ -146,10 +133,6 @@ impl Ctr {
             Ctr::GridExperimentsRun => "grid_experiments_run",
             Ctr::GridExperimentsCached => "grid_experiments_cached",
             Ctr::GridJobPanics => "grid_job_panics",
-            Ctr::StoreFsckQuarantined => "store_fsck_quarantined",
-            Ctr::StoreFsckSwept => "store_fsck_swept",
-            Ctr::StoreLockTakeovers => "store_lock_takeovers",
-            Ctr::StoreFaultsInjected => "store_faults_injected",
         }
     }
 }

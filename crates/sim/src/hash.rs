@@ -12,6 +12,10 @@
 //! Unlike `RandomState`, [`FxHasher`] is deterministic across runs, which
 //! this codebase requires anyway: iteration-order-sensitive code must be
 //! reproducible for the determinism suite (`tests/determinism.rs`).
+//!
+//! [`fnv1a`] is the other hash here: a stable byte-string digest for
+//! anything that outlives the process (cache keys, entry checksums,
+//! pinned output digests).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -89,9 +93,29 @@ impl Hasher for FxHasher {
     }
 }
 
+/// 64-bit FNV-1a — the one implementation behind the run-cache key,
+/// `ArchParams::stable_hash`, and the cache entry checksum: fast,
+/// dependency-free, and more than strong enough to catch torn writes and
+/// bit rot (an integrity check against accident, not an adversary).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn is_deterministic_across_maps() {

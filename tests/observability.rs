@@ -135,7 +135,7 @@ fn perfetto_export_is_well_formed_and_covers_all_processors() {
 /// `wwt_sim::trace`, so the move is checked to be byte-preserving.
 #[test]
 fn exporter_bytes_are_pinned() {
-    use wwt::store::fnv1a;
+    use wwt::sim::hash::fnv1a;
     use wwt::trace::{chrome_trace_json, metrics_json, metrics_table};
 
     let pins: [(Experiment, [u64; 3]); 2] = [
