@@ -1,11 +1,14 @@
-//! Robustness of the run cache and the grid runner: a damaged cache
-//! entry must degrade to a warned miss plus re-simulation producing a
-//! byte-identical report, concurrent runners racing one key must leave
+//! Robustness of the run cache and the grid runner: every host fault a
+//! cache entry can suffer must degrade to a miss plus re-simulation
+//! producing a byte-identical report, a damaged entry must warn and
+//! count once, concurrent runners racing one key must leave
 //! one valid entry, and a panicking experiment must become a failed cell
 //! instead of a dead grid.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use proptest::prelude::*;
 
 use wwt::{render_report, run_grid, Experiment, RunnerConfig, Scale};
 
@@ -46,45 +49,125 @@ fn file_names(dir: &Path) -> Vec<String> {
     names
 }
 
+/// The fault-free reference report, computed once (uncached grid run).
+fn baseline() -> &'static str {
+    static BASELINE: OnceLock<String> = OnceLock::new();
+    BASELINE.get_or_init(|| {
+        render_report(
+            &run_grid(&PAIR, &RunnerConfig::new(Scale::Test)),
+            Scale::Test,
+        )
+    })
+}
+
+/// Damages the committed entry at `path` the way one host fault would.
+/// `seed` picks the truncation point and the flipped bit.
+fn damage(path: &Path, mode: &str, seed: u64) {
+    let bytes = std::fs::read(path).unwrap();
+    match mode {
+        // A torn write: the header promises more payload than is there.
+        "torn" => std::fs::write(path, &bytes[..seed as usize % bytes.len()]).unwrap(),
+        // Bit rot anywhere in the file: header, checksum or payload.
+        "flip" => {
+            let mut bytes = bytes;
+            let at = seed as usize % bytes.len();
+            bytes[at] ^= 1 << (seed % 8);
+            std::fs::write(path, &bytes).unwrap();
+        }
+        // A read error: the entry path is a directory, which no read
+        // and no rename onto it can get past.
+        "eio" => {
+            std::fs::remove_file(path).unwrap();
+            std::fs::create_dir(path).unwrap();
+        }
+        // A writer that died between write and rename: no entry, only
+        // its full temp file.
+        "rename" => {
+            let mut tmp = path.as_os_str().to_owned();
+            tmp.push(format!(".tmp.{}.{seed}", u32::MAX));
+            std::fs::rename(path, PathBuf::from(tmp)).unwrap();
+        }
+        _ => unreachable!("unknown fault mode {mode}"),
+    }
+}
+
+proptest! {
+    // Each case runs 15 grid passes; a few seeds vary where the damage
+    // lands without minutes of wall clock.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// For every host fault mode a cache entry can suffer — torn write,
+    /// bit flip, unreadable entry, lost rename — the report is
+    /// byte-identical to an uncached run on the cold run, on the re-run
+    /// over the damaged cache, and after it.
+    #[test]
+    fn every_fault_mode_degrades_to_byte_identical_reports(seed in 0u64..1_000_000) {
+        let _g = lock();
+        let reference = baseline();
+        for mode in ["torn", "flip", "eio", "rename"] {
+            let dir = scratch_cache(mode);
+            let cfg = cached_cfg(&dir);
+            let cold = render_report(&run_grid(&PAIR, &cfg), Scale::Test);
+            prop_assert_eq!(&cold, reference, "{}: cold run diverged", mode);
+            let entries = file_names(&dir);
+            prop_assert_eq!(entries.len(), 2, "{}: {:?}", mode, entries);
+            for name in &entries {
+                damage(&dir.join(name), mode, seed);
+            }
+
+            let rerun = run_grid(&PAIR, &cfg);
+            prop_assert!(rerun.iter().all(|a| !a.from_cache), "{}: damage replayed", mode);
+            prop_assert_eq!(&render_report(&rerun, Scale::Test), reference, "{}: re-run diverged", mode);
+
+            // The re-run recommitted every entry it could: all but an
+            // entry path blocked by a directory replay from now on.
+            let healed = run_grid(&PAIR, &cfg);
+            let replays = mode != "eio";
+            prop_assert!(healed.iter().all(|a| a.from_cache == replays), "{}: healed run", mode);
+            prop_assert_eq!(&render_report(&healed, Scale::Test), reference, "{}: healed run diverged", mode);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 #[test]
-fn truncated_and_bit_flipped_entries_recover_to_byte_identical_reports() {
+fn corrupt_entries_warn_once_per_path_and_are_counted() {
     let _g = lock();
     let dir = scratch_cache("damage");
     let cfg = cached_cfg(&dir);
-    let uncached = render_report(
-        &run_grid(&PAIR, &RunnerConfig::new(Scale::Test)),
-        Scale::Test,
-    );
     run_grid(&PAIR, &cfg);
     let entries = file_names(&dir);
     assert_eq!(entries.len(), 2, "one entry per experiment: {entries:?}");
 
-    // A torn write: the header promises more payload than is there.
+    // Truncate one entry and bit-flip the other.
     let torn = dir.join(&entries[0]);
     let bytes = std::fs::read(&torn).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-    // Bit rot: one flipped payload bit fails the checksum.
     let flipped = dir.join(&entries[1]);
     let mut bytes = std::fs::read(&flipped).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
     std::fs::write(&flipped, &bytes).unwrap();
 
-    let (_, _, _, corrupt_before) = wwt::cache::stats();
+    // A damaged entry prints its warning where it counts as
+    // corrupt-recovered, so the counters stand for the warnings: one
+    // read, one warning and one miss per damaged path.
+    let (_, misses_before, _, corrupt_before) = wwt::cache::stats();
     let recovered = run_grid(&PAIR, &cfg);
-    let (_, _, _, corrupt_after) = wwt::cache::stats();
+    let (_, misses_after, _, corrupt_after) = wwt::cache::stats();
     assert!(recovered.iter().all(|a| !a.from_cache), "both re-simulate");
-    assert_eq!(render_report(&recovered, Scale::Test), uncached);
+    assert_eq!(render_report(&recovered, Scale::Test), baseline());
     assert_eq!(
         corrupt_after - corrupt_before,
         2,
         "each damaged entry counts once as corrupt-recovered"
     );
+    assert_eq!(misses_after - misses_before, 2, "one lookup per cell");
 
     // The re-simulation overwrote both entries: a third run replays them.
     let replay = run_grid(&PAIR, &cfg);
     assert!(replay.iter().all(|a| a.from_cache), "healed entries replay");
-    assert_eq!(render_report(&replay, Scale::Test), uncached);
+    assert_eq!(render_report(&replay, Scale::Test), baseline());
     let (_, _, _, corrupt_final) = wwt::cache::stats();
     assert_eq!(corrupt_final, corrupt_after, "healed entries never warn");
     let _ = std::fs::remove_dir_all(&dir);
