@@ -198,8 +198,12 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             // --- main loop --------------------------------------------------
             let (in_e, in_h) = (ins.table(me, Side::E), ins.table(me, Side::H));
             // Unique remote source blocks per half (for flush/prefetch
-            // hints): H sources feed the E half and vice versa.
+            // hints): H sources feed the E half and vice versa. The
+            // unhinted variant never reads them, so it builds none.
             let remote_blocks = |ins: &Csr, src_side: Side| -> Vec<GAddr> {
+                if p.hint == Em3dHint::None {
+                    return Vec::new();
+                }
                 let mut blocks: Vec<u64> = ins
                     .edges()
                     .iter()

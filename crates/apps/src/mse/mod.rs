@@ -190,9 +190,18 @@ impl Geometry {
     /// Body `j`'s contribution to body `i`'s rows: `out[e]` is the sum of
     /// `kernel(i, e, j, f) * zj[f]` over `f` in ascending order, skipping
     /// the diagonal entry.
+    ///
+    /// An all-zero `zj` (either sign) yields +0.0 everywhere without
+    /// evaluating a kernel: every kernel value is finite (`kernel_between`
+    /// guards `d2 == 0`), so each product is ±0.0, and the sum starts at
+    /// +0.0, where +0.0 + ±0.0 = +0.0. The result is bit-identical.
     fn contribution(&self, i: usize, j: usize, zj: &[f64], out: &mut [f64]) {
         let m = self.elems;
         debug_assert!(zj.len() == m && out.len() == m);
+        if zj.iter().all(|&z| z == 0.0) {
+            out.fill(0.0);
+            return;
+        }
         let pj = &self.pos[j * m..(j + 1) * m];
         for (e, (&pe, o)) in self.pos[i * m..(i + 1) * m].iter().zip(out).enumerate() {
             let mut acc = 0.0;
@@ -358,22 +367,73 @@ mod tests {
         }
     }
 
+    /// Source blocks for the contribution oracles: dense, all +0.0, all
+    /// -0.0, mixed-sign zeros (the early exit), and blocks where only some
+    /// entries are zero (the full loop).
+    fn oracle_blocks(m: usize) -> Vec<Vec<f64>> {
+        let dense: Vec<f64> = (0..m).map(|f| 1.0 - 0.37 * f as f64).collect();
+        let sign = |f: usize| if f.is_multiple_of(2) { 0.0 } else { -0.0 };
+        vec![
+            dense.clone(),
+            vec![0.0; m],
+            vec![-0.0; m],
+            (0..m).map(sign).collect(),
+            (0..m)
+                .map(|f| if f % 3 == 1 { dense[f] } else { sign(f) })
+                .collect(),
+            (0..m)
+                .map(|f| if f == m - 1 { -2.5 } else { 0.0 })
+                .collect(),
+        ]
+    }
+
+    /// Checks `Geometry::contribution(i, j, zj)` bit for bit against the
+    /// [`MseParams::kernel`] loop, starting from a poisoned `out` so every
+    /// entry must be written.
+    fn check_contribution(p: &MseParams, geo: &Geometry, i: usize, j: usize, zj: &[f64]) {
+        let mut out = vec![f64::NAN; p.elems];
+        geo.contribution(i, j, zj, &mut out);
+        for (e, got) in out.iter().enumerate() {
+            let mut want = 0.0;
+            for f in 0..p.elems {
+                if (i, e) != (j, f) {
+                    want += p.kernel(i, e, j, f) * zj[f];
+                }
+            }
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{p:?} ({i},{e}) from {j}, zj {zj:?}"
+            );
+        }
+    }
+
     #[test]
     fn geometry_contribution_is_bit_identical_to_the_reference_loop() {
         for p in oracle_params() {
             let geo = Geometry::new(&p);
-            let zj: Vec<f64> = (0..p.elems).map(|f| 1.0 - 0.37 * f as f64).collect();
-            let mut out = vec![0.0; p.elems];
-            for (i, j) in [(0, 0), (0, 1), (5, 12), (p.bodies - 1, 0)] {
-                geo.contribution(i, j, &zj, &mut out);
-                for (e, got) in out.iter().enumerate() {
-                    let mut want = 0.0;
-                    for f in 0..p.elems {
-                        if (i, e) != (j, f) {
-                            want += p.kernel(i, e, j, f) * zj[f];
-                        }
-                    }
-                    assert_eq!(got.to_bits(), want.to_bits(), "{p:?} ({i},{e}) from {j}");
+            let last = p.bodies - 1;
+            for zj in oracle_blocks(p.elems) {
+                // `i == j` blocks skip their diagonal entries.
+                for (i, j) in [(0, 0), (0, 1), (5, 12), (last, 0), (7, 7), (last, last)] {
+                    check_contribution(&p, &geo, i, j, &zj);
+                }
+            }
+        }
+    }
+
+    /// Every body pair of the paper geometry (65,536 blocks of 20 x 20
+    /// entries per source block; about 6 s in release).
+    #[test]
+    #[ignore = "paper-scale oracle; run with --release -- --ignored"]
+    fn geometry_contribution_is_bit_identical_at_paper_scale() {
+        let p = MseParams::default();
+        let geo = Geometry::new(&p);
+        let blocks = oracle_blocks(p.elems);
+        for i in 0..p.bodies {
+            for j in 0..p.bodies {
+                for zj in &blocks {
+                    check_contribution(&p, &geo, i, j, zj);
                 }
             }
         }

@@ -270,13 +270,23 @@ impl SmMachine {
     /// transactions that stall the caller). Returns the number of cache
     /// misses the access took, so callers modeling value staleness can
     /// tell a (possibly stale) hit from a refreshing miss.
+    ///
+    /// A private access never suspends, so it is charged here without
+    /// building the coherence path's future.
     pub async fn touch_read(self: &Rc<Self>, cpu: &Cpu, ga: GAddr, bytes: u64) -> u32 {
+        if ga.segment() == Segment::Private {
+            return self.private_touch(cpu, ga, bytes, AccessKind::Read);
+        }
         self.access(cpu, ga, bytes, AccessKind::Read).await
     }
 
     /// Charges the memory-system cost of writing `bytes` at `ga`.
-    /// Returns the number of cache misses (including upgrades).
+    /// Returns the number of cache misses (including upgrades). Private
+    /// writes take the same early exit as [`SmMachine::touch_read`].
     pub async fn touch_write(self: &Rc<Self>, cpu: &Cpu, ga: GAddr, bytes: u64) -> u32 {
+        if ga.segment() == Segment::Private {
+            return self.private_touch(cpu, ga, bytes, AccessKind::Write);
+        }
         self.access(cpu, ga, bytes, AccessKind::Write).await
     }
 
@@ -974,5 +984,69 @@ mod tests {
         });
         let r = e.run();
         assert_eq!(r.proc(ProcId::new(0)).counters.get(Counter::WriteFaults), 0);
+    }
+
+    #[test]
+    fn private_touches_never_enter_the_coherence_path() {
+        // A direct-mapped 1 KB cache (32 sets) and a 2-entry TLB make
+        // every miss, dirty victim and TLB miss below hand-countable.
+        let mut cfg = SmConfig::default();
+        cfg.arch.cache = wwt_mem::CacheGeometry {
+            size_bytes: 1024,
+            ways: 1,
+            block_bytes: 32,
+        };
+        cfg.arch.tlb_entries = 2;
+        let page = wwt_mem::PAGE_BYTES;
+        // (write?, offset, bytes, expected misses + upgrades)
+        let script: [(bool, u64, u64, u32); 8] = [
+            (true, 0, 8, 1),          // cold miss, TLB miss on page 0
+            (false, 0, 8, 0),         // hit
+            (false, 32, 96, 3),       // three blocks, three misses
+            (true, 32, 8, 1),         // upgrade of a clean line: no charge
+            (false, 1024, 8, 1),      // set 0 again: dirty victim (block 0)
+            (true, page - 32, 64, 2), // into page 1: TLB miss, clean victim
+            (false, 2 * page, 8, 1),  // page 2: TLB evicts page 0, dirty victim
+            (false, 0, 8, 1),         // page 0 again: TLB miss, clean victim
+        ];
+        let (misses, tlb_misses) = (9u64, 4u64);
+        let mut e = Engine::new(1, cfg.sim);
+        let m = SmMachine::new(&e, cfg);
+        let base = m.alloc_private(0, 3 * page, page);
+        let c0 = e.cpu(ProcId::new(0));
+        e.spawn(ProcId::new(0), async move {
+            // Far ahead of global time: any resync here would yield.
+            c0.compute(1_000_000);
+            for (write, off, bytes, want) in script {
+                let ga = base.offset_by(off);
+                let got = if write {
+                    m.touch_write(&c0, ga, bytes).await
+                } else {
+                    m.touch_read(&c0, ga, bytes).await
+                };
+                assert_eq!(got, want, "write {write} at +{off} for {bytes}");
+            }
+        });
+        let r = e.run();
+        assert_eq!(r.events_processed(), 1, "a private touch never yields");
+        let p = r.proc(ProcId::new(0));
+        assert_eq!(p.counters.get(Counter::PrivMisses), misses);
+        assert_eq!(p.counters.get(Counter::TlbMisses), tlb_misses);
+        let priv_cycles = misses * cfg.priv_miss_total();
+        let tlb_cycles = tlb_misses * cfg.arch.tlb_miss;
+        assert_eq!(p.matrix.by_kind(Kind::PrivMiss), priv_cycles);
+        assert_eq!(p.matrix.by_kind(Kind::TlbMiss), tlb_cycles);
+        assert_eq!(p.clock, 1_000_000 + priv_cycles + tlb_cycles);
+
+        // The same processor, equally far ahead, resyncs on a shared touch.
+        let mut e = Engine::new(1, cfg.sim);
+        let m = SmMachine::new(&e, cfg);
+        let x = m.gmalloc_on(0, 8, 8);
+        let c0 = e.cpu(ProcId::new(0));
+        e.spawn(ProcId::new(0), async move {
+            c0.compute(1_000_000);
+            m.touch_read(&c0, x, 8).await;
+        });
+        assert!(e.run().events_processed() > 1, "a shared touch resyncs");
     }
 }

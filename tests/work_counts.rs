@@ -207,7 +207,7 @@ fn em3d_sm_work_is_pinned() {
         work,
         Work {
             events: 10797,
-            allocs: 356,
+            allocs: 317,
             peak_bytes: 485485
         }
     );
