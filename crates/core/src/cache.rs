@@ -18,9 +18,9 @@
 //!   plan, the hardware point and both machines' cost tables; changing
 //!   any of them simply misses the cache, and stale entries are inert.
 //!   Nothing else keys an entry: every other [`wwt_sim::SimConfig`] field
-//!   (profiling, tracing, phase marks, watchdog, event cap) only runs or
-//!   observes a simulation, a failed run is never cached, and a completed
-//!   run's numbers do not depend on them.
+//!   (profiling, tracing, phase marks, watchdog) only runs or observes a
+//!   simulation, a failed run is never cached, and a completed run's
+//!   numbers do not depend on them.
 //! * **Coverage is part of the lookup.** Those observation flags instead
 //!   decide which artifacts a lookup needs. An entry that lacks one is a
 //!   miss; the runner re-simulates with the flags that were asked for and
@@ -634,10 +634,6 @@ mod tests {
             },
             wwt_sim::SimConfig {
                 watchdog: Some(10_000_000),
-                ..base
-            },
-            wwt_sim::SimConfig {
-                max_events: 1_000,
                 ..base
             },
         ];

@@ -104,7 +104,6 @@ impl RunnerConfig {
             // (e.g. a permanent fail window silences one node), so give
             // them a progress watchdog instead of an open-ended hang.
             watchdog: self.faults.is_some().then_some(10_000_000),
-            ..wwt_sim::SimConfig::default()
         }
     }
 }

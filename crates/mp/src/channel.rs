@@ -230,16 +230,11 @@ impl MpMachine {
         self.touch_write(cpu, base, chunk.max(1) as u64);
     }
 
-    pub(crate) fn handle_chan_done(self: &Rc<Self>, cpu: &Cpu, pkt: &Packet) {
-        let me = cpu.id().index();
-        {
-            let mut nodes = self.nodes.borrow_mut();
-            let ch = &mut nodes[me].rchans[pkt.meta as usize];
-            ch.msgs_done += 1;
-            ch.last_bytes = pkt.words[0];
-        }
-        // A synchronous receive may be parked on this channel.
-        self.finish_sync(cpu, pkt.meta as usize);
+    pub(crate) fn handle_chan_done(&self, cpu: &Cpu, pkt: &Packet) {
+        let mut nodes = self.nodes.borrow_mut();
+        let ch = &mut nodes[cpu.id().index()].rchans[pkt.meta as usize];
+        ch.msgs_done += 1;
+        ch.last_bytes = pkt.words[0];
     }
 }
 

@@ -58,7 +58,6 @@ pub mod collectives;
 pub mod config;
 pub mod machine;
 pub mod packet;
-pub mod sync_msg;
 
 pub use channel::{ChannelId, SendChannel};
 pub use collectives::TreeShape;

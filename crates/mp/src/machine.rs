@@ -12,11 +12,10 @@ use wwt_sim::{
     Scope, ScopeGuard, Sim, TraceWhat, WaitCell, WaitTarget,
 };
 
-use crate::channel::{ChannelId, RecvChannel};
+use crate::channel::RecvChannel;
 use crate::collectives::{BulkBcastState, TreeTable};
 use crate::config::MpConfig;
 use crate::packet::{tag, Packet, PACKET_BYTES};
-use crate::sync_msg::{PendingRecv, PendingSend};
 
 // A delivery closure (`MpMachine::inject`) captures `Rc<MpMachine>` and a
 // `Packet`; while that fits `SmallCall`'s inline buffer, putting a packet
@@ -76,11 +75,6 @@ pub(crate) struct MpNode {
     /// An empty buffer kept from the last completed bulk broadcast.
     pub(crate) bcb_spare: Vec<u8>,
     pub(crate) bcb_seq: u32,
-    // Synchronous send/receive rendezvous state.
-    pub(crate) sync_reqs: Vec<PendingSend>,
-    pub(crate) sync_recvs: Vec<PendingRecv>,
-    pub(crate) sync_acks: Vec<(ProcId, u32, u32)>,
-    pub(crate) sync_waiters: Vec<(ChannelId, WaitCell, u32)>,
     // Reliable-delivery state (touched only when the fault plan perturbs
     // the network; all-zero otherwise).
     /// Next sequence number to stamp, per destination.
@@ -119,10 +113,6 @@ impl MpNode {
             bcb_stash: FastMap::default(),
             bcb_spare: Vec::new(),
             bcb_seq: 0,
-            sync_reqs: Vec::new(),
-            sync_recvs: Vec::new(),
-            sync_acks: Vec::new(),
-            sync_waiters: Vec::new(),
             tx_seq: vec![0; nprocs],
             rx_expected: vec![0; nprocs],
             unacked: (0..nprocs).map(|_| VecDeque::new()).collect(),
@@ -686,34 +676,6 @@ impl MpMachine {
         );
     }
 
-    /// Active-message send usable from inside a handler (no await).
-    pub fn am_send_from_handler(
-        self: &Rc<Self>,
-        cpu: &Cpu,
-        dest: ProcId,
-        t: u8,
-        meta: u32,
-        words: [u32; 4],
-        data_bytes: u16,
-    ) {
-        cpu.compute(self.config.am_send_overhead);
-        cpu.count(Counter::ActiveMessages, 1);
-        cpu.count(Counter::MessagesSent, 1);
-        self.send_packet(
-            cpu,
-            Packet {
-                src: cpu.id(),
-                dest,
-                tag: t,
-                meta,
-                words,
-                data_bytes,
-                sent_at: 0,
-                seq: 0,
-            },
-        );
-    }
-
     fn pop_rx(&self, p: ProcId) -> Option<Packet> {
         self.nodes.borrow_mut()[p.index()].rx.pop_front()
     }
@@ -819,21 +781,6 @@ impl MpMachine {
                     .insert(pkt.meta, pkt.words);
             }
             tag::BC_BULK => self.handle_bc_bulk(cpu, &pkt),
-            tag::SYNC_REQ => {
-                let me = cpu.id().index();
-                self.nodes.borrow_mut()[me].sync_reqs.push(PendingSend {
-                    src: pkt.src,
-                    msg_tag: pkt.meta,
-                    bytes: pkt.words[0],
-                });
-                self.match_sync(cpu);
-            }
-            tag::SYNC_ACK => {
-                let me = cpu.id().index();
-                self.nodes.borrow_mut()[me]
-                    .sync_acks
-                    .push((pkt.src, pkt.meta, pkt.words[0]));
-            }
             t => {
                 let handler = self
                     .handlers

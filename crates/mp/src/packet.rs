@@ -19,10 +19,6 @@ pub mod tag {
     pub const BC_VAL: u8 = 5;
     /// Bulk broadcast data packet (store-and-forward down a tree).
     pub const BC_BULK: u8 = 6;
-    /// Synchronous-send announcement (tag + size).
-    pub const SYNC_REQ: u8 = 7;
-    /// Synchronous-receive acknowledgement (landing channel id).
-    pub const SYNC_ACK: u8 = 8;
     /// Reliable-delivery cumulative acknowledgement (`words[0..2]` carry
     /// the next expected sequence number). Only on the wire when fault
     /// injection activates the reliable-delivery layer.

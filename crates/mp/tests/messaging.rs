@@ -55,34 +55,49 @@ fn pipelined_channel_writes_are_consumed_in_order() {
 
 #[test]
 fn handler_reply_round_trip() {
-    // Request/response through a user handler that replies with an AM,
-    // the structure MSE-MP uses for its solution requests.
+    // Request/response through a user handler that replies over a bound
+    // channel, the structure MSE-MP uses for its solution requests.
     let (mut e, m) = setup(2);
     const REQ: u8 = tag::USER_BASE;
-    const REP: u8 = tag::USER_BASE + 1;
-    let got: Rc<Cell<u32>> = Rc::default();
-    m.set_handler(REQ, |a| {
-        // Reply with twice the payload.
-        a.machine
-            .am_send_from_handler(a.cpu, a.src, REP, 0, [a.words[0] * 2, 0, 0, 0], 4);
-    });
+    let (asker, owner) = (ProcId::new(0), ProcId::new(1));
+    let src = m.alloc(owner, 8, 8);
+    let dst = m.alloc(asker, 8, 8);
+    let reply: Rc<Cell<Option<wwt_mp::SendChannel>>> = Rc::default();
+    let served: Rc<Cell<u64>> = Rc::default();
     {
-        let got = Rc::clone(&got);
-        m.set_handler(REP, move |a| got.set(a.words[0]));
+        let (reply, served) = (Rc::clone(&reply), Rc::clone(&served));
+        m.set_handler(REQ, move |a| {
+            served.set(served.get() + 1);
+            // Reply with twice the payload.
+            a.machine.poke_u32(a.cpu.id(), src, a.words[0] * 2);
+            let ch = reply.get().expect("reply channel bound");
+            a.machine.channel_write(a.cpu, &ch, src, 4);
+        });
     }
+    let got: Rc<Cell<(u32, u32)>> = Rc::default();
     let m0 = Rc::clone(&m);
-    let c0 = e.cpu(ProcId::new(0));
-    e.spawn(ProcId::new(0), async move {
-        m0.am_send(&c0, ProcId::new(1), REQ, 0, [21, 0, 0, 0]).await;
-        m0.poll_until(&c0, |n| n >= 1).await; // wait for the reply
+    let c0 = e.cpu(asker);
+    let got0 = Rc::clone(&got);
+    e.spawn(asker, async move {
+        let id = m0
+            .channel_open_recv(&c0, owner, dst, 8)
+            .expect("capacity within the channel limit");
+        m0.barrier(&c0).await; // the owner has bound its reply channel
+        m0.am_send(&c0, owner, REQ, 0, [21, 0, 0, 0]).await;
+        let len = m0.channel_wait(&c0, id).await;
+        got0.set((m0.peek_u32(asker, dst), len));
     });
     let m1 = Rc::clone(&m);
-    let c1 = e.cpu(ProcId::new(1));
-    e.spawn(ProcId::new(1), async move {
-        m1.poll_until(&c1, |n| n >= 1).await; // serve the request
+    let c1 = e.cpu(owner);
+    let served1 = Rc::clone(&served);
+    e.spawn(owner, async move {
+        reply.set(Some(m1.channel_bind(&c1, asker).await));
+        m1.barrier(&c1).await;
+        m1.poll_until_with(&c1, move || served1.get() >= 1).await; // serve it
     });
     e.run();
-    assert_eq!(got.get(), 42);
+    assert_eq!(got.get(), (42, 4));
+    assert_eq!(served.get(), 1);
 }
 
 #[test]

@@ -91,48 +91,4 @@ proptest! {
         prop_assert_eq!(got_v, expect.1);
         prop_assert_eq!(got_i, expect.0);
     }
-
-    /// Synchronous send/receive pairs rendezvous correctly in any posting
-    /// order over several tags.
-    #[test]
-    fn sync_messages_match_by_tag(perm_seed in 0u64..1000, nmsgs in 1usize..5) {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(perm_seed);
-        let mut recv_order: Vec<u32> = (0..nmsgs as u32).collect();
-        recv_order.shuffle(&mut rng);
-
-        let mut e = Engine::new(2, SimConfig::default());
-        let m = MpMachine::new(&e, MpConfig::default());
-        let srcs: Vec<u64> = (0..nmsgs).map(|_| m.alloc(ProcId::new(0), 8, 8)).collect();
-        let dsts: Vec<u64> = (0..nmsgs).map(|_| m.alloc(ProcId::new(1), 8, 8)).collect();
-        for (t, &s) in srcs.iter().enumerate() {
-            m.poke_f64(ProcId::new(0), s, 100.0 + t as f64);
-        }
-        // Synchronous sends block until matched, so both sides must use a
-        // compatible order; the shuffled tag sequence still exercises the
-        // tag-matching path.
-        let m0 = Rc::clone(&m);
-        let c0 = e.cpu(ProcId::new(0));
-        let srcs0 = srcs.clone();
-        let order0 = recv_order.clone();
-        e.spawn(ProcId::new(0), async move {
-            for &t in &order0 {
-                m0.send_sync(&c0, ProcId::new(1), t, srcs0[t as usize], 8).await;
-            }
-        });
-        let m1 = Rc::clone(&m);
-        let c1 = e.cpu(ProcId::new(1));
-        let dsts1 = dsts.clone();
-        let order = recv_order.clone();
-        e.spawn(ProcId::new(1), async move {
-            for &t in &order {
-                m1.recv_sync(&c1, ProcId::new(0), t, dsts1[t as usize], 8).await;
-            }
-        });
-        e.run();
-        for (t, &d) in dsts.iter().enumerate() {
-            prop_assert_eq!(m.peek_f64(ProcId::new(1), d), 100.0 + t as f64);
-        }
-    }
 }

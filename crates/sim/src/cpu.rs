@@ -182,17 +182,6 @@ impl Cpu {
         self.sim.with_proc(self.id, |p| p.counters.add(counter, n));
     }
 
-    /// Schedules a machine-model callback `delay` cycles after this
-    /// processor's local clock.
-    pub fn call_after(&self, delay: Cycles, f: impl FnOnce() + 'static) {
-        let at = self.clock() + delay;
-        // The callback time is relative to the local clock, which may lag
-        // global time if another processor drove time forward; clamp.
-        self.sim
-            .call_at(at.max(self.now()), f)
-            .expect("clamped to the present");
-    }
-
     /// Re-synchronizes with the event loop: yields until global time has
     /// caught up with this processor's local clock.
     ///

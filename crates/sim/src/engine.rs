@@ -38,10 +38,8 @@ pub const ENGINE_SEED: u64 = 0x5eed_0001;
 /// costs) live in the machine crates; this only controls the engine itself.
 /// Only [`SimConfig::faults`] changes simulated numbers; every other field
 /// runs or observes a simulation, so the run cache keys on `faults` alone.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Safety cap on processed events; exceeding it aborts the run.
-    pub max_events: u64,
     /// When set, record a time-resolved profile: per processor, a
     /// [`CycleMatrix`] per bucket of this many cycles (the raw material
     /// for "where is time spent" timelines). `None` (the default) records
@@ -69,19 +67,6 @@ pub struct SimConfig {
     /// records nothing; like tracing, the flag is cached in every [`Cpu`]
     /// handle, so disabled marking costs one branch per boundary.
     pub phase_marks: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            max_events: u64::MAX,
-            profile_bucket: None,
-            trace: false,
-            faults: None,
-            watchdog: None,
-            phase_marks: false,
-        }
-    }
 }
 
 /// What a still-pending task is blocked on, recorded by
@@ -406,9 +391,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics with the [`SimError`] diagnostic on deadlock, livelock, or
-    /// an exceeded event budget. Use [`Engine::try_run`] to handle those
-    /// conditions programmatically.
+    /// Panics with the [`SimError`] diagnostic on deadlock or livelock.
+    /// Use [`Engine::try_run`] to handle those conditions programmatically.
     pub fn run(self) -> SimReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -423,7 +407,6 @@ impl Engine {
     /// * [`SimError::Livelock`] — [`SimConfig::watchdog`] is set and no
     ///   processor task was resumed for that many simulated cycles even
     ///   though machine events kept flowing.
-    /// * [`SimError::EventBudget`] — [`SimConfig::max_events`] exceeded.
     pub fn try_run(mut self) -> Result<SimReport, SimError> {
         let waker = noop_waker();
         let mut cx = Context::from_waker(&waker);
@@ -448,14 +431,6 @@ impl Engine {
                         }
                         inner.now = e.time;
                         inner.events_processed += 1;
-                        if inner.events_processed > inner.config.max_events {
-                            let limit = inner.config.max_events;
-                            drop(inner);
-                            return Err(SimError::EventBudget {
-                                limit,
-                                report: self.stall_report(),
-                            });
-                        }
                         e
                     }
                     None => break,
@@ -711,25 +686,6 @@ mod tests {
         assert_eq!(*watchdog, 1_000);
         assert_eq!(report.blocked.len(), 1);
         assert!(err.to_string().contains("livelock"));
-    }
-
-    #[test]
-    fn event_budget_returns_error() {
-        let cfg = SimConfig {
-            max_events: 4,
-            ..SimConfig::default()
-        };
-        let mut e = Engine::new(1, cfg);
-        let cpu = e.cpu(ProcId::new(0));
-        e.spawn(ProcId::new(0), async move {
-            for _ in 0..10 {
-                cpu.compute(10);
-                cpu.resync().await;
-            }
-        });
-        let err = e.try_run().expect_err("budget must trip");
-        assert!(matches!(err, SimError::EventBudget { limit: 4, .. }));
-        assert!(err.to_string().contains("event budget exceeded"));
     }
 
     #[test]

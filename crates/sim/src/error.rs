@@ -167,13 +167,6 @@ pub enum SimError {
         /// Blocked-state snapshot at the time the watchdog fired.
         report: StallReport,
     },
-    /// The safety cap on processed events was exceeded.
-    EventBudget {
-        /// The configured event budget.
-        limit: u64,
-        /// Blocked-state snapshot when the budget ran out.
-        report: StallReport,
-    },
     /// An event was scheduled before the current global time (a machine
     /// model bug: causality would be violated).
     PastEvent {
@@ -188,13 +181,11 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// The stall report attached to deadlock/livelock/budget errors.
+    /// The stall report attached to deadlock and livelock errors.
     pub fn report(&self) -> Option<&StallReport> {
         match self {
             SimError::Deadlock(r) => Some(r),
-            SimError::Livelock { report, .. } | SimError::EventBudget { report, .. } => {
-                Some(report)
-            }
+            SimError::Livelock { report, .. } => Some(report),
             SimError::PastEvent { .. } | SimError::Config(_) => None,
         }
     }
@@ -213,12 +204,6 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "livelock: no processor resumed for {watchdog} simulated cycles\n{report}"
-                )
-            }
-            SimError::EventBudget { limit, report } => {
-                write!(
-                    f,
-                    "event budget exceeded ({limit} events): livelock?\n{report}"
                 )
             }
             SimError::PastEvent { at, now } => {
@@ -294,18 +279,8 @@ mod tests {
 
     #[test]
     fn display_keeps_legacy_substrings() {
-        let report = StallReport {
-            now: 1,
-            events_processed: 1,
-            nprocs: 1,
-            blocked: vec![],
-            obs: vec![],
-        };
         assert!(SimError::PastEvent { at: 10, now: 50 }
             .to_string()
             .contains("scheduled in the past"));
-        assert!(SimError::EventBudget { limit: 9, report }
-            .to_string()
-            .contains("event budget exceeded (9 events)"));
     }
 }

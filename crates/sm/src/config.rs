@@ -58,11 +58,10 @@ pub struct SmConfig {
     /// Additional directory occupancy when a cache block is sent
     /// (Table 3: +8).
     pub dir_send_block: Cycles,
-    /// Bytes of a protocol message without data (header only).
+    /// Bytes of a protocol message without data (header only). A
+    /// block-carrying message adds one cache block (`arch.cache`) of data:
+    /// 8 + 32 = 40 bytes as in Section 4.
     pub ctrl_msg_bytes: u64,
-    /// Data payload bytes of a block-carrying message (the block size; the
-    /// message totals `ctrl_msg_bytes + block` = 40 bytes as in Section 4).
-    pub data_msg_bytes: u64,
     /// Allocation policy for `gmalloc`.
     pub alloc_policy: AllocPolicy,
     /// Coherence protocol variant.
@@ -93,7 +92,6 @@ impl Default for SmConfig {
             dir_send_msg: 5,
             dir_send_block: 8,
             ctrl_msg_bytes: 8,
-            data_msg_bytes: 32,
             alloc_policy: AllocPolicy::RoundRobin,
             protocol: ProtocolMode::Invalidate,
             stache: false,
@@ -129,7 +127,7 @@ impl SmConfig {
 
     /// Total bytes of a block-carrying protocol message.
     pub fn block_msg_bytes(&self) -> u64 {
-        self.ctrl_msg_bytes + self.data_msg_bytes
+        self.ctrl_msg_bytes + self.arch.cache.block_bytes
     }
 }
 

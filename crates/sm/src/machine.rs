@@ -667,7 +667,7 @@ impl SmMachine {
                     continue;
                 }
                 cpu.charge(Kind::NetAccess, cfg.dir_send_msg);
-                cpu.count(Counter::BytesData, cfg.data_msg_bytes);
+                cpu.count(Counter::BytesData, block_bytes);
                 cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
                 cpu.count(Counter::MessagesSent, 1);
                 let arrive = cpu.clock() + cfg.latency(me, q);
@@ -710,7 +710,7 @@ impl SmMachine {
                 if consumers > 0 {
                     cpu.compute(cfg.dir_base);
                     cpu.charge(Kind::NetAccess, consumers * cfg.dir_send_msg);
-                    cpu.count(Counter::BytesData, consumers * cfg.data_msg_bytes);
+                    cpu.count(Counter::BytesData, consumers * block_bytes);
                     cpu.count(Counter::BytesControl, consumers * cfg.ctrl_msg_bytes);
                     cpu.count(Counter::MessagesSent, consumers);
                 }
@@ -815,6 +815,23 @@ mod tests {
         // request 8 + response 40 bytes
         assert_eq!(p.counters.get(Counter::BytesControl), 16);
         assert_eq!(p.counters.get(Counter::BytesData), 32);
+    }
+
+    #[test]
+    fn remote_read_miss_carries_one_full_block() {
+        let arch = wwt_arch::ArchParams::parse("cache_block=64").unwrap();
+        let mut e = Engine::new(2, SimConfig::default());
+        let m = SmMachine::new(&e, SmConfig::with_arch(arch, SimConfig::default()));
+        let x = m.gmalloc_on(1, 8, 8);
+        let m0 = Rc::clone(&m);
+        let c0 = e.cpu(ProcId::new(0));
+        e.spawn(ProcId::new(0), async move {
+            m0.read_f64(&c0, x).await;
+        });
+        let r = e.run();
+        let p = r.proc(ProcId::new(0));
+        assert_eq!(p.counters.get(Counter::ShMissesRemote), 1);
+        assert_eq!(p.counters.get(Counter::BytesData), 64);
     }
 
     #[test]

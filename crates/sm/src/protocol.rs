@@ -285,8 +285,11 @@ impl SmMachine {
 
         // Helper to attribute traffic to the requester.
         let bytes = |this: &Self, data_msgs: u64, ctrl_msgs: u64| {
-            this.sim()
-                .count(req, Counter::BytesData, data_msgs * cfg.data_msg_bytes);
+            this.sim().count(
+                req,
+                Counter::BytesData,
+                data_msgs * cfg.arch.cache.block_bytes,
+            );
             this.sim().count(
                 req,
                 Counter::BytesControl,
@@ -438,7 +441,7 @@ impl SmMachine {
         let h = victim.node();
         match state {
             LineState::Dirty => {
-                cpu.count(Counter::BytesData, cfg.data_msg_bytes);
+                cpu.count(Counter::BytesData, cfg.arch.cache.block_bytes);
                 cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
             }
             LineState::Clean => {

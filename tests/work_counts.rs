@@ -139,7 +139,7 @@ fn gauss_mp_flat_work_is_pinned() {
         Work {
             events: 21067,
             allocs: 690,
-            peak_bytes: 730608
+            peak_bytes: 729824
         }
     );
 }
@@ -151,7 +151,7 @@ fn gauss_mp_binary_work_is_pinned() {
         Work {
             events: 19747,
             allocs: 536,
-            peak_bytes: 698568
+            peak_bytes: 697784
         }
     );
 }
@@ -163,7 +163,7 @@ fn gauss_mp_lopsided_work_is_pinned() {
         Work {
             events: 19156,
             allocs: 524,
-            peak_bytes: 695048
+            peak_bytes: 694264
         }
     );
 }
@@ -182,7 +182,7 @@ fn lcp_mp_async_work_is_pinned() {
         Work {
             events: 24270,
             allocs: 1036,
-            peak_bytes: 521404
+            peak_bytes: 521004
         }
     );
 }
@@ -195,7 +195,7 @@ fn gauss_sm_work_is_pinned() {
         Work {
             events: 15473,
             allocs: 2787,
-            peak_bytes: by_profile(642832, 642896)
+            peak_bytes: by_profile(642808, 642872)
         }
     );
 }
@@ -208,7 +208,7 @@ fn em3d_sm_work_is_pinned() {
         Work {
             events: 10797,
             allocs: 317,
-            peak_bytes: 485485
+            peak_bytes: 485461
         }
     );
 }
@@ -221,7 +221,7 @@ fn em3d_mp_work_is_pinned() {
         Work {
             events: 2380,
             allocs: 484,
-            peak_bytes: 524805
+            peak_bytes: 524405
         }
     );
 }
@@ -234,7 +234,7 @@ fn mse_mp_work_is_pinned() {
         Work {
             events: 1752,
             allocs: 526,
-            peak_bytes: 375116
+            peak_bytes: 374716
         }
     );
 }
@@ -247,7 +247,7 @@ fn mse_sm_work_is_pinned() {
         Work {
             events: 2503,
             allocs: 364,
-            peak_bytes: by_profile(355336, 355368)
+            peak_bytes: by_profile(355312, 355344)
         }
     );
 }
@@ -266,7 +266,7 @@ fn lcp_mp_sync_work_is_pinned() {
         Work {
             events: 18537,
             allocs: 1077,
-            peak_bytes: 510844
+            peak_bytes: 510444
         }
     );
 }
@@ -285,7 +285,7 @@ fn lcp_sm_sync_work_is_pinned() {
         Work {
             events: 12767,
             allocs: 1637,
-            peak_bytes: by_profile(469156, 469188)
+            peak_bytes: by_profile(469132, 469164)
         }
     );
 }
@@ -304,7 +304,7 @@ fn lcp_sm_async_work_is_pinned() {
         Work {
             events: 25060,
             allocs: 7494,
-            peak_bytes: by_profile(464916, 464948)
+            peak_bytes: by_profile(464892, 464924)
         }
     );
 }
