@@ -20,7 +20,8 @@ use wwt_sm::{McsLock, SmConfig, SmMachine};
 
 use crate::common::{AppRun, PhaseRecorder};
 use crate::em3d::{
-    build_in_edges, gen_graph, reference_with, validate_values, Csr, Em3dHint, Em3dParams, Side,
+    build_in_edges, gen_graph, reference_with, validate_values, Csr, Edge, Em3dHint, Em3dParams,
+    Side,
 };
 
 /// Number of locks per destination processor protecting its in-edge
@@ -122,17 +123,25 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 .await;
             cpu.compute(20 * (p.e_per_proc + p.h_per_proc) as u64 * p.degree as u64);
 
-            // Pass 1: increment in-degree counts at the sinks (remote
-            // writes under locks).
-            for e in my_edges {
-                let (dst, dst_idx) = (e.dst_proc as usize, e.dst_idx as usize);
+            // Each edge's in-degree count word at its sink.
+            let count_word = |e: &Edge| {
                 let side_off = match e.from_side.other() {
                     Side::E => 0,
                     Side::H => p.e_per_proc,
                 };
-                let cnt = arrays[dst]
+                arrays[e.dst_proc as usize]
                     .counts
-                    .offset_by(((side_off + dst_idx) * 8) as u64);
+                    .offset_by(((side_off + e.dst_idx as usize) * 8) as u64)
+            };
+
+            // Pass 1: increment in-degree counts at the sinks (remote
+            // writes under locks).
+            for (k, e) in my_edges.iter().enumerate() {
+                let (dst, dst_idx) = (e.dst_proc as usize, e.dst_idx as usize);
+                let cnt = count_word(e);
+                if let Some(next) = my_edges.get(k + 1) {
+                    m.host_prefetch(me, count_word(next));
+                }
                 if dst != me {
                     let lock = &locks[dst][dst_idx % LOCKS_PER_PROC];
                     lock.acquire(&m, &cpu).await;
@@ -155,25 +164,44 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             cpu.compute(4 * (p.e_per_proc + p.h_per_proc) as u64);
             m.barrier(&cpu).await;
 
+            // Each edge's (weight, pointer) slots at its sink.
+            let in_slots = |e: &Edge, slot: u32| {
+                let d = &arrays[e.dst_proc as usize];
+                let (w_arr, ptr_arr) = match e.from_side.other() {
+                    Side::E => (d.in_e_w, d.in_e_ptr),
+                    Side::H => (d.in_h_w, d.in_h_ptr),
+                };
+                (
+                    w_arr.offset_by(slot as u64 * 8),
+                    ptr_arr.offset_by(slot as u64 * 8),
+                )
+            };
+
             // Pass 2: install (weight, source-pointer) records at the
             // sinks, bumping a cursor under the same locks.
-            for ((e, &weight), &slot) in my_edges.iter().zip(my_weights).zip(my_slots) {
+            for (k, ((e, &weight), &slot)) in
+                my_edges.iter().zip(my_weights).zip(my_slots).enumerate()
+            {
                 let (dst, dst_idx) = (e.dst_proc as usize, e.dst_idx as usize);
-                let d = &arrays[dst];
                 // The source value this edge reads in the main loop: E
                 // sinks read H sources and vice versa.
-                let (w_arr, ptr_arr, src_vals, side_off) = match e.from_side.other() {
-                    Side::E => (d.in_e_w, d.in_e_ptr, a.h_vals, 0),
-                    Side::H => (d.in_h_w, d.in_h_ptr, a.e_vals, p.e_per_proc),
+                let src_vals = match e.from_side.other() {
+                    Side::E => a.h_vals,
+                    Side::H => a.e_vals,
                 };
                 let src_addr = src_vals.offset_by(e.src_idx as u64 * 8);
-                let w_slot = w_arr.offset_by(slot as u64 * 8);
-                let p_slot = ptr_arr.offset_by(slot as u64 * 8);
+                let (w_slot, p_slot) = in_slots(e, slot);
+                if let (Some(next), Some(&next_slot)) = (my_edges.get(k + 1), my_slots.get(k + 1)) {
+                    let (next_w, next_p) = in_slots(next, next_slot);
+                    m.host_prefetch(me, count_word(next));
+                    m.host_prefetch(me, next_w);
+                    m.host_prefetch(me, next_p);
+                }
                 if dst != me {
                     let lock = &locks[dst][dst_idx % LOCKS_PER_PROC];
                     lock.acquire(&m, &cpu).await;
                     // Cursor bump (read + write of the count word).
-                    let cnt = d.counts.offset_by(((side_off + dst_idx) * 8) as u64);
+                    let cnt = count_word(e);
                     let c = m.read_u64(&cpu, cnt).await;
                     m.write_u64(&cpu, cnt, c + 1).await;
                     m.write_f64(&cpu, w_slot, weight).await;
@@ -198,8 +226,10 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             // --- main loop --------------------------------------------------
             let (in_e, in_h) = (ins.table(me, Side::E), ins.table(me, Side::H));
             // Unique remote source blocks per half (for flush/prefetch
-            // hints): H sources feed the E half and vice versa. The
-            // unhinted variant never reads them, so it builds none.
+            // hints), at the machine's block size: H sources feed the E
+            // half and vice versa. The unhinted variant never reads them,
+            // so it builds none.
+            let block_bytes = m.config().arch.cache.block_bytes;
             let remote_blocks = |ins: &Csr, src_side: Side| -> Vec<GAddr> {
                 if p.hint == Em3dHint::None {
                     return Vec::new();
@@ -213,7 +243,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                             Side::H => arrays[sp as usize].h_vals,
                             Side::E => arrays[sp as usize].e_vals,
                         };
-                        vals.offset_by(si as u64 * 8).block().raw()
+                        vals.offset_by(si as u64 * 8).raw() & !(block_bytes - 1)
                     })
                     .collect();
                 blocks.sort_unstable();
@@ -225,13 +255,13 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             for _ in 0..p.iters {
                 if p.hint == Em3dHint::Prefetch {
                     for b in &remote_h {
-                        m.prefetch(&cpu, *b, 32).await;
+                        m.prefetch(&cpu, *b, block_bytes).await;
                     }
                 }
                 half_step(&m, &cpu, &p, a.e_vals, a.in_e_w, a.in_e_ptr, in_e).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_h {
-                        m.flush(&cpu, *b, 32).await;
+                        m.flush(&cpu, *b, block_bytes).await;
                     }
                 }
                 m.bulk_publish(&cpu, a.e_vals, (p.e_per_proc * 8) as u64)
@@ -239,13 +269,13 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 m.barrier(&cpu).await;
                 if p.hint == Em3dHint::Prefetch {
                     for b in &remote_e {
-                        m.prefetch(&cpu, *b, 32).await;
+                        m.prefetch(&cpu, *b, block_bytes).await;
                     }
                 }
                 half_step(&m, &cpu, &p, a.h_vals, a.in_h_w, a.in_h_ptr, in_h).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_e {
-                        m.flush(&cpu, *b, 32).await;
+                        m.flush(&cpu, *b, block_bytes).await;
                     }
                 }
                 m.bulk_publish(&cpu, a.h_vals, (p.h_per_proc * 8) as u64)
@@ -291,6 +321,9 @@ async fn half_step(
     ptr_arr: GAddr,
     ins: &Csr,
 ) {
+    let me = cpu.id().index();
+    let edges = ins.edges().len();
+    let source = |k: usize| GAddr::from_raw(m.peek_u64(ptr_arr.offset_by((k * 8) as u64)));
     for (i, row) in ins.ranges().enumerate() {
         let (cursor, deg) = (row.start, row.len());
         if deg > 0 {
@@ -305,9 +338,14 @@ async fn half_step(
             .await;
         }
         let mut acc = 0.0;
-        for k in 0..deg {
-            let w = m.peek_f64(w_arr.offset_by(((cursor + k) * 8) as u64));
-            let src = GAddr::from_raw(m.peek_u64(ptr_arr.offset_by(((cursor + k) * 8) as u64)));
+        for k in cursor..cursor + deg {
+            let w = m.peek_f64(w_arr.offset_by((k * 8) as u64));
+            let src = source(k);
+            // One edge of lookahead: the next source value (possibly the
+            // next row's first) is a random address in shared memory.
+            if k + 1 < edges {
+                m.host_prefetch(me, source(k + 1));
+            }
             m.touch_read(cpu, src, 8).await;
             acc += w * m.peek_f64(src);
         }

@@ -10,6 +10,7 @@
 //! discipline whose invalidation traffic swamps the gain (Tables 21/23).
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 use wwt_mem::GAddr;
@@ -61,22 +62,22 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
         engine.spawn(proc, async move {
             let me = proc.index();
             let my_lo = me * nloc;
-            let block_bytes = (nloc * 8) as u64;
+            let chunk_bytes = (nloc * 8) as u64;
 
             // Private working storage: local copy (sync mode), matrix rows, q.
             let z_loc = m.alloc_private(me, (p.n * 8) as u64, 32);
             let nnz_total: usize = (my_lo..my_lo + nloc).map(|i| mat.nnz(i)).sum();
             let m_rows = m.alloc_private(me, (nnz_total * 8) as u64, 32);
-            let q_buf = m.alloc_private(me, block_bytes, 32);
+            let q_buf = m.alloc_private(me, chunk_bytes, 32);
 
             // Address of global element i.
             let g_addr = |i: usize| chunks[i / nloc].offset_by(((i % nloc) * 8) as u64);
 
             // --- initialization ------------------------------------------------
             m.touch_write(&cpu, m_rows, (nnz_total * 8) as u64).await;
-            m.touch_write(&cpu, q_buf, block_bytes).await;
+            m.touch_write(&cpu, q_buf, chunk_bytes).await;
             m.touch_write(&cpu, z_loc, (p.n * 8) as u64).await;
-            m.touch_write(&cpu, chunks[me], block_bytes).await;
+            m.touch_write(&cpu, chunks[me], chunk_bytes).await;
             cpu.compute(8 * nnz_total as u64);
             m.barrier(&cpu).await;
 
@@ -105,16 +106,14 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
                                 // the producer-consumer misses of Table 23.
                                 // A cached (possibly stale) copy keeps its
                                 // old value; a miss brings the whole cache
-                                // block current (4 elements).
+                                // block current.
                                 for &j in &mat.off[i] {
                                     if m.touch_read(&cpu, g_addr(j), 8).await > 0 {
-                                        let rel = j % nloc;
-                                        let b0 = rel & !3;
-                                        let run = 4.min(nloc - b0);
-                                        let base = j - rel + b0;
-                                        let mut vals = vec![0.0f64; run];
-                                        m.peek_f64s(g_addr(base), &mut vals);
-                                        z[base..base + run].copy_from_slice(&vals);
+                                        let line = m.config().arch.cache.block_bytes;
+                                        let run = block_run(g_addr(j), j, nloc, line);
+                                        let mut vals = vec![0.0f64; run.len()];
+                                        m.peek_f64s(g_addr(run.start), &mut vals);
+                                        z[run].copy_from_slice(&vals);
                                     }
                                 }
                             }
@@ -139,10 +138,10 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
                 if mode == LcpMode::Synchronous {
                     // Publish our block, then re-read the whole vector.
                     m.poke_f64s(chunks[me], &z[my_lo..my_lo + nloc]);
-                    m.touch_write(&cpu, chunks[me], block_bytes).await;
+                    m.touch_write(&cpu, chunks[me], chunk_bytes).await;
                     m.barrier(&cpu).await;
                     for qp in 0..p.procs {
-                        m.touch_read(&cpu, chunks[qp], block_bytes).await;
+                        m.touch_read(&cpu, chunks[qp], chunk_bytes).await;
                         let mut vals = vec![0.0f64; nloc];
                         m.peek_f64s(chunks[qp], &mut vals);
                         z[qp * nloc..(qp + 1) * nloc].copy_from_slice(&vals);
@@ -190,6 +189,17 @@ pub fn try_run(p: &LcpParams, scfg: SmConfig, mode: LcpMode) -> Result<AppRun, S
         stats: vec![("steps".into(), steps_taken.get() as f64)],
         artifact: z,
     })
+}
+
+/// The elements of the solution vector that share element `j`'s cache
+/// block (`line_bytes` wide), where `ga` is `j`'s address: the run a miss
+/// on `j` brings current. Chunks hold `nloc` elements each, so the run is
+/// clipped to `j`'s chunk; the block's other bytes hold other data.
+fn block_run(ga: GAddr, j: usize, nloc: usize, line_bytes: u64) -> Range<usize> {
+    let chunk = j - j % nloc..j - j % nloc + nloc;
+    let into = (ga.offset() % line_bytes / 8) as usize;
+    let per_line = (line_bytes / 8) as usize;
+    j.saturating_sub(into).max(chunk.start)..(j + per_line - into).min(chunk.end)
 }
 
 #[cfg(test)]
@@ -240,6 +250,48 @@ mod tests {
             misses(&a),
             misses(&s)
         );
+    }
+
+    /// A miss refreshes exactly the configured block. With a fixed
+    /// 4-element run, 64-byte blocks left four elements of each line
+    /// stale while the cache hit on them, and this shape failed its LCP
+    /// check (violation 2.8e-2 after 6 steps).
+    #[test]
+    fn asynchronous_validates_at_every_block_size() {
+        let p = LcpParams {
+            procs: 8,
+            ..LcpParams::small()
+        };
+        for block in [16, 32, 64] {
+            let arch = wwt_arch::ArchParams::parse(&format!("cache_block={block}")).unwrap();
+            let cfg = SmConfig::with_arch(arch, wwt_sim::SimConfig::default());
+            let r = run(&p, cfg, LcpMode::Asynchronous);
+            assert!(
+                r.validation.passed,
+                "{block}-byte blocks: {}",
+                r.validation.detail
+            );
+        }
+    }
+
+    #[test]
+    fn block_run_is_the_configured_block_within_the_chunk() {
+        // Elements 20..30 (chunk 2 of 10) live at offsets 96..176.
+        let (chunk, nloc) = (GAddr::new(wwt_mem::Segment::Shared, 2, 96), 10);
+        let run = |j: usize, line| block_run(chunk.offset_by((j % nloc) as u64 * 8), j, nloc, line);
+        // 32-byte lines: the chunk is line-aligned, so runs are 4-element
+        // groups from its start, the last one short.
+        assert_eq!(run(21, 32), 20..24);
+        assert_eq!(run(27, 32), 24..28);
+        assert_eq!(run(29, 32), 28..30);
+        // 64-byte lines start 32 bytes before the chunk: the first line
+        // holds 4 elements, the next ones 8, clipped at the chunk's end.
+        assert_eq!(run(20, 64), 20..24);
+        assert_eq!(run(24, 64), 24..30);
+        assert_eq!(run(29, 64), 24..30);
+        // 16-byte lines hold two elements.
+        assert_eq!(run(23, 16), 22..24);
+        assert_eq!(run(28, 16), 28..30);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! A failed grid job — a stalled simulation or a panicking experiment —
 //! is reported as a failed cell and never retried: the simulator is
 //! deterministic, so a re-run fails identically. The grid always
-//! finishes, summarizes the failed cells on stderr and exits 1.
+//! finishes, summarizes the failed cells on stderr and exits 1. A cell
+//! whose computed answer fails validation also exits 1, in the grid and
+//! in `--arch-sweep` alike.
 //!
 //! `--faults SPEC` runs every experiment under a deterministic
 //! fault-injection plan, e.g.
@@ -103,7 +105,8 @@ use wwt_bench::bench_log;
 use wwt_bench::{select_experiments, timing_line, timing_total};
 use wwt_core::arch::{sweep_points, ArchParams, ArchSweep, KEYS, PRESETS};
 use wwt_core::{
-    render_report, render_sweep_report, run_grid, run_sweep, Experiment, RunnerConfig, Scale,
+    render_report, render_sweep_report, run_grid, run_sweep, Experiment, ExperimentSummary,
+    RunnerConfig, Scale,
 };
 
 /// Inserts `-{id}` before the final path component's extension:
@@ -473,6 +476,11 @@ fn main() {
         if obs {
             obs_finish(obs_json_out.as_deref());
         }
+        exit_on_failures(outcomes.iter().flat_map(|o| {
+            o.artifacts
+                .iter()
+                .map(move |a| (format!("{} at {}", a.experiment.id(), o.label), &a.summary))
+        }));
         return;
     }
 
@@ -568,31 +576,36 @@ fn main() {
         obs_finish(obs_json_out.as_deref());
     }
 
-    // A stalled simulation (deadlock, livelock, watchdog expiry) renders
-    // its structured failure report in the grid output above and must not
-    // look like success: name the casualties and exit nonzero, after every
-    // healthy experiment has finished and every artifact is written.
-    let failed: Vec<_> = artifacts
-        .iter()
-        .filter(|a| a.summary.engine_failed())
-        .collect();
-    if !failed.is_empty() {
-        for a in &failed {
-            eprintln!(
-                "error: {} did not complete: {}",
-                a.experiment.id(),
-                a.summary
-                    .validation_detail
-                    .lines()
-                    .next()
-                    .unwrap_or("simulation stalled")
-            );
+    exit_on_failures(
+        artifacts
+            .iter()
+            .map(|a| (a.experiment.id().to_string(), &a.summary)),
+    );
+}
+
+/// Names every failed cell on stderr and exits 1 if there is one. A
+/// stalled simulation (deadlock, livelock, watchdog expiry) and a wrong
+/// answer (a cell whose validation failed) are both reported in the
+/// output above and must not look like success. Called after every
+/// healthy experiment has finished and every artifact is written.
+fn exit_on_failures<'a>(cells: impl Iterator<Item = (String, &'a ExperimentSummary)>) {
+    let (mut total, mut failed) = (0, 0);
+    for (label, s) in cells {
+        total += 1;
+        if s.validation_passed {
+            continue;
         }
-        eprintln!(
-            "error: {}/{} experiments failed (full reports above)",
-            failed.len(),
-            artifacts.len()
-        );
+        failed += 1;
+        let first = s.validation_detail.lines().next();
+        if s.engine_failed() {
+            let why = first.unwrap_or("simulation stalled");
+            eprintln!("error: {label} did not complete: {why}");
+        } else {
+            eprintln!("error: {label} failed validation: {}", first.unwrap_or(""));
+        }
+    }
+    if failed > 0 {
+        eprintln!("error: {failed}/{total} experiments failed (listed above)");
         std::process::exit(1);
     }
 }

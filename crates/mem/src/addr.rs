@@ -8,7 +8,9 @@
 
 use std::fmt;
 
-/// Cache block size in bytes (Table 1 of the paper).
+/// The paper's cache block size in bytes (Table 1), used by the default
+/// [`crate::CacheGeometry`]. A configured machine takes its block size
+/// from its geometry instead.
 pub const BLOCK_BYTES: u64 = 32;
 
 /// Page size in bytes (Table 1 of the paper).
@@ -117,11 +119,6 @@ impl GAddr {
         GAddr((self.0 & !OFFSET_MASK) | off)
     }
 
-    /// The address of the start of the cache block containing this address.
-    pub fn block(self) -> GAddr {
-        GAddr(self.0 & !(BLOCK_BYTES - 1))
-    }
-
     /// The address of the start of the page containing this address.
     pub fn page(self) -> GAddr {
         GAddr(self.0 & !(PAGE_BYTES - 1))
@@ -165,12 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn block_and_page_align_down() {
+    fn page_aligns_down() {
         let a = GAddr::new(Segment::Shared, 5, 0x1237);
-        assert_eq!(a.block().offset(), 0x1220);
         assert_eq!(a.page().offset(), 0x1000);
-        assert_eq!(a.block().node(), 5);
-        assert_eq!(a.block().segment(), Segment::Shared);
+        assert_eq!(a.page().node(), 5);
+        assert_eq!(a.page().segment(), Segment::Shared);
     }
 
     #[test]
@@ -178,7 +174,7 @@ mod tests {
         let a = GAddr::new(Segment::Shared, 1, 0x40);
         let b = GAddr::new(Segment::Shared, 2, 0x40);
         assert_ne!(a.raw(), b.raw());
-        assert_ne!(a.block().raw(), b.block().raw());
+        assert_ne!(a.page().raw(), b.page().raw());
     }
 
     #[test]

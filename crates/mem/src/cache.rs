@@ -277,6 +277,16 @@ impl Cache {
             .map(|&l| line_state(l))
     }
 
+    /// Host-prefetches the set `block` maps to, ahead of a probe, fill or
+    /// invalidation of it. Changes no line and no replacement draw; a
+    /// no-op past the end of the line table.
+    #[inline]
+    pub fn prefetch(&self, block: u64) {
+        if let Some(first) = self.lines.get(self.set_index(block) * self.geometry.ways) {
+            wwt_sim::prefetch(first);
+        }
+    }
+
     /// Invalidates `block`, returning its state if it was resident.
     pub fn invalidate(&mut self, block: u64) -> Option<LineState> {
         let line = self.set_mut(block).iter_mut().find(|l| holds(**l, block))?;
@@ -596,6 +606,27 @@ mod tests {
             assert_eq!(packed.resident(), oracle.resident());
             assert_eq!(packed.resident_blocks(), oracle.resident().len());
         }
+    }
+
+    #[test]
+    fn prefetch_changes_no_line_and_no_draw() {
+        let mut hinted = small_cache();
+        let mut plain = small_cache();
+        let top = (1u64 << RAW_BITS) - 32; // the highest raw block address
+        for i in 0..64u64 {
+            for b in [0, i * 32, top, top - i * 32] {
+                hinted.prefetch(b);
+            }
+            let block = (i * 7 % 24) * 32;
+            let kind = if i % 3 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            assert_eq!(hinted.access(block, kind), plain.access(block, kind));
+            assert_eq!(hinted.resident(), plain.resident(), "step {i}");
+        }
+        assert_eq!(hinted.lines.len(), plain.lines.len());
     }
 
     #[test]

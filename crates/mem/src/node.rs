@@ -117,6 +117,16 @@ impl NodeMem {
         }
     }
 
+    /// Host-prefetches the bytes at offset `off`, ahead of a typed read
+    /// or write there. A no-op past the end of the allocated memory: it
+    /// never grows the storage.
+    #[inline]
+    pub fn prefetch(&self, off: u64) {
+        if let Some(byte) = usize::try_from(off).ok().and_then(|o| self.data.get(o)) {
+            wwt_sim::prefetch(byte);
+        }
+    }
+
     fn read_array<const N: usize>(&self, off: u64) -> [u8; N] {
         let off = off as usize;
         let mut out = [0u8; N];
@@ -166,6 +176,21 @@ mod tests {
         let a = m.alloc(32, 8);
         assert_eq!(m.read_u64(a), 0);
         assert_eq!(m.read_f64(a + 8), 0.0);
+    }
+
+    #[test]
+    fn prefetch_past_the_end_is_a_no_op() {
+        let mut m = NodeMem::new();
+        m.prefetch(0); // empty memory
+        let a = m.alloc(64, 8);
+        m.write_u64(a, 9);
+        let len = m.data.len();
+        for off in [0, a, 63, 64, 4096, u64::MAX] {
+            m.prefetch(off);
+        }
+        assert_eq!(m.data.len(), len, "a prefetch never grows the storage");
+        assert_eq!(m.allocated(), 64);
+        assert_eq!(m.read_u64(a), 9);
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod hash;
+pub mod prefetch;
 pub mod report;
 pub mod time;
 pub mod trace;
@@ -63,6 +64,7 @@ pub use engine::{Engine, Sim, SimConfig, ENGINE_SEED, QUANTUM};
 pub use error::{BlockedProc, SimError, StallReport, WaitTarget};
 pub use fault::{FaultConfig, FaultPlan, PacketFate, ProcWindow, SlowWindow};
 pub use hash::{FastMap, FastSet};
+pub use prefetch::prefetch;
 pub use report::{PhaseMark, ProcReport, SimReport};
 pub use time::{Cycles, ProcId};
 pub use trace::{

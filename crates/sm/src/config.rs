@@ -124,11 +124,6 @@ impl SmConfig {
     pub fn latency(&self, a: usize, b: usize) -> Cycles {
         self.arch.latency(a, b)
     }
-
-    /// Total bytes of a block-carrying protocol message.
-    pub fn block_msg_bytes(&self) -> u64 {
-        self.ctrl_msg_bytes + self.arch.cache.block_bytes
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,8 @@ mod tests {
         assert_eq!(c.dir_recv_block, 8);
         assert_eq!(c.dir_send_msg, 5);
         assert_eq!(c.dir_send_block, 8);
-        assert_eq!(c.block_msg_bytes(), 40);
+        assert_eq!(c.ctrl_msg_bytes, 8);
+        assert_eq!(c.arch.cache.block_bytes, 32);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use wwt_sim::{
 };
 
 use crate::config::{AllocPolicy, ProtocolMode, SmConfig};
-use crate::protocol::{DirState, Directory};
+use crate::protocol::{DirState, Directory, Sharers};
 
 pub(crate) struct SmNode {
     pub(crate) mem: NodeMem,
@@ -218,11 +218,15 @@ impl SmMachine {
     }
 
     /// Directory state of `block` plus its home's busy horizon, read under
-    /// one borrow (the entry read of every `dir_service` request).
+    /// one borrow (the entry read of every `dir_service` request). Also
+    /// host-prefetches the block's backing bytes, which the requester
+    /// peeks or pokes once the response wakes it.
     pub(crate) fn dir_read(&self, home: usize, block: GAddr) -> (DirState, Cycles) {
         let nodes = self.nodes.borrow();
         let node = &nodes[home];
-        (node.dir.get(block), node.dir_busy)
+        let read = (node.dir.get(block), node.dir_busy);
+        node.mem.prefetch(block.offset());
+        read
     }
 
     /// Writes `block`'s new directory state and the home's busy horizon
@@ -261,6 +265,41 @@ impl SmMachine {
             .cache
             .fill(block.raw(), LineState::Clean)
             .map(|ev| (ev.block, ev.state))
+    }
+
+    // ----- host prefetch (no simulated effect) ------------------------------
+    //
+    // These only hint the host CPU: they change no cache line, TLB entry,
+    // directory state, event or cycle.
+
+    /// Host-prefetches `block`'s directory entry at its home, ahead of the
+    /// request or replacement hint that will read it.
+    pub(crate) fn dir_prefetch(&self, block: GAddr) {
+        self.nodes.borrow()[block.node()].dir.prefetch(block);
+    }
+
+    /// Host-prefetches `block`'s cache set at every member of `sharers`
+    /// except `requester`: the caches an invalidation loop is about to
+    /// probe.
+    pub(crate) fn cache_prefetch_sharers(&self, sharers: Sharers, requester: usize, block: GAddr) {
+        let nodes = self.nodes.borrow();
+        for o in sharers.iter().filter(|&o| o != requester) {
+            nodes[o].cache.prefetch(block.raw());
+        }
+    }
+
+    /// Host-prefetches what node `me`'s next costed access to `ga` will
+    /// load: the cache set of `ga`'s block at `me`, and `ga`'s backing
+    /// bytes at its home. A lookahead hint for application loops that
+    /// know their next address one step early; it has no simulated
+    /// effect and may name any address.
+    pub fn host_prefetch(&self, me: usize, ga: GAddr) {
+        let nodes = self.nodes.borrow();
+        let block = ga.raw() & !(self.config.arch.cache.block_bytes - 1);
+        nodes[me].cache.prefetch(block);
+        if let Some(home) = nodes.get(ga.node()) {
+            home.mem.prefetch(ga.offset());
+        }
     }
 
     // ----- costed access paths ----------------------------------------------
@@ -1001,6 +1040,98 @@ mod tests {
         });
         let r = e.run();
         assert_eq!(r.proc(ProcId::new(0)).counters.get(Counter::WriteFaults), 0);
+    }
+
+    /// Runs a small sharing workload, optionally with host prefetch hints
+    /// (including addresses past every node's storage), and returns each
+    /// node's resident lines, TLB residency and directory entries, plus
+    /// the report's clocks and miss counts.
+    #[allow(clippy::type_complexity)]
+    fn sharing_snapshot(
+        hints: bool,
+    ) -> (
+        Vec<(Vec<(u64, LineState)>, usize, Vec<DirState>)>,
+        Vec<(Cycles, u64, u64)>,
+    ) {
+        let n = 4;
+        let (mut e, m) = setup(n);
+        let bases: Vec<GAddr> = (0..n).map(|q| m.gmalloc_on(q, 8 * 32, 32)).collect();
+        for p in e.proc_ids() {
+            let m = Rc::clone(&m);
+            let cpu = e.cpu(p);
+            let bases = bases.clone();
+            e.spawn(p, async move {
+                let me = p.index();
+                for round in 0..3u64 {
+                    for k in 0..8 * n as u64 {
+                        let ga = bases[(k as usize + me) % n].offset_by(k % 8 * 32);
+                        if hints {
+                            m.host_prefetch(me, ga);
+                            m.host_prefetch(me, ga.offset_by(1 << 30));
+                            m.host_prefetch(me, GAddr::new(Segment::Shared, 1000, 0));
+                            m.dir_prefetch(ga.offset_by(1 << 30));
+                            m.cache_prefetch_sharers(Sharers::one(n - 1 - me), me, ga);
+                        }
+                        if (k + round) % 5 == 0 {
+                            m.write_u64(&cpu, ga, round).await;
+                        } else {
+                            m.read_u64(&cpu, ga).await;
+                        }
+                    }
+                    m.barrier(&cpu).await;
+                }
+            });
+        }
+        let r = e.run();
+        let nodes = m.nodes.borrow();
+        // Each home's entries for its own blocks and the 8 blocks past them.
+        let state = nodes
+            .iter()
+            .zip(&bases)
+            .map(|(node, base)| {
+                let dir = (0..16).map(|b| node.dir.get(base.offset_by(b * 32)));
+                (node.cache.resident(), node.tlb.resident(), dir.collect())
+            })
+            .collect();
+        let procs = (0..n)
+            .map(|i| {
+                let p = r.proc(ProcId::new(i));
+                (
+                    p.clock,
+                    p.counters.get(Counter::ShMissesRemote),
+                    p.counters.get(Counter::WriteFaults),
+                )
+            })
+            .collect();
+        (state, procs)
+    }
+
+    #[test]
+    fn host_prefetch_changes_no_simulated_state() {
+        let (hinted, hinted_procs) = sharing_snapshot(true);
+        let (plain, plain_procs) = sharing_snapshot(false);
+        assert!(plain.iter().any(|(lines, _, _)| !lines.is_empty()));
+        assert_eq!(hinted, plain, "cache, TLB or directory state moved");
+        assert_eq!(hinted_procs, plain_procs, "clocks or miss counts moved");
+
+        // On a live machine, between accesses: nothing moves either.
+        let (_e, m) = setup(2);
+        let x = m.gmalloc_on(1, 64, 32);
+        m.set_dir_state(1, x, DirState::Shared(Sharers::one(0)));
+        m.cache_fill_clean(0, x);
+        let before = (m.nodes.borrow()[0].cache.resident(), m.dir_state(1, x));
+        for ga in [
+            x,
+            x.offset_by(32),
+            x.offset_by(1 << 39),
+            GAddr::new(Segment::Private, 7, 0),
+        ] {
+            m.host_prefetch(0, ga);
+            m.host_prefetch(1, ga);
+        }
+        let after = (m.nodes.borrow()[0].cache.resident(), m.dir_state(1, x));
+        assert_eq!(before, after);
+        assert_eq!(m.nodes.borrow()[0].tlb.resident(), 0);
     }
 
     #[test]

@@ -195,6 +195,15 @@ impl Directory {
             .is_some_and(|w| (w >> (p % 64)) & 1 == 1)
     }
 
+    /// Host-prefetches `block`'s entry ahead of a read or update of it.
+    /// Changes no state; a no-op past the end, which it never grows.
+    #[inline]
+    pub(crate) fn prefetch(&self, block: GAddr) {
+        if let Some(word) = self.words.get(self.base(block)) {
+            wwt_sim::prefetch(word);
+        }
+    }
+
     /// Drops `p`'s copy of `block` (a replacement hint or a displaced
     /// victim): `p` leaves the sharer set, and an exclusive owner leaves
     /// the block uncached. A no-op when `p` is not listed.
@@ -247,6 +256,7 @@ impl SmMachine {
         cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
         let cell = self.cell_pool.take();
         let arrive = cpu.clock() + cfg.latency(p, h);
+        self.dir_prefetch(block);
         let this = Rc::clone(self);
         let cell2 = cell.clone();
         self.sim()
@@ -373,6 +383,7 @@ impl SmMachine {
                             cfg.dir_send_block
                         };
                     let mut last_ack = 0;
+                    self.cache_prefetch_sharers(s, p, block);
                     for (i, o) in s.iter().filter(|&o| o != p).enumerate() {
                         let inv_at = ts
                             + cfg.dir_base
@@ -449,6 +460,7 @@ impl SmMachine {
             }
         }
         let arrive = cpu.clock() + cfg.latency(p, h);
+        self.dir_prefetch(victim);
         let this = Rc::clone(self);
         self.sim()
             .call_at(arrive.max(self.sim().now()), move || {
@@ -602,12 +614,14 @@ mod tests {
                 }
             }
             // Past the end: Uncached, listed nowhere, and dropping a copy
-            // allocates nothing.
+            // or prefetching the entry allocates nothing.
             let end = block(10_000);
             assert_eq!(dir.get(end), DirState::Uncached);
             assert!(!dir.lists(end, 0));
             let len = dir.words.len();
             dir.drop_copy(end, 0);
+            dir.prefetch(end);
+            dir.prefetch(block(1 << 30));
             assert_eq!(dir.words.len(), len);
         }
     }

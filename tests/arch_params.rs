@@ -59,7 +59,11 @@ fn default_sm_config_encodes_table_3() {
     assert_eq!(c.dir_recv_block, 8, "Table 3: +block received");
     assert_eq!(c.dir_send_msg, 5, "Table 3: +message sent");
     assert_eq!(c.dir_send_block, 8, "Table 3: +block sent");
-    assert_eq!(c.block_msg_bytes(), 40, "Section 4: 8 + 32 byte messages");
+    assert_eq!(c.ctrl_msg_bytes, 8, "Section 4: 8-byte control messages");
+    assert_eq!(
+        c.arch.cache.block_bytes, 32,
+        "Section 4: 32-byte data blocks"
+    );
     assert_eq!(c.alloc_policy, AllocPolicy::RoundRobin);
     assert_eq!(c.protocol, ProtocolMode::Invalidate);
     assert!(!c.stache);
