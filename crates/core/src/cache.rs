@@ -18,9 +18,8 @@
 //!   plan, the hardware point and both machines' cost tables; changing
 //!   any of them simply misses the cache, and stale entries are inert.
 //!   Nothing else keys an entry: every other [`wwt_sim::SimConfig`] field
-//!   (profiling, tracing, phase marks, watchdog) only runs or observes a
-//!   simulation, a failed run is never cached, and a completed run's
-//!   numbers do not depend on them.
+//!   (profiling, tracing, phase marks) only observes a simulation, and a
+//!   completed run's numbers do not depend on them.
 //! * **Coverage is part of the lookup.** Those observation flags instead
 //!   decide which artifacts a lookup needs. An entry that lacks one is a
 //!   miss; the runner re-simulates with the flags that were asked for and
@@ -67,32 +66,29 @@ const FORMAT_VERSION: u32 = 4;
 
 /// The cache key hash: the format version, the experiment and scale, the
 /// fault plan, the hardware base, and both machines' cost tables. Of
-/// `sim` only [`wwt_sim::SimConfig::faults`] is read: the machine
-/// configurations are built from an engine config reduced to the fault
-/// plan, and their `Debug` renderings (stable field order) serve as
-/// canonical forms; [`ArchParams::canonical`] is canonical by
-/// construction. Hashing the complete cost tables (not just the swept
-/// base) means *any* future machine-cost change misses the cache instead
-/// of replaying a stale result — a swept run can never replay a cached
-/// default-config artifact.
+/// `sim` only [`wwt_sim::SimConfig::faults`] is read. The rest of each
+/// machine configuration (MP's collective overhead, SM's allocation
+/// policy, protocol and Stache) is fixed by the experiment id, so it
+/// needs no place in the key. [`ArchParams::canonical`] is canonical by
+/// construction and the cost tables' `Debug` renderings (stable field
+/// order) serve as theirs. Hashing the complete tables (not just the
+/// swept base) means editing *any* machine cost misses the cache instead
+/// of replaying a stale result — and a swept run can never replay a
+/// cached default-config artifact.
 pub fn config_hash(
     e: Experiment,
     scale: Scale,
     sim: &wwt_sim::SimConfig,
     arch: &ArchParams,
 ) -> u64 {
-    let model = wwt_sim::SimConfig {
-        faults: sim.faults,
-        ..wwt_sim::SimConfig::default()
-    };
-    let mp = wwt_mp::MpConfig::with_arch(*arch, model);
-    let sm = wwt_sm::SmConfig::with_arch(*arch, model);
     let key = format!(
-        "v{FORMAT_VERSION}|{}|{}|{:?}|{}|{mp:?}|{sm:?}",
+        "v{FORMAT_VERSION}|{}|{}|{:?}|{}|{:?}|{:?}",
         e.id(),
         scale.name(),
-        model.faults,
+        sim.faults,
         arch.canonical(),
+        wwt_mp::COSTS,
+        wwt_sm::COSTS,
     );
     fnv1a(key.as_bytes())
 }
@@ -630,10 +626,6 @@ mod tests {
             },
             wwt_sim::SimConfig {
                 phase_marks: true,
-                ..base
-            },
-            wwt_sim::SimConfig {
-                watchdog: Some(10_000_000),
                 ..base
             },
         ];

@@ -100,10 +100,6 @@ impl RunnerConfig {
             trace: self.trace,
             phase_marks: self.phases,
             faults: self.faults,
-            // Faulted runs can stall in ways fault-free runs cannot
-            // (e.g. a permanent fail window silences one node), so give
-            // them a progress watchdog instead of an open-ended hang.
-            watchdog: self.faults.is_some().then_some(10_000_000),
         }
     }
 }

@@ -41,8 +41,8 @@ pub struct DiffEntry {
     pub kind: Kind,
     /// Cycles in B minus cycles in A, summed over processors.
     pub delta: i64,
-    /// Processor ids responsible for at least [`PROC_COVERAGE`] of the
-    /// delta, ascending.
+    /// Processor ids responsible for at least 90% of the delta (the
+    /// smallest same-direction set that covers it), ascending.
     pub procs: Vec<usize>,
 }
 

@@ -8,11 +8,6 @@
 
 use std::fmt;
 
-/// The paper's cache block size in bytes (Table 1), used by the default
-/// [`crate::CacheGeometry`]. A configured machine takes its block size
-/// from its geometry instead.
-pub const BLOCK_BYTES: u64 = 32;
-
 /// Page size in bytes (Table 1 of the paper).
 pub const PAGE_BYTES: u64 = 4096;
 
@@ -118,11 +113,6 @@ impl GAddr {
         assert!(off <= OFFSET_MASK, "address arithmetic overflow");
         GAddr((self.0 & !OFFSET_MASK) | off)
     }
-
-    /// The address of the start of the page containing this address.
-    pub fn page(self) -> GAddr {
-        GAddr(self.0 & !(PAGE_BYTES - 1))
-    }
 }
 
 impl fmt::Debug for GAddr {
@@ -162,19 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn page_aligns_down() {
-        let a = GAddr::new(Segment::Shared, 5, 0x1237);
-        assert_eq!(a.page().offset(), 0x1000);
-        assert_eq!(a.page().node(), 5);
-        assert_eq!(a.page().segment(), Segment::Shared);
-    }
-
-    #[test]
     fn distinct_nodes_never_alias() {
         let a = GAddr::new(Segment::Shared, 1, 0x40);
         let b = GAddr::new(Segment::Shared, 2, 0x40);
         assert_ne!(a.raw(), b.raw());
-        assert_ne!(a.page().raw(), b.page().raw());
+        // Nor do their pages, as the TLB keys them.
+        let page = |g: GAddr| g.raw() & !(PAGE_BYTES - 1);
+        assert_ne!(page(a), page(b));
     }
 
     #[test]

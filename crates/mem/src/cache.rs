@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-use crate::addr::{BLOCK_BYTES, RAW_BITS};
+use crate::addr::RAW_BITS;
 
 /// State of one cache line.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,7 +39,7 @@ impl CacheGeometry {
         CacheGeometry {
             size_bytes: 256 * 1024,
             ways: 4,
-            block_bytes: BLOCK_BYTES,
+            block_bytes: 32,
         }
     }
 
@@ -319,11 +319,6 @@ impl Cache {
     pub fn resident_blocks(&self) -> usize {
         self.lines.iter().filter(|&&l| l & VALID != 0).count()
     }
-
-    /// Invalidates everything (used between experiment phases).
-    pub fn clear(&mut self) {
-        self.lines.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -410,15 +405,6 @@ mod tests {
         assert!(c.fill(0x20, LineState::Dirty).is_none());
         assert_eq!(c.state_of(0x20), Some(LineState::Dirty));
         assert_eq!(c.resident_blocks(), 1);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let mut c = small_cache();
-        c.access(0x0, AccessKind::Read);
-        c.access(0x20, AccessKind::Read);
-        c.clear();
-        assert_eq!(c.resident_blocks(), 0);
     }
 
     #[test]

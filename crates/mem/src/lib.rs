@@ -30,8 +30,8 @@ pub mod node;
 pub mod path;
 pub mod tlb;
 
-pub use addr::{GAddr, Segment, BLOCK_BYTES, PAGE_BYTES};
+pub use addr::{GAddr, Segment, PAGE_BYTES};
 pub use cache::{AccessKind, AccessResult, Cache, CacheGeometry, Evicted, LineState};
 pub use node::NodeMem;
-pub use path::{touch, TouchOutcome};
+pub use path::{blocks, touch, TouchOutcome};
 pub use tlb::Tlb;

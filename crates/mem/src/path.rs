@@ -40,6 +40,28 @@ impl TouchOutcome {
     }
 }
 
+/// The addresses of the `block_bytes`-aligned blocks that
+/// `[addr, addr + bytes)` covers, in ascending order; zero bytes cover
+/// none. `block_bytes` must be a power of two.
+///
+/// # Example
+///
+/// ```
+/// // 8 bytes at 28 straddle the 32-byte blocks at 0 and 32.
+/// let b: Vec<u64> = wwt_mem::blocks(28, 8, 32).collect();
+/// assert_eq!(b, [0, 32]);
+/// ```
+pub fn blocks(addr: u64, bytes: u64, block_bytes: u64) -> impl Iterator<Item = u64> {
+    let shift = block_bytes.trailing_zeros();
+    let first = addr >> shift;
+    let end = if bytes == 0 {
+        first
+    } else {
+        ((addr + bytes - 1) >> shift) + 1
+    };
+    (first..end).map(move |b| b << shift)
+}
+
 /// Touches every cache block in `[addr, addr + bytes)` (raw addresses) with
 /// the given access kind, updating `cache` and `tlb`.
 ///
@@ -65,15 +87,8 @@ pub fn touch(
     kind: AccessKind,
 ) -> TouchOutcome {
     let mut out = TouchOutcome::default();
-    if bytes == 0 {
-        return out;
-    }
-    let block_bytes = cache.geometry().block_bytes;
-    let first = addr & !(block_bytes - 1);
-    let last = (addr + bytes - 1) & !(block_bytes - 1);
     let mut page = u64::MAX;
-    let mut block = first;
-    loop {
+    for block in blocks(addr, bytes, cache.geometry().block_bytes) {
         let p = block & !(PAGE_BYTES - 1);
         if p != page {
             page = p;
@@ -95,10 +110,6 @@ pub fn touch(
                 LineState::Dirty => out.dirty_evictions += 1,
             }
         }
-        if block == last {
-            break;
-        }
-        block += block_bytes;
     }
     out
 }
@@ -107,6 +118,23 @@ pub fn touch(
 mod tests {
     use super::*;
     use crate::cache::CacheGeometry;
+
+    #[test]
+    fn blocks_covers_straddled_blocks_at_every_size() {
+        let walk = |addr, bytes, bb| blocks(addr, bytes, bb).collect::<Vec<u64>>();
+        // An unaligned range straddling block boundaries.
+        assert_eq!(walk(28, 40, 16), [16, 32, 48, 64]);
+        assert_eq!(walk(28, 40, 32), [0, 32, 64]);
+        assert_eq!(walk(28, 40, 64), [0, 64]);
+        for bb in [16, 32, 64] {
+            // A single byte is its own block; zero bytes are none.
+            assert_eq!(walk(100, 1, bb), [100 & !(bb - 1)]);
+            assert_eq!(walk(100, 0, bb), []);
+            // The last byte of a block stays in it; the next starts another.
+            assert_eq!(walk(bb - 1, 1, bb), [0]);
+            assert_eq!(walk(bb - 1, 2, bb), [0, bb]);
+        }
+    }
 
     fn setup() -> (Cache, Tlb) {
         (Cache::new(CacheGeometry::paper_default(), 3), Tlb::new(4))

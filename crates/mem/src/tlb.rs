@@ -86,13 +86,6 @@ impl Tlb {
     pub fn resident(&self) -> usize {
         self.fifo.len()
     }
-
-    /// Drops all translations.
-    pub fn clear(&mut self) {
-        self.fifo.clear();
-        self.present.clear();
-        self.last = None;
-    }
 }
 
 #[cfg(test)]
@@ -146,14 +139,5 @@ mod tests {
             t.access(p << 12);
         }
         assert_eq!(t.resident(), 8);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = Tlb::new(4);
-        t.access(0x1000);
-        t.clear();
-        assert_eq!(t.resident(), 0);
-        assert!(!t.access(0x1000));
     }
 }

@@ -2,17 +2,18 @@
 
 use proptest::prelude::*;
 
-use wwt_mem::{touch, AccessKind, Cache, CacheGeometry, NodeMem, Tlb, BLOCK_BYTES};
+use wwt_mem::{touch, AccessKind, Cache, CacheGeometry, NodeMem, Tlb};
 
 proptest! {
     /// `touch` covers exactly the blocks the byte range straddles.
     #[test]
     fn touch_block_count_formula(addr in 0u64..100_000, bytes in 1u64..10_000) {
-        let mut cache = Cache::new(CacheGeometry::paper_default(), 9);
+        let geometry = CacheGeometry::paper_default();
+        let mut cache = Cache::new(geometry, 9);
         let mut tlb = Tlb::paper_default();
         let out = touch(&mut cache, &mut tlb, addr, bytes, AccessKind::Read);
-        let first = addr / BLOCK_BYTES;
-        let last = (addr + bytes - 1) / BLOCK_BYTES;
+        let first = addr / geometry.block_bytes;
+        let last = (addr + bytes - 1) / geometry.block_bytes;
         prop_assert_eq!(out.blocks as u64, last - first + 1);
         // A cold cache misses every block exactly once.
         prop_assert_eq!(out.misses, out.blocks);

@@ -13,6 +13,7 @@ use std::rc::Rc;
 
 use wwt_sim::{Counter, Cpu, ProcId, SimError};
 
+use crate::config::COSTS;
 use crate::machine::MpMachine;
 use crate::packet::{tag, Packet, PACKET_PAYLOAD_BYTES};
 
@@ -73,7 +74,7 @@ impl MpMachine {
             )));
         }
         let _lib = self.lib_scope(cpu);
-        cpu.compute(self.config().chan_write_overhead);
+        cpu.compute(COSTS.chan_write_overhead);
         let id = {
             let mut nodes = self.nodes.borrow_mut();
             let node = &mut nodes[cpu.id().index()];
@@ -137,8 +138,7 @@ impl MpMachine {
             ch.capacity
         );
         let _lib = self.lib_scope(cpu);
-        let cfg = self.config();
-        cpu.compute(cfg.chan_write_overhead);
+        cpu.compute(COSTS.chan_write_overhead);
         cpu.count(Counter::ChannelWrites, 1);
         cpu.count(Counter::MessagesSent, 1);
         self.touch_read(cpu, src_off, bytes as u64);
@@ -154,7 +154,7 @@ impl MpMachine {
                     *word = self.peek_u32(cpu.id(), off);
                 }
             }
-            cpu.compute(cfg.chan_packet_overhead);
+            cpu.compute(COSTS.chan_packet_overhead);
             self.send_packet(
                 cpu,
                 Packet {
@@ -208,8 +208,7 @@ impl MpMachine {
     }
 
     pub(crate) fn handle_chan_data(self: &Rc<Self>, cpu: &Cpu, pkt: &Packet) {
-        let cfg = self.config();
-        cpu.compute(cfg.chan_recv_packet_overhead);
+        cpu.compute(COSTS.chan_recv_packet_overhead);
         let idx = pkt.meta & IDX_MASK;
         let id = (pkt.meta >> IDX_BITS) as usize;
         let (buf_off, capacity) = {

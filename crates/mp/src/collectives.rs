@@ -18,6 +18,7 @@ use std::rc::Rc;
 
 use wwt_sim::{Counter, Cpu, ProcId, Scope};
 
+use crate::config::COSTS;
 use crate::machine::MpMachine;
 use crate::packet::{pack_f64, tag, unpack_f64, Packet};
 
@@ -195,7 +196,7 @@ impl MpMachine {
                 .red_inbox
                 .remove(&key)
                 .expect("operand must be present");
-            cpu.compute(self.config().reduce_combine);
+            cpu.compute(COSTS.reduce_combine);
             acc = combine(acc, w);
         }
         if v == 0 {
@@ -203,7 +204,7 @@ impl MpMachine {
             Some(acc)
         } else {
             let parent = abs_rank(shape.parent(v, n).expect("non-root has a parent"), root, n);
-            cpu.compute(self.config().am_send_overhead + self.config().collective_msg_overhead);
+            cpu.compute(COSTS.am_send_overhead + self.config().collective_msg_overhead);
             cpu.count(Counter::ActiveMessages, 1);
             self.send_packet(
                 cpu,
@@ -258,7 +259,7 @@ impl MpMachine {
                 .expect("value must be present")
         };
         for &c in self.trees.children(shape, v) {
-            cpu.compute(self.config().am_send_overhead + self.config().collective_msg_overhead);
+            cpu.compute(COSTS.am_send_overhead + self.config().collective_msg_overhead);
             cpu.count(Counter::ActiveMessages, 1);
             self.send_packet(
                 cpu,
@@ -387,7 +388,7 @@ impl MpMachine {
                         );
                     }
                 }
-                cpu.compute(self.config().chan_packet_overhead);
+                cpu.compute(COSTS.chan_packet_overhead);
                 for &c in children {
                     self.send_packet(
                         cpu,
@@ -446,7 +447,7 @@ impl MpMachine {
         let (root, shape, last, nbytes, idx) = unpack_subhdr(pkt.words[0]);
         let n = self.nprocs();
         let me = cpu.id().index();
-        cpu.compute(self.config().chan_recv_packet_overhead);
+        cpu.compute(COSTS.chan_recv_packet_overhead);
         {
             let mut nodes = self.nodes.borrow_mut();
             let node = &mut nodes[me];

@@ -61,7 +61,7 @@ pub mod packet;
 
 pub use channel::{ChannelId, SendChannel};
 pub use collectives::TreeShape;
-pub use config::MpConfig;
+pub use config::{MpConfig, MpCosts, COSTS};
 pub use machine::{AmArgs, MpMachine};
 pub use packet::{tag, Packet};
 pub use wwt_arch::ArchParams;

@@ -14,7 +14,7 @@ use wwt_sim::{
 
 use crate::channel::RecvChannel;
 use crate::collectives::{BulkBcastState, TreeTable};
-use crate::config::MpConfig;
+use crate::config::{MpConfig, COSTS};
 use crate::packet::{tag, Packet, PACKET_BYTES};
 
 // A delivery closure (`MpMachine::inject`) captures `Rc<MpMachine>` and a
@@ -118,7 +118,7 @@ impl MpNode {
             unacked: (0..nprocs).map(|_| VecDeque::new()).collect(),
             rtx_armed: vec![false; nprocs],
             rtx_deadline: vec![0; nprocs],
-            rtx_timeout: vec![config.retry_timeout; nprocs],
+            rtx_timeout: vec![COSTS.retry_timeout; nprocs],
             rtx_last: vec![0; nprocs],
         }
     }
@@ -313,10 +313,7 @@ impl MpMachine {
     /// delivery one network latency later. Usable from handlers.
     pub(crate) fn send_packet(self: &Rc<Self>, cpu: &Cpu, mut pkt: Packet) {
         debug_assert_eq!(pkt.src, cpu.id());
-        cpu.charge(
-            Kind::NetAccess,
-            self.config.ni_tag_dest + self.config.ni_send,
-        );
+        cpu.charge(Kind::NetAccess, COSTS.ni_tag_dest + COSTS.ni_send);
         cpu.count(Counter::PacketsSent, 1);
         cpu.count(Counter::BytesData, pkt.data_bytes as u64);
         cpu.count(Counter::BytesControl, pkt.control_bytes() as u64);
@@ -471,8 +468,7 @@ impl MpMachine {
     /// themselves subject to the fault plan (a lost ACK is recovered by the
     /// sender's retransmit timer).
     fn send_ctl(self: &Rc<Self>, from: ProcId, to: ProcId, t: u8, ack: u64) {
-        self.sim
-            .charge_callback(from, Kind::Retry, self.config.ack_cost);
+        self.sim.charge_callback(from, Kind::Retry, COSTS.ack_cost);
         let counter = if t == tag::ACK {
             Counter::AcksSent
         } else {
@@ -511,7 +507,7 @@ impl MpMachine {
         if node.unacked[d].is_empty() {
             // Progress: reset backoff. The armed timer disarms itself at
             // its next expiry (the queue is empty).
-            node.rtx_timeout[d] = self.config.retry_timeout;
+            node.rtx_timeout[d] = COSTS.retry_timeout;
         } else {
             node.rtx_deadline[d] = self.sim.now() + node.rtx_timeout[d];
         }
@@ -562,14 +558,14 @@ impl MpMachine {
             let node = &mut nodes[src.index()];
             if node.unacked[d].is_empty() {
                 node.rtx_armed[d] = false;
-                node.rtx_timeout[d] = self.config.retry_timeout;
+                node.rtx_timeout[d] = COSTS.retry_timeout;
                 Step::Disarm
             } else if now < node.rtx_deadline[d] {
                 Step::Rearm(node.rtx_deadline[d])
             } else {
-                let next = (node.rtx_timeout[d]
-                    .saturating_mul(self.config.retry_backoff as Cycles))
-                .min(self.config.retry_timeout_max);
+                let next = node.rtx_timeout[d]
+                    .saturating_mul(COSTS.retry_backoff)
+                    .min(COSTS.retry_timeout_max);
                 node.rtx_timeout[d] = next;
                 node.rtx_deadline[d] = now + next;
                 node.rtx_last[d] = now;
@@ -609,7 +605,7 @@ impl MpMachine {
         self.sim.charge_callback(
             src,
             Kind::Retry,
-            self.config.retry_packet_cost.saturating_mul(count),
+            COSTS.retry_packet_cost.saturating_mul(count),
         );
         self.sim.count(src, Counter::Retransmits, count);
         self.sim.count(src, Counter::PacketsSent, count);
@@ -658,7 +654,7 @@ impl MpMachine {
     ) {
         cpu.resync().await;
         let _lib = self.lib_scope(cpu);
-        cpu.compute(self.config.am_send_overhead);
+        cpu.compute(COSTS.am_send_overhead);
         cpu.count(Counter::ActiveMessages, 1);
         cpu.count(Counter::MessagesSent, 1);
         self.send_packet(
@@ -694,11 +690,11 @@ impl MpMachine {
     /// handled. Does not block.
     pub fn poll_once(self: &Rc<Self>, cpu: &Cpu) -> bool {
         let _lib = self.lib_scope(cpu);
-        cpu.charge(Kind::NetAccess, self.config.ni_status);
+        cpu.charge(Kind::NetAccess, COSTS.ni_status);
         match self.pop_rx(cpu.id()) {
             Some(pkt) => {
-                cpu.charge(Kind::NetAccess, self.config.ni_recv);
-                cpu.compute(self.config.am_dispatch_overhead);
+                cpu.charge(Kind::NetAccess, COSTS.ni_recv);
+                cpu.compute(COSTS.am_dispatch_overhead);
                 self.dispatch(cpu, pkt);
                 true
             }
@@ -715,13 +711,13 @@ impl MpMachine {
             if done(self) {
                 return;
             }
-            cpu.compute(self.config.poll_overhead);
-            cpu.charge(Kind::NetAccess, self.config.ni_status);
+            cpu.compute(COSTS.poll_overhead);
+            cpu.charge(Kind::NetAccess, COSTS.ni_status);
             let pkt = self.pop_rx(cpu.id());
             match pkt {
                 Some(pkt) => {
-                    cpu.charge(Kind::NetAccess, self.config.ni_recv);
-                    cpu.compute(self.config.am_dispatch_overhead);
+                    cpu.charge(Kind::NetAccess, COSTS.ni_recv);
+                    cpu.compute(COSTS.am_dispatch_overhead);
                     self.dispatch(cpu, pkt);
                 }
                 None => {

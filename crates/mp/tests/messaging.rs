@@ -5,7 +5,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use wwt_mp::{tag, MpConfig, MpMachine, TreeShape};
+use wwt_mp::{tag, MpConfig, MpMachine, TreeShape, COSTS};
 use wwt_sim::{Counter, Cpu, Engine, Kind, ProcId, Scope, SimConfig};
 
 fn setup(n: usize) -> (Engine, Rc<MpMachine>) {
@@ -166,7 +166,6 @@ fn send_costs_match_table_2() {
     // tag+destination (5) plus 5-word send (15) at the NI.
     let (mut e, m) = setup(2);
     m.set_handler(tag::USER_BASE, |_| {});
-    let cfg = *m.config();
     let m0 = Rc::clone(&m);
     let c0 = e.cpu(ProcId::new(0));
     e.spawn(ProcId::new(0), async move {
@@ -182,15 +181,15 @@ fn send_costs_match_table_2() {
     let sender = r.proc(ProcId::new(0));
     assert_eq!(
         sender.matrix.by_kind(Kind::NetAccess),
-        cfg.ni_tag_dest + cfg.ni_send
+        COSTS.ni_tag_dest + COSTS.ni_send
     );
     assert_eq!(
         sender.matrix.get(Scope::Lib, Kind::Compute),
-        cfg.am_send_overhead
+        COSTS.am_send_overhead
     );
     assert_eq!(
         sender.clock,
-        cfg.am_send_overhead + cfg.ni_tag_dest + cfg.ni_send
+        COSTS.am_send_overhead + COSTS.ni_tag_dest + COSTS.ni_send
     );
 }
 

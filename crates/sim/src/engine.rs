@@ -28,6 +28,16 @@ use crate::trace::{Metric, TraceData, TraceEvent, TraceWhat};
 /// follow a swept network latency.
 pub const QUANTUM: Cycles = 100;
 
+/// Progress watchdog of faulted runs: if no processor task is resumed for
+/// this many simulated cycles while machine events keep flowing, the run
+/// aborts with [`SimError::Livelock`].
+///
+/// Faulted runs can stall in ways fault-free runs cannot (a permanent
+/// fail window silences one node, and its peers retransmit toward it
+/// forever), so the engine arms the watchdog exactly when
+/// [`SimConfig::faults`] is set.
+pub const WATCHDOG_CYCLES: Cycles = 10_000_000;
+
 /// Seed for all engine-level pseudo-randomness (the machines derive one
 /// stream per node from it).
 pub const ENGINE_SEED: u64 = 0x5eed_0001;
@@ -54,12 +64,9 @@ pub struct SimConfig {
     /// Optional deterministic fault injection. `None` (the default) is the
     /// perfectly reliable network of the paper; `Some` installs a seeded
     /// [`FaultPlan`] that the machine models consult at packet-delivery
-    /// time. The one field that participates in the run-cache key.
+    /// time. The one field that participates in the run-cache key. A
+    /// fault plan also arms the progress watchdog ([`WATCHDOG_CYCLES`]).
     pub faults: Option<FaultConfig>,
-    /// Progress watchdog: if no processor task is resumed for this many
-    /// simulated cycles while machine events keep flowing, the run aborts
-    /// with [`SimError::Livelock`]. `None` (the default) disables it.
-    pub watchdog: Option<Cycles>,
     /// When `true`, record a [`PhaseMark`](crate::PhaseMark) — a cumulative
     /// per-kind cycle snapshot — on every processor each time it crosses a
     /// barrier or completes a collective. The marks segment the run into
@@ -404,9 +411,9 @@ impl Engine {
     /// * [`SimError::Deadlock`] — the event queue drained while some
     ///   processor task was still blocked; the report names each blocked
     ///   processor, its wait reason, and the wait-for graph.
-    /// * [`SimError::Livelock`] — [`SimConfig::watchdog`] is set and no
-    ///   processor task was resumed for that many simulated cycles even
-    ///   though machine events kept flowing.
+    /// * [`SimError::Livelock`] — the run has a fault plan and no
+    ///   processor task was resumed for [`WATCHDOG_CYCLES`] simulated
+    ///   cycles even though machine events kept flowing.
     pub fn try_run(mut self) -> Result<SimReport, SimError> {
         let waker = noop_waker();
         let mut cx = Context::from_waker(&waker);
@@ -418,7 +425,7 @@ impl Engine {
             }
         }
 
-        let watchdog = self.sim.config().watchdog;
+        let watchdog = self.sim.config().faults.is_some();
         let mut last_resume: Cycles = 0;
 
         loop {
@@ -454,13 +461,8 @@ impl Engine {
                     // Machine events that never resume a task (for example
                     // a retransmit timer endlessly re-arming itself toward
                     // a dead receiver) are what the watchdog exists for.
-                    if let Some(n) = watchdog {
-                        if event.time.saturating_sub(last_resume) > n {
-                            return Err(SimError::Livelock {
-                                watchdog: n,
-                                report: self.stall_report(),
-                            });
-                        }
+                    if watchdog && event.time.saturating_sub(last_resume) > WATCHDOG_CYCLES {
+                        return Err(SimError::Livelock(self.stall_report()));
                     }
                     f.invoke();
                 }
@@ -664,7 +666,7 @@ mod tests {
     fn watchdog_catches_livelock() {
         // A self-rearming machine event that never resumes any task.
         let cfg = SimConfig {
-            watchdog: Some(1_000),
+            faults: Some(FaultConfig::default()),
             ..SimConfig::default()
         };
         let mut e = Engine::new(1, cfg);
@@ -680,12 +682,52 @@ mod tests {
             cell.wait(&cpu, Kind::Wait).await;
         });
         let err = e.try_run().expect_err("watchdog must fire");
-        let SimError::Livelock { watchdog, report } = &err else {
+        let SimError::Livelock(report) = &err else {
             panic!("expected livelock, got {err:?}");
         };
-        assert_eq!(*watchdog, 1_000);
+        // The task last resumed at 0; the first event past the threshold
+        // trips the watchdog.
+        assert_eq!(report.now, WATCHDOG_CYCLES + 100);
         assert_eq!(report.blocked.len(), 1);
         assert!(err.to_string().contains("livelock"));
+    }
+
+    #[test]
+    fn only_the_fault_plan_arms_the_watchdog() {
+        // A task waits while a callback chain runs 200 steps of 100,000
+        // cycles (twice the watchdog threshold) and then completes it.
+        use crate::wait::WaitCell;
+        fn step(sim: &Rc<Sim>, cell: WaitCell, at: Cycles, left: u32) {
+            let sim2 = Rc::clone(sim);
+            sim.call_at(at, move || {
+                if left == 0 {
+                    cell.complete(&sim2, at);
+                } else {
+                    step(&sim2, cell, at + 100_000, left - 1);
+                }
+            })
+            .expect("scheduled in the future");
+        }
+        let run = |faults: Option<FaultConfig>| {
+            let mut e = Engine::new(
+                1,
+                SimConfig {
+                    faults,
+                    ..SimConfig::default()
+                },
+            );
+            let cpu = e.cpu(ProcId::new(0));
+            let cell = WaitCell::new();
+            step(e.sim(), cell.clone(), 100_000, 199);
+            e.spawn(ProcId::new(0), async move {
+                cell.wait(&cpu, Kind::Wait).await;
+            });
+            e.try_run()
+        };
+        let report = run(None).expect("a fault-free run has no watchdog");
+        assert_eq!(report.proc(ProcId::new(0)).clock, 20_000_000);
+        let err = run(Some(FaultConfig::default())).expect_err("a faulted run has one");
+        assert!(matches!(err, SimError::Livelock(_)), "{err}");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::fmt;
 
 use crate::account::Kind;
+use crate::engine::WATCHDOG_CYCLES;
 use crate::time::{Cycles, ProcId};
 
 /// What a blocked processor is waiting *on*.
@@ -159,14 +160,10 @@ pub enum SimError {
     /// The event queue drained while some processor tasks were still
     /// blocked: a true deadlock.
     Deadlock(StallReport),
-    /// The progress watchdog fired: events kept flowing but no processor
-    /// task was resumed for `watchdog` simulated cycles.
-    Livelock {
-        /// The watchdog threshold that fired, in cycles.
-        watchdog: Cycles,
-        /// Blocked-state snapshot at the time the watchdog fired.
-        report: StallReport,
-    },
+    /// The progress watchdog of a faulted run fired: events kept flowing
+    /// but no processor task was resumed for [`WATCHDOG_CYCLES`] simulated
+    /// cycles. The report is the blocked-state snapshot at that time.
+    Livelock(StallReport),
     /// An event was scheduled before the current global time (a machine
     /// model bug: causality would be violated).
     PastEvent {
@@ -184,8 +181,7 @@ impl SimError {
     /// The stall report attached to deadlock and livelock errors.
     pub fn report(&self) -> Option<&StallReport> {
         match self {
-            SimError::Deadlock(r) => Some(r),
-            SimError::Livelock { report, .. } => Some(report),
+            SimError::Deadlock(r) | SimError::Livelock(r) => Some(r),
             SimError::PastEvent { .. } | SimError::Config(_) => None,
         }
     }
@@ -200,10 +196,10 @@ impl fmt::Display for SimError {
                     "deadlock: event queue empty but processors are still blocked\n{report}"
                 )
             }
-            SimError::Livelock { watchdog, report } => {
+            SimError::Livelock(report) => {
                 write!(
                     f,
-                    "livelock: no processor resumed for {watchdog} simulated cycles\n{report}"
+                    "livelock: no processor resumed for {WATCHDOG_CYCLES} simulated cycles\n{report}"
                 )
             }
             SimError::PastEvent { at, now } => {

@@ -4,10 +4,11 @@ use wwt_arch::ArchParams;
 use wwt_sim::{Cycles, SimConfig};
 
 /// Shared-data allocation policy for `gmalloc`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AllocPolicy {
     /// Round-robin across nodes per allocation (the paper's default; the
     /// source of EM3D's remote-miss pathology in Table 15).
+    #[default]
     RoundRobin,
     /// Allocate on the requesting node (the Table-17 variant that cuts
     /// EM3D-SM remote misses from 97% to 10% of misses).
@@ -15,9 +16,10 @@ pub enum AllocPolicy {
 }
 
 /// Coherence protocol variant.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtocolMode {
     /// Full-map write-invalidate `Dir_nNB` (the paper's machine).
+    #[default]
     Invalidate,
     /// The Section 5.3.4 extension: writes push updates to sharers instead
     /// of invalidating them, turning the 4-message producer-consumer
@@ -28,9 +30,10 @@ pub enum ProtocolMode {
 /// Configuration of the shared-memory machine.
 ///
 /// The hardware base both machines share (Table 1: cache, TLB, network,
-/// barrier, DRAM) lives in [`ArchParams`]; this struct adds the
-/// SM-specific coherence-protocol costs (Table 3).
-#[derive(Copy, Clone, Debug, PartialEq)]
+/// barrier, DRAM) lives in [`ArchParams`]; the SM-specific coherence
+/// costs (Table 3) are the fixed [`COSTS`] table. This struct holds only
+/// what experiments vary.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct SmConfig {
     /// Engine-level settings (fault plan, profiling, tracing).
     pub sim: SimConfig,
@@ -38,6 +41,22 @@ pub struct SmConfig {
     /// Table-16 EM3D variant sets `cache` to
     /// [`wwt_mem::CacheGeometry::one_megabyte`].
     pub arch: ArchParams,
+    /// Allocation policy for `gmalloc`.
+    pub alloc_policy: AllocPolicy,
+    /// Coherence protocol variant.
+    pub protocol: ProtocolMode,
+    /// Enable the Stache policy (Reinhardt, Larus & Wood, cited in
+    /// Section 5.3.4): shared blocks evicted from the cache are kept in
+    /// local memory instead of returning to their home node, so re-misses
+    /// refill at local-DRAM cost and dirty evictions send no write-back
+    /// message.
+    pub stache: bool,
+}
+
+/// Per-operation costs of the shared-memory machine: the coherence
+/// protocol of Table 3 plus the PARMACS library's software costs.
+#[derive(Debug)]
+pub struct SmCosts {
     /// Processor-side cost of a shared cache miss, excluding the network
     /// round trip and replacement (Table 3: 19).
     pub shared_miss: Cycles,
@@ -62,44 +81,26 @@ pub struct SmConfig {
     /// block-carrying message adds one cache block (`arch.cache`) of data:
     /// 8 + 32 = 40 bytes as in Section 4.
     pub ctrl_msg_bytes: u64,
-    /// Allocation policy for `gmalloc`.
-    pub alloc_policy: AllocPolicy,
-    /// Coherence protocol variant.
-    pub protocol: ProtocolMode,
-    /// Enable the Stache policy (Reinhardt, Larus & Wood, cited in
-    /// Section 5.3.4): shared blocks evicted from the cache are kept in
-    /// local memory instead of returning to their home node, so re-misses
-    /// refill at local-DRAM cost and dirty evictions send no write-back
-    /// message.
-    pub stache: bool,
     /// Instructions charged per software-reduction combine step.
     pub reduce_combine: Cycles,
     /// Instructions charged per lock/flag bookkeeping step.
     pub sync_overhead: Cycles,
 }
 
-impl Default for SmConfig {
-    fn default() -> Self {
-        SmConfig {
-            sim: SimConfig::default(),
-            arch: ArchParams::default(),
-            shared_miss: 19,
-            invalidate: 3,
-            repl_shared_clean: 5,
-            repl_shared_dirty: 13,
-            dir_base: 10,
-            dir_recv_block: 8,
-            dir_send_msg: 5,
-            dir_send_block: 8,
-            ctrl_msg_bytes: 8,
-            alloc_policy: AllocPolicy::RoundRobin,
-            protocol: ProtocolMode::Invalidate,
-            stache: false,
-            reduce_combine: 12,
-            sync_overhead: 10,
-        }
-    }
-}
+/// The shared-memory machine's cost table.
+pub const COSTS: SmCosts = SmCosts {
+    shared_miss: 19,
+    invalidate: 3,
+    repl_shared_clean: 5,
+    repl_shared_dirty: 13,
+    dir_base: 10,
+    dir_recv_block: 8,
+    dir_send_msg: 5,
+    dir_send_block: 8,
+    ctrl_msg_bytes: 8,
+    reduce_combine: 12,
+    sync_overhead: 10,
+};
 
 impl SmConfig {
     /// The default machine on an explicit hardware base and engine
@@ -134,16 +135,16 @@ mod tests {
     fn defaults_match_paper_table_3() {
         let c = SmConfig::default();
         assert_eq!(c.arch.msg_to_self, 10);
-        assert_eq!(c.shared_miss, 19);
-        assert_eq!(c.invalidate, 3);
+        assert_eq!(COSTS.shared_miss, 19);
+        assert_eq!(COSTS.invalidate, 3);
         assert_eq!(c.arch.replacement, 1);
-        assert_eq!(c.repl_shared_clean, 5);
-        assert_eq!(c.repl_shared_dirty, 13);
-        assert_eq!(c.dir_base, 10);
-        assert_eq!(c.dir_recv_block, 8);
-        assert_eq!(c.dir_send_msg, 5);
-        assert_eq!(c.dir_send_block, 8);
-        assert_eq!(c.ctrl_msg_bytes, 8);
+        assert_eq!(COSTS.repl_shared_clean, 5);
+        assert_eq!(COSTS.repl_shared_dirty, 13);
+        assert_eq!(COSTS.dir_base, 10);
+        assert_eq!(COSTS.dir_recv_block, 8);
+        assert_eq!(COSTS.dir_send_msg, 5);
+        assert_eq!(COSTS.dir_send_block, 8);
+        assert_eq!(COSTS.ctrl_msg_bytes, 8);
         assert_eq!(c.arch.cache.block_bytes, 32);
     }
 

@@ -57,7 +57,7 @@ pub mod machine;
 pub mod parmacs;
 pub mod protocol;
 
-pub use config::{AllocPolicy, ProtocolMode, SmConfig};
+pub use config::{AllocPolicy, ProtocolMode, SmConfig, SmCosts, COSTS};
 pub use machine::SmMachine;
 pub use parmacs::{CreateGate, McsLock, SmCollectives};
 pub use wwt_arch::ArchParams;

@@ -10,7 +10,7 @@ use wwt_sim::{
     CellPool, Counter, Cpu, Cycles, Engine, FastMap, FastSet, HwBarrier, Kind, Sim, WaitCell,
 };
 
-use crate::config::{AllocPolicy, ProtocolMode, SmConfig};
+use crate::config::{AllocPolicy, ProtocolMode, SmConfig, COSTS};
 use crate::protocol::{DirState, Directory, Sharers};
 
 pub(crate) struct SmNode {
@@ -389,18 +389,14 @@ impl SmMachine {
         let mut synced_at = cpu.resync_if_ahead().await;
         let cfg = &self.config;
         let me = cpu.id().index();
-        let block_bytes = cfg.arch.cache.block_bytes;
         // In bulk-update mode shared writes do not take ownership; the
         // producer publishes explicitly with `bulk_publish`.
         let cache_kind = match (cfg.protocol, kind) {
             (ProtocolMode::BulkUpdate, AccessKind::Write) => AccessKind::Read,
             _ => kind,
         };
-        let first = ga.raw() & !(block_bytes - 1);
-        let last = (ga.raw() + bytes - 1) & !(block_bytes - 1);
-        let mut block_raw = first;
         let mut misses = 0u32;
-        loop {
+        for block_raw in wwt_mem::blocks(ga.raw(), bytes, cfg.arch.cache.block_bytes) {
             let block = GAddr::from_raw(block_raw);
             // TLB and cache probe under one borrow of the node table. A
             // hit needs no directory read: every valid shared line is
@@ -437,9 +433,9 @@ impl SmMachine {
                             cpu.charge(
                                 Kind::PrivMiss,
                                 if state == LineState::Dirty {
-                                    cfg.repl_shared_dirty
+                                    COSTS.repl_shared_dirty
                                 } else {
-                                    cfg.repl_shared_clean
+                                    COSTS.repl_shared_clean
                                 },
                             );
                             if cfg.stache {
@@ -468,10 +464,6 @@ impl SmMachine {
                     if parked && self.dir_lists(block, me) && cache_kind == AccessKind::Read {
                         cpu.charge(Kind::PrivMiss, cfg.priv_miss_total());
                         cpu.count(Counter::PrivMisses, 1);
-                        if block_raw == last {
-                            break;
-                        }
-                        block_raw += block_bytes;
                         continue;
                     }
                 }
@@ -495,10 +487,6 @@ impl SmMachine {
                         .await;
                 }
             }
-            if block_raw == last {
-                break;
-            }
-            block_raw += block_bytes;
         }
         misses
     }
@@ -597,24 +585,15 @@ impl SmMachine {
             return 0;
         }
         cpu.resync().await;
-        let cfg = &self.config;
         let me = cpu.id().index();
-        let block_bytes = cfg.arch.cache.block_bytes;
-        let first = ga.raw() & !(block_bytes - 1);
-        let last = (ga.raw() + bytes - 1) & !(block_bytes - 1);
-        let mut block_raw = first;
         let mut flushed = 0;
-        loop {
+        for block_raw in wwt_mem::blocks(ga.raw(), bytes, self.config.arch.cache.block_bytes) {
             let state = self.nodes.borrow_mut()[me].cache.invalidate(block_raw);
             if let Some(st) = state {
-                cpu.charge(Kind::PrivMiss, cfg.invalidate);
+                cpu.charge(Kind::PrivMiss, COSTS.invalidate);
                 self.shared_eviction(cpu, GAddr::from_raw(block_raw), st);
                 flushed += 1;
             }
-            if block_raw == last {
-                break;
-            }
-            block_raw += block_bytes;
         }
         flushed
     }
@@ -632,12 +611,8 @@ impl SmMachine {
         cpu.resync().await;
         let cfg = &self.config;
         let me = cpu.id().index();
-        let block_bytes = cfg.arch.cache.block_bytes;
-        let first = ga.raw() & !(block_bytes - 1);
-        let last = (ga.raw() + bytes - 1) & !(block_bytes - 1);
-        let mut block_raw = first;
         let mut issued = 0;
-        loop {
+        for block_raw in wwt_mem::blocks(ga.raw(), bytes, cfg.arch.cache.block_bytes) {
             let block = GAddr::from_raw(block_raw);
             let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some();
             if !resident {
@@ -655,7 +630,7 @@ impl SmMachine {
                 self.nodes.borrow_mut()[me]
                     .pending_prefetch
                     .insert(block_raw, cell.clone());
-                cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
+                cpu.count(Counter::BytesControl, COSTS.ctrl_msg_bytes);
                 let arrive = cpu.clock() + cfg.latency(me, block.node());
                 let this = Rc::clone(self);
                 self.sim()
@@ -665,10 +640,6 @@ impl SmMachine {
                     .expect("arrival is clamped to the present");
                 issued += 1;
             }
-            if block_raw == last {
-                break;
-            }
-            block_raw += block_bytes;
         }
         issued
     }
@@ -688,10 +659,7 @@ impl SmMachine {
         let me = cpu.id().index();
         let n = self.nprocs();
         let block_bytes = cfg.arch.cache.block_bytes;
-        let first = ga.raw() & !(block_bytes - 1);
-        let last = (ga.raw() + bytes - 1) & !(block_bytes - 1);
-        let mut block_raw = first;
-        loop {
+        for block_raw in wwt_mem::blocks(ga.raw(), bytes, block_bytes) {
             let block = GAddr::from_raw(block_raw);
             // The producer keeps a read-only copy; everyone becomes a
             // sharer at once.
@@ -705,9 +673,9 @@ impl SmMachine {
                 if q == me {
                     continue;
                 }
-                cpu.charge(Kind::NetAccess, cfg.dir_send_msg);
+                cpu.charge(Kind::NetAccess, COSTS.dir_send_msg);
                 cpu.count(Counter::BytesData, block_bytes);
-                cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
+                cpu.count(Counter::BytesControl, COSTS.ctrl_msg_bytes);
                 cpu.count(Counter::MessagesSent, 1);
                 let arrive = cpu.clock() + cfg.latency(me, q);
                 let this = Rc::clone(self);
@@ -717,10 +685,6 @@ impl SmMachine {
                     })
                     .expect("arrival is clamped to the present");
             }
-            if block_raw == last {
-                break;
-            }
-            block_raw += block_bytes;
         }
     }
 
@@ -738,26 +702,19 @@ impl SmMachine {
         let cfg = &self.config;
         let me = cpu.id().index();
         let block_bytes = cfg.arch.cache.block_bytes;
-        let first = ga.raw() & !(block_bytes - 1);
-        let last = (ga.raw() + bytes - 1) & !(block_bytes - 1);
-        let mut block_raw = first;
-        loop {
+        for block_raw in wwt_mem::blocks(ga.raw(), bytes, block_bytes) {
             let block = GAddr::from_raw(block_raw);
             let h = block.node();
             if let DirState::Shared(s) = self.dir_state(h, block) {
                 let consumers = s.iter().filter(|&o| o != me).count() as u64;
                 if consumers > 0 {
-                    cpu.compute(cfg.dir_base);
-                    cpu.charge(Kind::NetAccess, consumers * cfg.dir_send_msg);
+                    cpu.compute(COSTS.dir_base);
+                    cpu.charge(Kind::NetAccess, consumers * COSTS.dir_send_msg);
                     cpu.count(Counter::BytesData, consumers * block_bytes);
-                    cpu.count(Counter::BytesControl, consumers * cfg.ctrl_msg_bytes);
+                    cpu.count(Counter::BytesControl, consumers * COSTS.ctrl_msg_bytes);
                     cpu.count(Counter::MessagesSent, consumers);
                 }
             }
-            if block_raw == last {
-                break;
-            }
-            block_raw += block_bytes;
         }
     }
 

@@ -17,6 +17,7 @@ use std::rc::Rc;
 use wwt_mem::GAddr;
 use wwt_sim::{Counter, Cpu, Cycles, Kind, Mark, Metric, ProcId, Scope, TraceWhat, WaitCell};
 
+use crate::config::COSTS;
 use crate::machine::SmMachine;
 
 /// The `create(f)` start-up gate.
@@ -121,7 +122,7 @@ impl McsLock {
         let _sc = cpu.scope(Scope::Lock);
         cpu.count(Counter::LockAcquires, 1);
         let entry = cpu.clock();
-        cpu.compute(m.config().sync_overhead);
+        cpu.compute(COSTS.sync_overhead);
         // Swap ourselves onto the tail (remote write transaction).
         let _prev = m
             .swap_u64(cpu, self.tail, cpu.id().index() as u64 + 1)
@@ -168,7 +169,7 @@ impl McsLock {
             cpu.sim()
                 .trace_sample(Metric::LockHold, cpu.clock() - self.held_since.get());
         }
-        cpu.compute(m.config().sync_overhead);
+        cpu.compute(COSTS.sync_overhead);
         let next = self.queue.borrow_mut().pop_front();
         match next {
             Some((succ, cell)) => {
@@ -289,7 +290,7 @@ impl SmCollectives {
             m.flag_wait(cpu, self.gens[c], gen, Kind::Wait).await;
             let v = m.read_f64(cpu, self.vals[c]).await;
             let t = m.read_u64(cpu, self.vals[c].offset_by(8)).await;
-            cpu.compute(m.config().reduce_combine);
+            cpu.compute(COSTS.reduce_combine);
             acc = combine(acc, (v, t));
         }
         if me == 0 {

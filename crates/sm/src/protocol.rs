@@ -13,6 +13,7 @@ use std::rc::Rc;
 use wwt_mem::{GAddr, LineState};
 use wwt_sim::{Counter, Cpu, Cycles, Kind, Mark, Metric, ProcId, TraceWhat, WaitCell, WaitTarget};
 
+use crate::config::COSTS;
 use crate::machine::SmMachine;
 
 /// A compact set of sharer processor ids (up to 128 nodes).
@@ -245,7 +246,7 @@ impl SmMachine {
             cpu.trace(TraceWhat::Instant(Mark::MissStart { kind }));
         }
         // Processor-side miss handling (Table 3: 19 cycles).
-        cpu.charge(kind, cfg.shared_miss);
+        cpu.charge(kind, COSTS.shared_miss);
         // Fault-plan network jitter: the SM machine has no packets to drop,
         // so perturbation degrades into extra shared-miss service latency.
         let jitter = self.sim().fault_miss_jitter();
@@ -253,7 +254,7 @@ impl SmMachine {
             cpu.charge(kind, jitter);
         }
         // Request message.
-        cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
+        cpu.count(Counter::BytesControl, COSTS.ctrl_msg_bytes);
         let cell = self.cell_pool.take();
         let arrive = cpu.clock() + cfg.latency(p, h);
         self.dir_prefetch(block);
@@ -303,19 +304,19 @@ impl SmMachine {
             this.sim().count(
                 req,
                 Counter::BytesControl,
-                (data_msgs + ctrl_msgs) * cfg.ctrl_msg_bytes,
+                (data_msgs + ctrl_msgs) * COSTS.ctrl_msg_bytes,
             );
         };
 
         match (write, state) {
             (false, DirState::Uncached) => {
-                let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
+                let occ = COSTS.dir_base + COSTS.dir_send_msg + COSTS.dir_send_block;
                 self.dir_write(h, block, DirState::Shared(Sharers::one(p)), ts + occ);
                 bytes(self, 1, 0);
                 ts + occ + cfg.latency(h, p)
             }
             (false, DirState::Shared(mut s)) => {
-                let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
+                let occ = COSTS.dir_base + COSTS.dir_send_msg + COSTS.dir_send_block;
                 s.insert(p);
                 self.dir_write(h, block, DirState::Shared(s), ts + occ);
                 bytes(self, 1, 0);
@@ -325,7 +326,7 @@ impl SmMachine {
                 // The requester re-misses on a block the directory still
                 // thinks it owns (its writeback is in flight). Serve as if
                 // the block were home.
-                let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
+                let occ = COSTS.dir_base + COSTS.dir_send_msg + COSTS.dir_send_block;
                 let st = if write {
                     DirState::Exclusive(p)
                 } else {
@@ -341,10 +342,10 @@ impl SmMachine {
                 // state serialization follows directory-arrival order; the
                 // message-path arithmetic below shapes only the response
                 // latency and the directory's future occupancy.
-                let occ1 = cfg.dir_base + cfg.dir_send_msg;
-                let occ2 = cfg.dir_base + cfg.dir_recv_block + cfg.dir_send_block;
+                let occ1 = COSTS.dir_base + COSTS.dir_send_msg;
+                let occ2 = COSTS.dir_base + COSTS.dir_recv_block + COSTS.dir_send_block;
                 let recall_at = ts + occ1 + cfg.latency(h, o);
-                let wb_at = recall_at + cfg.invalidate + cfg.latency(o, h);
+                let wb_at = recall_at + COSTS.invalidate + cfg.latency(o, h);
                 let ts2 = wb_at.max(ts + occ1);
                 if write {
                     self.cache_invalidate(o, block);
@@ -360,7 +361,7 @@ impl SmMachine {
                 ts2 + occ2 + cfg.latency(h, p)
             }
             (true, DirState::Uncached) => {
-                let occ = cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block;
+                let occ = COSTS.dir_base + COSTS.dir_send_msg + COSTS.dir_send_block;
                 self.dir_write(h, block, DirState::Exclusive(p), ts + occ);
                 bytes(self, 1, 0);
                 ts + occ + cfg.latency(h, p)
@@ -370,27 +371,27 @@ impl SmMachine {
                 let k = u64::from(s.count()) - u64::from(upgrade);
                 if k == 0 {
                     // Sole sharer: grant ownership without data.
-                    let occ = cfg.dir_base + cfg.dir_send_msg;
+                    let occ = COSTS.dir_base + COSTS.dir_send_msg;
                     self.dir_write(h, block, DirState::Exclusive(p), ts + occ);
                     bytes(self, 0, 1);
                     ts + occ + cfg.latency(h, p)
                 } else {
-                    let occ = cfg.dir_base
-                        + k * cfg.dir_send_msg
+                    let occ = COSTS.dir_base
+                        + k * COSTS.dir_send_msg
                         + if upgrade {
-                            cfg.dir_send_msg
+                            COSTS.dir_send_msg
                         } else {
-                            cfg.dir_send_block
+                            COSTS.dir_send_block
                         };
                     let mut last_ack = 0;
                     self.cache_prefetch_sharers(s, p, block);
                     for (i, o) in s.iter().filter(|&o| o != p).enumerate() {
                         let inv_at = ts
-                            + cfg.dir_base
-                            + (i as u64 + 1) * cfg.dir_send_msg
+                            + COSTS.dir_base
+                            + (i as u64 + 1) * COSTS.dir_send_msg
                             + cfg.latency(h, o);
                         self.cache_invalidate(o, block);
-                        last_ack = last_ack.max(inv_at + cfg.invalidate + cfg.latency(o, h));
+                        last_ack = last_ack.max(inv_at + COSTS.invalidate + cfg.latency(o, h));
                     }
                     self.dir_write(h, block, DirState::Exclusive(p), ts + occ);
                     // invalidations + acks (ctrl) + response
@@ -453,10 +454,10 @@ impl SmMachine {
         match state {
             LineState::Dirty => {
                 cpu.count(Counter::BytesData, cfg.arch.cache.block_bytes);
-                cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
+                cpu.count(Counter::BytesControl, COSTS.ctrl_msg_bytes);
             }
             LineState::Clean => {
-                cpu.count(Counter::BytesControl, cfg.ctrl_msg_bytes);
+                cpu.count(Counter::BytesControl, COSTS.ctrl_msg_bytes);
             }
         }
         let arrive = cpu.clock() + cfg.latency(p, h);

@@ -7,7 +7,9 @@ use std::rc::Rc;
 
 use wwt_mem::CacheGeometry;
 use wwt_sim::{Counter, Engine, Kind, ProcId, SimConfig};
-use wwt_sm::{AllocPolicy, ArchParams, McsLock, ProtocolMode, SmCollectives, SmConfig, SmMachine};
+use wwt_sm::{
+    AllocPolicy, ArchParams, McsLock, ProtocolMode, SmCollectives, SmConfig, SmMachine, COSTS,
+};
 
 fn setup(n: usize) -> (Engine, Rc<SmMachine>) {
     let e = Engine::new(n, SimConfig::default());
@@ -265,9 +267,9 @@ fn remote_miss_cost_matches_table_3_arithmetic() {
         // tlb + miss handling + request latency + directory occupancy
         // (base + send msg + send block) + response latency.
         let expect = cfg.arch.tlb_miss
-            + cfg.shared_miss
+            + COSTS.shared_miss
             + cfg.arch.net_latency
-            + (cfg.dir_base + cfg.dir_send_msg + cfg.dir_send_block)
+            + (COSTS.dir_base + COSTS.dir_send_msg + COSTS.dir_send_block)
             + cfg.arch.net_latency;
         assert_eq!(cost, expect);
     });

@@ -38,10 +38,11 @@ fn default_arch_is_the_paper_table_1_machine() {
 fn default_mp_config_encodes_table_2() {
     let c = MpConfig::default();
     assert_eq!(c.arch, ArchParams::default(), "shared base is Table 1");
-    assert_eq!(c.ni_status, 5, "Table 2: NI status access");
-    assert_eq!(c.ni_tag_dest, 5, "Table 2: tag + destination write");
-    assert_eq!(c.ni_send, 15, "Table 2: 5-word send");
-    assert_eq!(c.ni_recv, 15, "Table 2: 5-word receive");
+    let k = &wwt::mp::COSTS;
+    assert_eq!(k.ni_status, 5, "Table 2: NI status access");
+    assert_eq!(k.ni_tag_dest, 5, "Table 2: tag + destination write");
+    assert_eq!(k.ni_send, 15, "Table 2: 5-word send");
+    assert_eq!(k.ni_recv, 15, "Table 2: 5-word receive");
     assert_eq!(c.priv_miss_total(), 21);
 }
 
@@ -51,15 +52,16 @@ fn default_mp_config_encodes_table_2() {
 fn default_sm_config_encodes_table_3() {
     let c = SmConfig::default();
     assert_eq!(c.arch, ArchParams::default(), "shared base is Table 1");
-    assert_eq!(c.shared_miss, 19, "Table 3: shared-miss handling");
-    assert_eq!(c.invalidate, 3, "Table 3: invalidation");
-    assert_eq!(c.repl_shared_clean, 5, "Table 3: clean replacement");
-    assert_eq!(c.repl_shared_dirty, 13, "Table 3: dirty replacement");
-    assert_eq!(c.dir_base, 10, "Table 3: directory base");
-    assert_eq!(c.dir_recv_block, 8, "Table 3: +block received");
-    assert_eq!(c.dir_send_msg, 5, "Table 3: +message sent");
-    assert_eq!(c.dir_send_block, 8, "Table 3: +block sent");
-    assert_eq!(c.ctrl_msg_bytes, 8, "Section 4: 8-byte control messages");
+    let k = &wwt::sm::COSTS;
+    assert_eq!(k.shared_miss, 19, "Table 3: shared-miss handling");
+    assert_eq!(k.invalidate, 3, "Table 3: invalidation");
+    assert_eq!(k.repl_shared_clean, 5, "Table 3: clean replacement");
+    assert_eq!(k.repl_shared_dirty, 13, "Table 3: dirty replacement");
+    assert_eq!(k.dir_base, 10, "Table 3: directory base");
+    assert_eq!(k.dir_recv_block, 8, "Table 3: +block received");
+    assert_eq!(k.dir_send_msg, 5, "Table 3: +message sent");
+    assert_eq!(k.dir_send_block, 8, "Table 3: +block sent");
+    assert_eq!(k.ctrl_msg_bytes, 8, "Section 4: 8-byte control messages");
     assert_eq!(
         c.arch.cache.block_bytes, 32,
         "Section 4: 32-byte data blocks"

@@ -6,7 +6,9 @@
 use std::rc::Rc;
 
 use wwt::mp::{MpConfig, MpMachine};
-use wwt::sim::{Engine, HwBarrier, Kind, ProcId, Sim, SimConfig, SimError};
+use wwt::sim::{
+    Engine, FaultConfig, HwBarrier, Kind, ProcId, Sim, SimConfig, SimError, WATCHDOG_CYCLES,
+};
 use wwt::{run_grid, Experiment, RunnerConfig, Scale};
 
 #[test]
@@ -72,7 +74,7 @@ fn watchdog_reports_livelock_with_the_parked_processor() {
     let mut e = Engine::new(
         1,
         SimConfig {
-            watchdog: Some(5_000),
+            faults: Some(FaultConfig::default()),
             ..SimConfig::default()
         },
     );
@@ -87,15 +89,20 @@ fn watchdog_reports_livelock_with_the_parked_processor() {
     rearm(Rc::clone(e.sim()), 100);
     let err = e.try_run().expect_err("event churn without progress");
     match &err {
-        SimError::Livelock { watchdog, report } => {
-            assert_eq!(*watchdog, 5_000);
+        SimError::Livelock(report) => {
+            assert_eq!(report.now, WATCHDOG_CYCLES + 100);
             assert_eq!(report.blocked.len(), 1);
             assert_eq!(report.blocked[0].proc, ProcId::new(0));
         }
         other => panic!("expected Livelock, got {other}"),
     }
     let text = err.to_string();
-    assert!(text.contains("livelock"), "{text}");
+    assert!(
+        text.contains(&format!(
+            "livelock: no processor resumed for {WATCHDOG_CYCLES} simulated cycles"
+        )),
+        "{text}"
+    );
     assert!(text.contains("P0 blocked"), "{text}");
     drop(cell);
 }

@@ -143,7 +143,6 @@ fn a_dead_node_fails_its_experiment_but_not_the_grid() {
     // (simulated once, never retried) carries exactly that text.
     let sim = SimConfig {
         faults: Some(faults),
-        watchdog: Some(10_000_000),
         ..SimConfig::default()
     };
     let fail = || {
@@ -216,7 +215,6 @@ fn faulted_traced_run_reconciles_spans_with_the_matrix() {
     let sim = SimConfig {
         trace: true,
         faults: Some(chaos("seed=11,drop=0.02,dup=0.002")),
-        watchdog: Some(10_000_000),
         ..SimConfig::default()
     };
     let out = wwt::run_experiment_with(Experiment::Em3dMp, Scale::Test, sim);
