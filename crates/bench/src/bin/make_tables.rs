@@ -27,13 +27,15 @@
 //! `results/BENCH_grid.json` (appended per invocation) so the report
 //! text stays deterministic.
 //!
-//! Runs are cached under `results/cache/`, keyed by (experiment, scale,
-//! engine-config hash): a repeated invocation with unchanged inputs
-//! replays from disk. `--no-cache` bypasses the cache entirely. Entries
-//! live in checksummed containers published by atomic rename, so a
-//! damaged entry (torn write, bit rot) is a warned miss that re-simulates
-//! and overwrites it — never wrong output. The end-of-run `cache:` line
-//! on stderr counts hits, misses and corrupt entries recovered.
+//! Runs are cached under `results/cache/`, keyed by the model (experiment,
+//! scale, fault plan, hardware base): a repeated invocation with unchanged
+//! inputs replays from disk, except that entries hold no trace exports,
+//! so `--trace`/`--metrics` always simulate. `--no-cache` bypasses the
+//! cache entirely. Entries live in checksummed containers published by
+//! atomic rename, so a damaged entry (torn write, bit rot) is a warned
+//! miss that re-simulates and overwrites it — never wrong output. The
+//! end-of-run `cache:` line on stderr counts hits, misses and corrupt
+//! entries recovered.
 //!
 //! A failed grid job — a stalled simulation or a panicking experiment —
 //! is reported as a failed cell and never retried: the simulator is
@@ -105,8 +107,8 @@ use wwt_bench::bench_log;
 use wwt_bench::{select_experiments, timing_line, timing_total};
 use wwt_core::arch::{sweep_points, ArchParams, ArchSweep, KEYS, PRESETS};
 use wwt_core::{
-    render_report, render_sweep_report, run_grid, run_sweep, Experiment, ExperimentSummary,
-    RunnerConfig, Scale,
+    experiment_json, render_report, render_sweep_report, run_grid, run_sweep, Experiment,
+    ExperimentSummary, RunnerConfig, Scale,
 };
 
 /// Inserts `-{id}` before the final path component's extension:
@@ -345,7 +347,8 @@ fn main() {
         wwt_core::obs::start_sampler(100);
     }
 
-    let tracing_requested = trace_out.is_some() || metrics_out.is_some() || json_out.is_some();
+    let tracing_requested = trace_out.is_some() || metrics_out.is_some();
+    let exports_requested = tracing_requested || json_out.is_some();
     let cfg = RunnerConfig {
         scale,
         jobs,
@@ -361,7 +364,7 @@ fn main() {
         // Diff mode: stdout carries only the rendered diff (a self-diff
         // prints nothing), so it stays byte-identical across job counts
         // and cache states; everything else goes to stderr.
-        if !sweeps.is_empty() || timeline || tracing_requested {
+        if !sweeps.is_empty() || timeline || exports_requested {
             eprintln!(
                 "--diff cannot combine with --arch-sweep/--timeline/--trace/--metrics/--json"
             );
@@ -425,7 +428,7 @@ fn main() {
     if !sweeps.is_empty() {
         // Sweeps print one comparison row per point, not per-experiment
         // artifacts; the artifact flags have nothing to attach to.
-        if timeline || tracing_requested {
+        if timeline || exports_requested {
             eprintln!("--arch-sweep cannot combine with --timeline/--trace/--metrics/--json");
             std::process::exit(2);
         }
@@ -504,33 +507,26 @@ fn main() {
         }
     }
 
-    if tracing_requested {
-        for a in &artifacts {
-            let e = a.experiment;
-            // A stalled simulation has no trace to export; the failure is
-            // reported (and the exit code set) below.
-            let Some(tr) = a.trace.as_ref() else {
-                continue;
-            };
+    let export = |base: &str, id: &str, body: &str, what: &str| {
+        let path = with_id(base, id);
+        std::fs::write(&path, body).unwrap_or_else(|err| panic!("writing {path}: {err}"));
+        eprintln!("wrote {what} {path}");
+    };
+    for a in &artifacts {
+        let id = a.experiment.id();
+        if let Some(tr) = &a.trace {
             if let Some(base) = &trace_out {
-                let path = with_id(base, e.id());
-                std::fs::write(&path, &tr.perfetto)
-                    .unwrap_or_else(|err| panic!("writing {path}: {err}"));
-                eprintln!("wrote trace {path}");
+                export(base, id, &tr.perfetto, "trace");
             }
             if let Some(base) = &metrics_out {
-                let path = with_id(base, e.id());
-                std::fs::write(&path, &tr.metrics_json)
-                    .unwrap_or_else(|err| panic!("writing {path}: {err}"));
-                eprintln!("wrote metrics {path}");
-                println!("\n### {} — {}", e.id(), tr.metrics_table);
+                export(base, id, &tr.metrics_json, "metrics");
+                println!("\n### {id} — {}", tr.metrics_table);
             }
-            if let Some(base) = &json_out {
-                let path = with_id(base, e.id());
-                std::fs::write(&path, &tr.experiment_json)
-                    .unwrap_or_else(|err| panic!("writing {path}: {err}"));
-                eprintln!("wrote result json {path}");
-            }
+        }
+        // A stalled simulation has no results to export; the failure is
+        // reported (and the exit code set) below.
+        if let Some(base) = json_out.as_ref().filter(|_| !a.summary.engine_failed()) {
+            export(base, id, &experiment_json(&a.summary), "result json");
         }
     }
 

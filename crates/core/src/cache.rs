@@ -1,11 +1,12 @@
-//! The persistent run cache: experiment artifacts keyed by the simulated
+//! The persistent run cache: experiment results keyed by the simulated
 //! model alone — (experiment, scale, fault plan, hardware point).
 //!
 //! A paper-scale grid takes minutes; most `make_tables` invocations
 //! re-run experiments whose inputs did not change. The runner therefore
 //! persists each experiment's [`ExperimentArtifacts`] — the reportable
-//! summary plus any rendered timeline/trace/phase artifacts — to one file
-//! per model point and replays it on the next invocation.
+//! summary plus any rendered timeline and phase profile, never the trace
+//! exports, which at paper scale cost more to read back than to
+//! re-simulate — to one file per model point and replays it.
 //!
 //! Three properties carry the design:
 //!
@@ -22,9 +23,10 @@
 //!   completed run's numbers do not depend on them.
 //! * **Coverage is part of the lookup.** Those observation flags instead
 //!   decide which artifacts a lookup needs. An entry that lacks one is a
-//!   miss; the runner re-simulates with the flags that were asked for and
-//!   the new entry replaces the old one (artifact sets are never merged).
-//!   A hit returns only the requested artifacts.
+//!   miss (a traced lookup always is, before any file is opened); the
+//!   runner re-simulates with the flags that were asked for and the new
+//!   entry replaces the old one (artifact sets are never merged). A hit
+//!   returns only the requested artifacts.
 //!
 //! The format is a versioned, line-oriented text file with length-
 //! prefixed blobs for rendered artifacts. Any parse failure — truncation,
@@ -57,12 +59,8 @@ use crate::table::{BreakdownTable, EventTable, Row};
 
 /// Bump when the serialization format, the meaning of cached fields or
 /// the key changes; old entries then miss instead of misparsing.
-/// Version 2: phase-profile blobs, percentile fields in metrics blobs.
-/// Version 3: entries live inside checksummed `wwt-store` containers
-/// (older files keep their old names and are simply never read).
-/// Version 4: the key holds the model alone; observation flags only
-/// decide which artifacts a lookup needs.
-const FORMAT_VERSION: u32 = 4;
+/// Version 5: results only — no trace-export blobs and no wall time.
+const FORMAT_VERSION: u32 = 5;
 
 /// The cache key hash: the format version, the experiment and scale, the
 /// fault plan, the hardware base, and both machines' cost tables. Of
@@ -145,7 +143,9 @@ fn serialize(a: &ExperimentArtifacts) -> Option<String> {
     let _ = writeln!(out, "detail {}", s.validation_detail);
     push_f64(&mut out, "imbalance", s.imbalance);
     push_f64(&mut out, "wait", s.wait_fraction);
-    push_f64(&mut out, "wall", a.wall_secs);
+    let _ = writeln!(out, "nprocs {}", s.nprocs);
+    let _ = writeln!(out, "elapsed {}", s.elapsed_cycles);
+    let _ = writeln!(out, "events_processed {}", s.events_processed);
     let _ = writeln!(out, "stats {}", s.stats.len());
     for (name, v) in &s.stats {
         let _ = writeln!(out, "stat {:016x} {name}", v.to_bits());
@@ -181,12 +181,6 @@ fn serialize(a: &ExperimentArtifacts) -> Option<String> {
     }
     if let Some(p) = &a.phases {
         push_blob(&mut out, "phases", &p.to_text());
-    }
-    if let Some(t) = &a.trace {
-        push_blob(&mut out, "perfetto", &t.perfetto);
-        push_blob(&mut out, "metrics_json", &t.metrics_json);
-        push_blob(&mut out, "metrics_table", &t.metrics_table);
-        push_blob(&mut out, "experiment_json", &t.experiment_json);
     }
     out.push_str("end\n");
     Some(out)
@@ -234,7 +228,7 @@ impl<'a> Cursor<'a> {
         Some(f64::from_bits(bits))
     }
 
-    fn count(&mut self, tag: &str) -> Option<usize> {
+    fn count<T: std::str::FromStr>(&mut self, tag: &str) -> Option<T> {
         self.tagged(tag)?.parse().ok()
     }
 
@@ -257,15 +251,14 @@ fn labeled_f64(line: &str) -> Option<(String, f64)> {
     Some((label.to_string(), v))
 }
 
-fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts> {
+/// Parses one entry, taking its experiment and scale from its own header.
+fn parse(text: &str) -> Option<ExperimentArtifacts> {
     let mut c = Cursor { rest: text };
-    let version: u32 = c.tagged("wwt-run-cache")?.parse().ok()?;
-    if version != FORMAT_VERSION {
+    if c.count::<u32>("wwt-run-cache")? != FORMAT_VERSION {
         return None;
     }
-    if c.tagged("experiment")? != e.id() || c.tagged("scale")? != scale.name() {
-        return None;
-    }
+    let e = Experiment::from_id(c.tagged("experiment")?)?;
+    let scale = Scale::from_name(c.tagged("scale")?)?;
     let validation_passed = match c.tagged("passed")? {
         "true" => true,
         "false" => false,
@@ -274,7 +267,9 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
     let validation_detail = c.tagged("detail")?.to_string();
     let imbalance = c.f64_field("imbalance")?;
     let wait_fraction = c.f64_field("wait")?;
-    let wall_secs = c.f64_field("wall")?;
+    let nprocs = c.count("nprocs")?;
+    let elapsed_cycles = c.count("elapsed")?;
+    let events_processed = c.count("events_processed")?;
 
     let nstats = c.count("stats")?;
     let mut stats = Vec::with_capacity(nstats);
@@ -326,7 +321,6 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
 
     let mut timeline = None;
     let mut phases = None;
-    let mut blobs: Vec<(String, String)> = Vec::new();
     loop {
         let line = c.line()?;
         if line == "end" {
@@ -334,42 +328,15 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
         }
         let rest = line.strip_prefix("blob ")?;
         let (name, len) = rest.split_once(' ')?;
-        let body = c.blob_body(len.parse().ok()?)?.to_string();
-        if name == "timeline" {
-            timeline = Some(body);
-        } else if name == "phases" {
+        let body = c.blob_body(len.parse().ok()?)?;
+        match name {
+            "timeline" => timeline = Some(body.to_string()),
             // A damaged profile blob poisons the whole entry: better to
             // re-simulate than to diff against garbage.
-            phases = Some(wwt_diff::RunProfile::from_text(&body)?);
-        } else {
-            blobs.push((name.to_string(), body));
+            "phases" => phases = Some(wwt_diff::RunProfile::from_text(body)?),
+            _ => return None,
         }
     }
-
-    let trace = {
-        let take = |name: &str| {
-            blobs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, b)| b.clone())
-        };
-        match (
-            take("perfetto"),
-            take("metrics_json"),
-            take("metrics_table"),
-            take("experiment_json"),
-        ) {
-            (Some(perfetto), Some(metrics_json), Some(metrics_table), Some(experiment_json)) => {
-                Some(crate::runner::TraceArtifacts {
-                    perfetto,
-                    metrics_json,
-                    metrics_table,
-                    experiment_json,
-                })
-            }
-            _ => None,
-        }
-    };
 
     Some(ExperimentArtifacts {
         experiment: e,
@@ -381,38 +348,31 @@ fn parse(text: &str, e: Experiment, scale: Scale) -> Option<ExperimentArtifacts>
             stats,
             imbalance,
             wait_fraction,
+            nprocs,
+            elapsed_cycles,
+            events_processed,
             tables,
             events,
         },
         timeline,
-        trace,
+        trace: None,
         phases,
-        wall_secs,
+        wall_secs: 0.0,
         from_cache: true,
     })
 }
 
 /// Fits a parsed entry to a lookup under `sim`: a run under `sim` renders
-/// a timeline when profiling, trace exports when tracing, and a phase
-/// profile when marking phases. `None` (a miss) when the entry lacks one
-/// of those; otherwise the entry with every other artifact dropped.
+/// a timeline when profiling and a phase profile when marking phases.
+/// `None` (a miss) when the entry lacks one of those; otherwise the entry
+/// with every other artifact dropped.
 fn narrow(mut a: ExperimentArtifacts, sim: &wwt_sim::SimConfig) -> Option<ExperimentArtifacts> {
     let timeline = sim.profile_bucket.is_some();
-    if (timeline && a.timeline.is_none())
-        || (sim.trace && a.trace.is_none())
-        || (sim.phase_marks && a.phases.is_none())
-    {
+    if (timeline && a.timeline.is_none()) || (sim.phase_marks && a.phases.is_none()) {
         return None;
     }
-    if !timeline {
-        a.timeline = None;
-    }
-    if !sim.trace {
-        a.trace = None;
-    }
-    if !sim.phase_marks {
-        a.phases = None;
-    }
+    a.timeline = a.timeline.filter(|_| timeline);
+    a.phases = a.phases.filter(|_| sim.phase_marks);
     Some(a)
 }
 
@@ -420,25 +380,18 @@ fn narrow(mut a: ExperimentArtifacts, sim: &wwt_sim::SimConfig) -> Option<Experi
 /// recovering the experiment and scale from the entry header instead of
 /// requiring the caller to know the key. `None` on any damage.
 pub fn load_path(path: &Path) -> Option<ExperimentArtifacts> {
-    let text = String::from_utf8(container::read(path).ok()?).ok()?;
-    let mut lines = text.lines();
-    let _header = lines.next()?;
-    let e = Experiment::from_id(lines.next()?.strip_prefix("experiment ")?)?;
-    let scale = match lines.next()?.strip_prefix("scale ")? {
-        "paper" => Scale::Paper,
-        "test" => Scale::Test,
-        _ => return None,
-    };
-    parse(&text, e, scale)
+    parse(&String::from_utf8(container::read(path).ok()?).ok()?)
 }
 
 /// Loads the cached artifacts for one (experiment, scale, config, arch)
 /// point, narrowed to what a run under `sim` produces. Any missing,
 /// truncated, or version-skewed entry is a miss (`None`), and so is an
-/// intact entry that lacks a requested artifact. A file that exists but
-/// cannot be read or parsed additionally warns on stderr and counts as a
-/// recovered corruption — the entry is damaged, not merely absent — and
-/// the runner then re-simulates and overwrites it.
+/// intact entry that lacks a requested artifact. A traced lookup
+/// (`sim.trace`) misses without opening the file: no entry holds trace
+/// exports. A file that exists but cannot be read or parsed additionally
+/// warns on stderr and counts as a recovered corruption — the entry is
+/// damaged, not merely absent — and the runner then re-simulates and
+/// overwrites it.
 pub fn load(
     dir: &Path,
     e: Experiment,
@@ -450,6 +403,10 @@ pub fn load(
     // near a hot path): the grid runner's end-of-run cache summary works
     // without `--obs`.
     use wwt_obs::{count_always, Ctr};
+    if sim.trace {
+        count_always(Ctr::CacheMisses, 1);
+        return None;
+    }
     let path = entry_path(dir, e, scale, sim, arch);
     let damaged = |why: &dyn std::fmt::Display| {
         eprintln!(
@@ -476,7 +433,8 @@ pub fn load(
         damaged(&"damaged (payload is not UTF-8)");
         return None;
     };
-    let Some(parsed) = parse(&text, e, scale) else {
+    let Some(parsed) = parse(&text).filter(|a| a.experiment == e && a.summary.scale == scale)
+    else {
         damaged(&"truncated or corrupt");
         return None;
     };
@@ -518,6 +476,9 @@ mod tests {
                 stats: vec![("steps".into(), 43.0), ("residual".into(), 1.25e-9)],
                 imbalance: 0.0123456789,
                 wait_fraction: 0.25,
+                nprocs: 2,
+                elapsed_cycles: 71_000_123,
+                events_processed: 456_789,
                 tables: vec![BreakdownTable {
                     title: "Gauss-MP (Tables 8 and 10)".into(),
                     rows: vec![
@@ -557,11 +518,11 @@ mod tests {
     fn round_trips_exactly() {
         let a = sample_artifacts();
         let text = serialize(&a).unwrap();
-        let b = parse(&text, a.experiment, a.summary.scale).unwrap();
+        let b = parse(&text).unwrap();
+        assert_eq!(a.experiment, b.experiment);
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.timeline, b.timeline);
         assert_eq!(a.phases, b.phases);
-        assert_eq!(a.wall_secs, b.wall_secs);
         assert!(b.from_cache);
     }
 
@@ -590,7 +551,7 @@ mod tests {
             ("neg".into(), -0.0),
         ];
         let text = serialize(&a).unwrap();
-        let b = parse(&text, a.experiment, a.summary.scale).unwrap();
+        let b = parse(&text).unwrap();
         for ((_, x), (_, y)) in a.summary.stats.iter().zip(&b.summary.stats) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -600,11 +561,26 @@ mod tests {
     fn truncated_or_mismatched_entries_miss() {
         let a = sample_artifacts();
         let text = serialize(&a).unwrap();
-        assert!(parse(&text[..text.len() / 2], a.experiment, Scale::Test).is_none());
-        assert!(parse(&text, Experiment::GaussSm, Scale::Test).is_none());
-        assert!(parse(&text, a.experiment, Scale::Paper).is_none());
-        assert!(parse("wwt-run-cache 999\n", a.experiment, Scale::Test).is_none());
-        assert!(parse("", a.experiment, Scale::Test).is_none());
+        assert!(parse(&text[..text.len() / 2]).is_none());
+        assert!(parse("wwt-run-cache 999\n").is_none());
+        assert!(parse("").is_none());
+        // Entries hold results only: a trace-export blob is damage.
+        let traced = text.replace("end\n", "blob perfetto 2\n{}\nend\n");
+        assert!(parse(&traced).is_none());
+        // An intact entry under another experiment's or scale's key misses.
+        let dir = std::env::temp_dir().join(format!("wwt-cache-mismatch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let sim = wwt_sim::SimConfig::default();
+        let arch = ArchParams::default();
+        for (e, scale) in [
+            (Experiment::GaussSm, Scale::Test),
+            (a.experiment, Scale::Paper),
+        ] {
+            let path = entry_path(&dir, e, scale, &sim, &arch);
+            atomic_write(path, &container::encode(text.as_bytes())).unwrap();
+            assert!(load(&dir, e, scale, &sim, &arch).is_none(), "{e} {scale:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Observation and execution flags never split a model point; the
@@ -711,7 +687,8 @@ mod tests {
         let b = load(&dir, a.experiment, Scale::Test, &profiled, &arch).unwrap();
         assert_eq!(b.timeline, a.timeline);
         assert!(b.phases.is_none());
-        // An entry without a requested artifact misses.
+        // An entry without a requested artifact misses, and no entry
+        // holds trace exports.
         let traced = wwt_sim::SimConfig { trace: true, ..sim };
         assert!(load(&dir, a.experiment, Scale::Test, &traced, &arch).is_none());
         let _ = fs::remove_dir_all(&dir);

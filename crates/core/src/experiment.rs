@@ -192,6 +192,13 @@ impl Scale {
             Scale::Test => "test",
         }
     }
+
+    /// The scale whose [`Scale::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Paper, Scale::Test]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// Everything an experiment run produces.
@@ -227,6 +234,9 @@ impl ExperimentOutput {
             stats: self.run.stats.clone(),
             imbalance: self.run.report.imbalance(),
             wait_fraction: self.run.report.wait_fraction(),
+            nprocs: self.run.report.nprocs(),
+            elapsed_cycles: self.run.report.elapsed(),
+            events_processed: self.run.report.events_processed(),
             tables: self.tables.clone(),
             events: self.events.clone(),
         }
@@ -254,6 +264,12 @@ pub struct ExperimentSummary {
     pub imbalance: f64,
     /// Waiting cycles as a fraction of all cycles.
     pub wait_fraction: f64,
+    /// Processors in the primary run.
+    pub nprocs: usize,
+    /// Simulated cycles of the primary run (its slowest processor).
+    pub elapsed_cycles: u64,
+    /// Discrete events the engine processed in the primary run.
+    pub events_processed: u64,
     /// Paper-style breakdown tables.
     pub tables: Vec<BreakdownTable>,
     /// Paper-style per-processor event tables.

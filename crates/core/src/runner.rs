@@ -20,10 +20,11 @@
 //!   per-experiment summaries, the rendered report is **byte-identical
 //!   regardless of job count**.
 //! * **Run caching.** With [`RunnerConfig::cache_dir`] set, each
-//!   experiment's artifacts persist keyed by the model point (experiment,
-//!   scale, fault plan, hardware base); a repeated invocation on that
-//!   point replays from disk without simulating when the entry holds
-//!   every requested artifact. See [`crate::cache`].
+//!   experiment's results (never its trace exports) persist keyed by the
+//!   model point (experiment, scale, fault plan, hardware base); a
+//!   repeated untraced invocation on that point replays from disk without
+//!   simulating when the entry holds every requested artifact. See
+//!   [`crate::cache`].
 //!
 //! Wall-clock timing per experiment is reported in
 //! [`ExperimentArtifacts::wall_secs`] so callers can surface grid timing
@@ -57,8 +58,9 @@ pub struct RunnerConfig {
     /// Render a per-processor activity timeline for every experiment
     /// (enables time-resolved profiling in the engine).
     pub timeline: bool,
-    /// Produce trace artifacts (Perfetto JSON, latency histograms, result
-    /// JSON) for every experiment.
+    /// Produce trace artifacts (Perfetto JSON, latency histograms) for
+    /// every experiment. The run cache holds none, so a traced run always
+    /// simulates.
     pub trace: bool,
     /// When set, persist and reuse per-experiment artifacts under this
     /// directory (created on demand).
@@ -113,8 +115,8 @@ pub fn timeline_bucket(scale: Scale) -> u64 {
     }
 }
 
-/// Trace-derived artifacts of one experiment run (the `--trace`,
-/// `--metrics`, and `--json` outputs of `make_tables`).
+/// Trace-derived artifacts of one experiment run (the `--trace` and
+/// `--metrics` outputs of `make_tables`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceArtifacts {
     /// Chrome trace-event / Perfetto JSON.
@@ -123,8 +125,6 @@ pub struct TraceArtifacts {
     pub metrics_json: String,
     /// Latency histograms as an ASCII table.
     pub metrics_table: String,
-    /// The experiment result (tables, validation, summary) as JSON.
-    pub experiment_json: String,
 }
 
 /// Everything one experiment contributes to a grid run: the reportable
@@ -138,7 +138,7 @@ pub struct ExperimentArtifacts {
     pub summary: ExperimentSummary,
     /// The rendered timeline section, when requested.
     pub timeline: Option<String>,
-    /// Trace exports, when requested.
+    /// Trace exports, when requested (never from the run cache).
     pub trace: Option<TraceArtifacts>,
     /// The phase-structured run profile (the `--diff` input), when
     /// requested via [`RunnerConfig::phases`].
@@ -206,8 +206,7 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> Experimen
         Err(err) => return failed_artifacts(e, cfg, &err.to_string(), start),
     };
     let timeline = cfg.timeline.then(|| {
-        let bucket = timeline_bucket(cfg.scale);
-        let rendered = render_timeline(&out.run.report, bucket, 100)
+        let rendered = render_timeline(&out.run.report, 100)
             .expect("run was profiled, so a timeline must render");
         format!("\n### {} — timeline\n{}", e.id(), rendered)
     });
@@ -218,7 +217,6 @@ fn run_one_inner(e: Experiment, cfg: &RunnerConfig, start: Instant) -> Experimen
             perfetto: wwt_sim::trace::chrome_trace_json(report).expect("tracing was enabled"),
             metrics_json: wwt_sim::trace::metrics_json(&data.metrics),
             metrics_table: wwt_sim::trace::metrics_table(&data.metrics),
-            experiment_json: crate::export::experiment_json(&out),
         }
     });
     let phases = cfg
@@ -265,6 +263,9 @@ fn failed_artifacts(
             stats: Vec::new(),
             imbalance: 0.0,
             wait_fraction: 0.0,
+            nprocs: 0,
+            elapsed_cycles: 0,
+            events_processed: 0,
             tables: Vec::new(),
             events: Vec::new(),
         },

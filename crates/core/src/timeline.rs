@@ -84,19 +84,12 @@ fn classify(m: &CycleMatrix) -> char {
 
 /// Renders per-processor activity timelines from a profiled run.
 ///
-/// `bucket` must be the [`wwt_sim::SimConfig::profile_bucket`] the run was
-/// profiled with; `cols` is the output width (profile buckets are
-/// re-aggregated to fit). Fails with [`TimelineError::NotProfiled`] if the
-/// run recorded no profile.
-pub fn render_timeline(
-    report: &SimReport,
-    bucket: u64,
-    cols: usize,
-) -> Result<String, TimelineError> {
+/// `cols` is the output width (the report's profile buckets, of width
+/// [`SimReport::profile_bucket`], are re-aggregated to fit). Fails with
+/// [`TimelineError::NotProfiled`] if the run recorded no profile.
+pub fn render_timeline(report: &SimReport, cols: usize) -> Result<String, TimelineError> {
+    let bucket = report.profile_bucket().ok_or(TimelineError::NotProfiled)?;
     let elapsed = report.elapsed().max(1);
-    if report.procs().all(|p| p.profile.is_empty()) {
-        return Err(TimelineError::NotProfiled);
-    }
     let cols = cols.max(10);
     let per_col = elapsed.div_ceil(cols as u64); // cycles per output column
     let mut out = String::new();
@@ -147,7 +140,7 @@ mod tests {
             ..SimConfig::default()
         };
         let out = run_experiment_with(Experiment::GaussSm, Scale::Test, sim);
-        let t = render_timeline(&out.run.report, 2_000, 80).unwrap();
+        let t = render_timeline(&out.run.report, 80).unwrap();
         assert!(t.contains("activity timeline"));
         assert!(t.contains('#'), "computation must appear:\n{t}");
         // One row per processor plus header and legend.
@@ -158,7 +151,7 @@ mod tests {
     #[test]
     fn unprofiled_run_is_a_clear_error() {
         let out = crate::run_experiment(Experiment::GaussMp, Scale::Test);
-        let err = render_timeline(&out.run.report, 1_000, 80).unwrap_err();
+        let err = render_timeline(&out.run.report, 80).unwrap_err();
         assert_eq!(err, TimelineError::NotProfiled);
         assert!(err.to_string().contains("profile_bucket"), "{err}");
     }

@@ -491,6 +491,7 @@ impl Engine {
                 })
                 .collect(),
             inner.events_processed,
+            inner.config.profile_bucket,
             trace,
         ))
     }

@@ -50,6 +50,7 @@ pub struct ProcReport {
 pub struct SimReport {
     procs: Vec<ProcReport>,
     events_processed: u64,
+    profile_bucket: Option<Cycles>,
     trace: Option<TraceData>,
 }
 
@@ -57,13 +58,21 @@ impl SimReport {
     pub(crate) fn new(
         procs: Vec<ProcReport>,
         events_processed: u64,
+        profile_bucket: Option<Cycles>,
         trace: Option<TraceData>,
     ) -> Self {
         SimReport {
             procs,
             events_processed,
+            profile_bucket,
             trace,
         }
+    }
+
+    /// The run's [`SimConfig::profile_bucket`](crate::SimConfig): the width
+    /// of each [`ProcReport::profile`] bucket, `None` if not profiled.
+    pub fn profile_bucket(&self) -> Option<Cycles> {
+        self.profile_bucket
     }
 
     /// The structured trace and metrics collected by this run, if tracing
@@ -214,7 +223,7 @@ mod tests {
         };
         p1.matrix.add(Scope::App, Kind::Compute, 120);
         p1.counters.add(Counter::PacketsSent, 8);
-        SimReport::new(vec![p0, p1], 42, None)
+        SimReport::new(vec![p0, p1], 42, None, None)
     }
 
     #[test]

@@ -41,17 +41,13 @@ fn main() {
     // To see *where in time* the cycles went, re-run with time-resolved
     // profiling. render_timeline refuses a run without a profile, so
     // SimConfig::profile_bucket must be set (the bucket is the profile
-    // resolution in cycles; the same value is passed to the renderer).
-    let bucket = match scale {
-        Scale::Paper => 200_000,
-        Scale::Test => 2_000,
-    };
+    // resolution in cycles; the report carries it to the renderer).
     let sim = SimConfig {
-        profile_bucket: Some(bucket),
+        profile_bucket: Some(wwt::timeline_bucket(scale)),
         ..SimConfig::default()
     };
     let profiled = run_experiment_with(Experiment::GaussSm, scale, sim);
-    match render_timeline(&profiled.run.report, bucket, 100) {
+    match render_timeline(&profiled.run.report, 100) {
         Ok(t) => println!("\n{t}"),
         Err(e) => eprintln!("no timeline: {e}"),
     }

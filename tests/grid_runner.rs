@@ -76,8 +76,7 @@ fn combined_artifact_request_simulates_each_experiment_exactly_once() {
         assert!(!tr.perfetto.is_empty());
         assert!(!tr.metrics_json.is_empty());
         assert!(!tr.metrics_table.is_empty());
-        assert!(tr
-            .experiment_json
+        assert!(wwt::experiment_json(&a.summary)
             .contains(&format!("\"experiment\":\"{}\"", a.experiment.id())));
     }
 }
@@ -199,5 +198,33 @@ fn an_entry_that_does_not_cover_the_request_is_one_miss() {
     let arts = run_grid(&e, &phases);
     assert_eq!(cache_counts(), (hits, misses + 1));
     assert!(arts[0].phases.is_some());
+    // No entry holds trace exports, so a traced request misses without
+    // opening the warm entry (its damage goes unnoticed), simulates once,
+    // and its save repairs the entry with results only.
+    let traced = RunnerConfig {
+        trace: true,
+        phases: false,
+        ..phases.clone()
+    };
+    let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+    std::fs::write(entry.path(), b"damaged").unwrap();
+    let (hits, misses, bytes, corrupt) = wwt::cache::stats();
+    let before = simulations_performed();
+    let arts = run_grid(&e, &traced);
+    assert_eq!(simulations_performed() - before, 1);
+    assert_eq!(wwt::cache::stats(), (hits, misses + 1, bytes, corrupt));
+    assert!(arts[0].trace.is_some());
+    // A plain replay of that entry is one hit that reads a few hundred
+    // bytes, not a copy of the trace.
+    let plain = RunnerConfig {
+        trace: false,
+        ..traced
+    };
+    let warm = run_grid(&e, &plain);
+    let (hits_now, misses_now, bytes_now, _) = wwt::cache::stats();
+    assert_eq!((hits_now, misses_now), (hits + 1, misses + 1));
+    let read = bytes_now - bytes;
+    assert!(read < 4_096, "a plain replay read {read} bytes");
+    assert_eq!(warm[0].summary, arts[0].summary);
     let _ = std::fs::remove_dir_all(&dir);
 }
