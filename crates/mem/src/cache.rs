@@ -183,6 +183,13 @@ impl Cache {
         self.geometry
     }
 
+    /// `log2` of the block size: a raw address shifted right by this is
+    /// its block number.
+    #[inline]
+    pub(crate) fn block_shift(&self) -> u32 {
+        self.block_shift
+    }
+
     fn set_index(&self, block: u64) -> usize {
         debug_assert!(block >> RAW_BITS == 0, "{block:#x} is not a raw address");
         ((block >> self.block_shift) & self.set_mask) as usize

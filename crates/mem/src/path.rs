@@ -2,10 +2,16 @@
 //!
 //! Target kernels stream over arrays; simulating every load individually
 //! would be needlessly slow. [`touch`] walks the cache blocks an access
-//! range covers, probing the cache and TLB once per block/page, and returns
-//! an outcome summary the machine models convert into cycle charges. This
-//! preserves miss counts and spatial locality exactly while charging
-//! per-element work as computation.
+//! range covers, probing the TLB once per page and the cache once per
+//! block, and returns an outcome summary the machine models convert into
+//! cycle charges. This preserves miss counts and spatial locality exactly
+//! while charging per-element work as computation.
+//!
+//! Almost every touch is one scalar load or store inside one block, so
+//! [`touch`] is inlined into its callers and handles that case itself;
+//! longer ranges go to an out-of-line walk. Both take each block through
+//! the same step (TLB, then cache), so a range makes the same probes in
+//! the same order, and the same replacement draws, whichever path runs.
 
 use crate::addr::PAGE_BYTES;
 use crate::cache::{AccessKind, Cache, LineState};
@@ -20,24 +26,10 @@ pub struct TouchOutcome {
     pub misses: u32,
     /// Write hits on `Clean` lines (permission upgrades / write faults).
     pub upgrades: u32,
-    /// Valid victims evicted by fills, by state.
-    pub clean_evictions: u32,
     /// Dirty victims evicted by fills (need write-back).
     pub dirty_evictions: u32,
     /// Pages that missed in the TLB.
     pub tlb_misses: u32,
-}
-
-impl TouchOutcome {
-    /// Merges another outcome into this one.
-    pub fn merge(&mut self, other: TouchOutcome) {
-        self.blocks += other.blocks;
-        self.misses += other.misses;
-        self.upgrades += other.upgrades;
-        self.clean_evictions += other.clean_evictions;
-        self.dirty_evictions += other.dirty_evictions;
-        self.tlb_misses += other.tlb_misses;
-    }
 }
 
 /// The addresses of the `block_bytes`-aligned blocks that
@@ -79,7 +71,26 @@ pub fn blocks(addr: u64, bytes: u64, block_bytes: u64) -> impl Iterator<Item = u
 /// let again = touch(&mut cache, &mut tlb, 0, 128, AccessKind::Read);
 /// assert_eq!(again.misses, 0);
 /// ```
+#[inline]
 pub fn touch(
+    cache: &mut Cache,
+    tlb: &mut Tlb,
+    addr: u64,
+    bytes: u64,
+    kind: AccessKind,
+) -> TouchOutcome {
+    let shift = cache.block_shift();
+    if bytes == 0 || (addr + bytes - 1) >> shift != addr >> shift {
+        return touch_range(cache, tlb, addr, bytes, kind);
+    }
+    let mut out = TouchOutcome::default();
+    step(cache, tlb, &mut out, u64::MAX, addr >> shift << shift, kind);
+    out
+}
+
+/// [`touch`] over a range that is empty or spans more than one block.
+#[inline(never)]
+fn touch_range(
     cache: &mut Cache,
     tlb: &mut Tlb,
     addr: u64,
@@ -88,30 +99,37 @@ pub fn touch(
 ) -> TouchOutcome {
     let mut out = TouchOutcome::default();
     let mut page = u64::MAX;
-    for block in blocks(addr, bytes, cache.geometry().block_bytes) {
-        let p = block & !(PAGE_BYTES - 1);
-        if p != page {
-            page = p;
-            if !tlb.access(p) {
-                out.tlb_misses += 1;
-            }
-        }
-        let r = cache.access(block, kind);
-        out.blocks += 1;
-        if !r.hit {
-            out.misses += 1;
-        }
-        if r.upgrade {
-            out.upgrades += 1;
-        }
-        if let Some(ev) = r.evicted {
-            match ev.state {
-                LineState::Clean => out.clean_evictions += 1,
-                LineState::Dirty => out.dirty_evictions += 1,
-            }
-        }
+    for block in blocks(addr, bytes, 1 << cache.block_shift()) {
+        page = step(cache, tlb, &mut out, page, block, kind);
     }
     out
+}
+
+/// Touches one block: a TLB access unless the block lies on `page` (the
+/// page the previous block of this touch translated; `u64::MAX`, never a
+/// page address, for the first), then the cache access. Adds the result
+/// to `out` and returns the block's page.
+#[inline(always)]
+fn step(
+    cache: &mut Cache,
+    tlb: &mut Tlb,
+    out: &mut TouchOutcome,
+    page: u64,
+    block: u64,
+    kind: AccessKind,
+) -> u64 {
+    let p = block & !(PAGE_BYTES - 1);
+    if p != page && !tlb.access(p) {
+        out.tlb_misses += 1;
+    }
+    let r = cache.access(block, kind);
+    out.blocks += 1;
+    out.misses += u32::from(!r.hit);
+    out.upgrades += u32::from(r.upgrade);
+    if r.evicted.is_some_and(|ev| ev.state == LineState::Dirty) {
+        out.dirty_evictions += 1;
+    }
+    p
 }
 
 #[cfg(test)]
@@ -178,22 +196,5 @@ mod tests {
         let out = touch(&mut c, &mut t, 0, 64, AccessKind::Write);
         assert_eq!(out.misses, 0);
         assert_eq!(out.upgrades, 2);
-    }
-
-    #[test]
-    fn outcome_merge_accumulates() {
-        let mut a = TouchOutcome {
-            blocks: 1,
-            misses: 1,
-            ..Default::default()
-        };
-        a.merge(TouchOutcome {
-            blocks: 2,
-            tlb_misses: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.blocks, 3);
-        assert_eq!(a.misses, 1);
-        assert_eq!(a.tlb_misses, 1);
     }
 }

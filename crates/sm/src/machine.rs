@@ -350,8 +350,10 @@ impl SmMachine {
             wwt_mem::touch(&mut node.cache, &mut node.tlb, ga.raw(), bytes, kind)
         };
         if out.misses > 0 {
-            // Private victims cost 1 cycle into the write buffer; shared
-            // victims displaced by private fills still need protocol action.
+            // Only the misses are charged. The victims of these fills cost
+            // nothing: no replacement cycles for private or shared victims,
+            // and no replacement hint for a shared one, whose home keeps
+            // listing this node (a known deviation, DESIGN.md §5).
             cpu.charge(
                 Kind::PrivMiss,
                 out.misses as Cycles * self.config.priv_miss_total(),
