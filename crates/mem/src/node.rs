@@ -136,7 +136,9 @@ impl NodeMem {
         out
     }
 
-    fn write_bytes(&mut self, off: u64, bytes: &[u8]) {
+    /// Writes `bytes` starting at byte offset `off`, growing the memory
+    /// as needed.
+    pub fn write_bytes(&mut self, off: u64, bytes: &[u8]) {
         let end = off + bytes.len() as u64;
         self.ensure(end);
         self.data[off as usize..end as usize].copy_from_slice(bytes);

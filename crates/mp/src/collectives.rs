@@ -426,13 +426,7 @@ impl MpMachine {
             {
                 let mut nodes = self.nodes.borrow_mut();
                 let node = &mut nodes[me];
-                for (i, &b) in st.data.iter().enumerate().take(total as usize) {
-                    let off = buf_off + i as u64;
-                    let word = node.mem.read_u32(off & !3);
-                    let shift = ((off & 3) * 8) as u32;
-                    let word = (word & !(0xffu32 << shift)) | ((b as u32) << shift);
-                    node.mem.write_u32(off & !3, word);
-                }
+                node.mem.write_bytes(buf_off, &st.data[..total as usize]);
                 let mut data = st.data;
                 data.clear();
                 node.bcb_spare = data;
@@ -459,14 +453,16 @@ impl MpMachine {
                     data: std::mem::take(spare),
                     ..BulkBcastState::default()
                 });
-            let base = (idx * BULK_DATA_BYTES) as usize;
-            if st.data.len() < base + nbytes as usize {
-                st.data.resize(base + nbytes as usize, 0);
+            let (base, len) = ((idx * BULK_DATA_BYTES) as usize, nbytes as usize);
+            if st.data.len() < base + len {
+                st.data.resize(base + len, 0);
             }
-            for b in 0..nbytes {
-                let word = pkt.words[1 + (b / 4) as usize];
-                st.data[base + b as usize] = ((word >> ((b % 4) * 8)) & 0xff) as u8;
+            // The three data words, little-endian, as the root packed them.
+            let mut payload = [0u8; BULK_DATA_BYTES as usize];
+            for (dst, w) in payload.chunks_exact_mut(4).zip(&pkt.words[1..]) {
+                dst.copy_from_slice(&w.to_le_bytes());
             }
+            st.data[base..base + len].copy_from_slice(&payload[..len]);
             st.pkts += 1;
             if last {
                 st.total = Some(idx * BULK_DATA_BYTES + nbytes);
@@ -644,6 +640,64 @@ mod tests {
                     i as f64 * 0.5,
                     "node {p} word {i}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_broadcast_writes_exactly_its_bytes_at_unaligned_offsets() {
+        const N: usize = 5;
+        const ROOT: usize = 1;
+        // The buffer starts 3 bytes into an 8-aligned region whose other
+        // bytes are guards; every region byte starts as a per-node pattern.
+        const REGION: usize = 48;
+        const SKEW: usize = 3;
+        let pattern = |p: usize, i: usize| (p * 31 + i * 7 + 0x40) as u8;
+        for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::Lopsided] {
+            for len in 1..=40usize {
+                let mut e = Engine::new(N, SimConfig::default());
+                let m = MpMachine::new(&e, MpConfig::default());
+                let regions: Vec<u64> = (0..N)
+                    .map(|p| m.alloc(ProcId::new(p), REGION as u64, 8))
+                    .collect();
+                let region = regions[0];
+                assert!(regions.iter().all(|&r| r == region));
+                let buf = region + SKEW as u64;
+                let payload: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+                let initial = |p: usize| -> Vec<u8> {
+                    let mut bytes: Vec<u8> = (0..REGION).map(|i| pattern(p, i)).collect();
+                    if p == ROOT {
+                        bytes[SKEW..SKEW + len].copy_from_slice(&payload);
+                    }
+                    bytes
+                };
+                for p in 0..N {
+                    for (k, w) in initial(p).chunks_exact(4).enumerate() {
+                        let word = u32::from_le_bytes(w.try_into().unwrap());
+                        m.poke_u32(ProcId::new(p), region + 4 * k as u64, word);
+                    }
+                }
+                for p in e.proc_ids() {
+                    let m = Rc::clone(&m);
+                    let cpu = e.cpu(p);
+                    e.spawn(p, async move {
+                        let b = if p.index() == ROOT { len as u32 } else { 0 };
+                        let got = m.bcast_bulk(&cpu, shape, ROOT, buf, b).await;
+                        assert_eq!(got, len as u32);
+                    });
+                }
+                e.run();
+                for p in 0..N {
+                    let got: Vec<u8> = (0..REGION / 4)
+                        .flat_map(|k| {
+                            m.peek_u32(ProcId::new(p), region + 4 * k as u64)
+                                .to_le_bytes()
+                        })
+                        .collect();
+                    let mut want: Vec<u8> = (0..REGION).map(|i| pattern(p, i)).collect();
+                    want[SKEW..SKEW + len].copy_from_slice(&payload);
+                    assert_eq!(got, want, "{shape:?}, {len} bytes, node {p}");
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use wwt_sim::event::{Action, CalendarQueue, Event, EventQueue};
-use wwt_sim::{ProcId, SmallCall};
+use wwt_sim::SmallCall;
 
 const NPROCS: usize = 32;
 const EVENTS: u64 = 100_000;
@@ -77,7 +77,7 @@ fn churn<Q>(
 ) -> u64 {
     let last = Rc::new(Cell::new(0));
     for c in 0..stream.chains {
-        push(&mut q, c as u64, Action::Resume(ProcId::new(c % NPROCS)));
+        push(&mut q, c as u64, Action::Resume((c % NPROCS) as u64));
     }
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     let mut fold = 0u64;
@@ -88,7 +88,7 @@ fn churn<Q>(
             .wrapping_add(ev.time)
             .wrapping_add(ev.seq);
         let p = match ev.action {
-            Action::Resume(p) => p.index(),
+            Action::Resume(p) => p,
             Action::Call(f) => {
                 f.invoke();
                 last.get()
@@ -99,7 +99,7 @@ fn churn<Q>(
             let last = Rc::clone(&last);
             Action::Call(SmallCall::new(move || last.set(p)))
         } else {
-            Action::Resume(ProcId::new(p))
+            Action::Resume(p)
         };
         push(&mut q, ev.time + delay, action);
     }

@@ -19,8 +19,8 @@ use crate::time::Cycles;
 /// Attribution scope: which layer of the target software was executing when
 /// a cost was incurred.
 ///
-/// Scopes nest (a stack per processor); charges always go to the innermost
-/// scope.
+/// Scopes nest (each [`ScopeGuard`](crate::ScopeGuard) saves the scope it
+/// replaces); charges always go to the innermost scope.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scope {
     /// Application code proper.

@@ -124,7 +124,8 @@ impl Cpu {
     }
 
     /// Charges `cycles` of the given cost kind to the innermost attribution
-    /// scope (the application scope when no scope is pushed).
+    /// scope (the application scope when no scope is entered).
+    #[inline]
     pub fn charge(&self, kind: Kind, cycles: Cycles) {
         if cycles == 0 {
             return;
@@ -143,8 +144,9 @@ impl Cpu {
         stall
     }
 
-    /// Pushes an attribution scope; charges go to `scope` until the guard
-    /// is dropped.
+    /// Enters an attribution scope; charges go to `scope` until the guard
+    /// is dropped, which restores the scope it replaced. Guards nest and
+    /// must drop in reverse order of creation.
     ///
     /// # Example
     ///
@@ -163,18 +165,19 @@ impl Cpu {
         if self.tracing {
             self.trace(TraceWhat::SpanBegin(scope));
         }
-        self.sim.with_proc(self.id, |p| p.scopes.push(scope));
+        let outer = self
+            .sim
+            .with_proc(self.id, |p| std::mem::replace(&mut p.scope, scope));
         ScopeGuard {
             cpu: self.clone(),
             scope,
+            outer,
         }
     }
 
     /// The innermost attribution scope currently active.
     pub fn current_scope(&self) -> Scope {
-        self.sim
-            .with_proc(self.id, |p| p.scopes.last().copied())
-            .unwrap_or(Scope::App)
+        self.sim.with_proc(self.id, |p| p.scope)
     }
 
     /// Increments an event counter by `n`.
@@ -223,11 +226,14 @@ impl Cpu {
     }
 }
 
-/// Guard returned by [`Cpu::scope`]; pops the scope when dropped.
-#[must_use = "dropping the guard immediately pops the scope"]
+/// Guard returned by [`Cpu::scope`]; restores the enclosing scope when
+/// dropped.
+#[must_use = "dropping the guard immediately leaves the scope"]
 pub struct ScopeGuard {
     cpu: Cpu,
     scope: Scope,
+    /// The scope this guard replaced.
+    outer: Scope,
 }
 
 impl fmt::Debug for ScopeGuard {
@@ -241,7 +247,12 @@ impl fmt::Debug for ScopeGuard {
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         self.cpu.sim.with_proc(self.cpu.id, |p| {
-            p.scopes.pop();
+            // Not checked while unwinding: a panic in a drop there aborts.
+            debug_assert!(
+                p.scope == self.scope || std::thread::panicking(),
+                "scope guards dropped out of order"
+            );
+            p.scope = self.outer;
         });
         if self.cpu.tracing {
             self.cpu.trace(TraceWhat::SpanEnd(self.scope));

@@ -89,7 +89,10 @@ pub(crate) struct Proc {
     pub(crate) clock: Cycles,
     pub(crate) matrix: CycleMatrix,
     pub(crate) counters: Counters,
-    pub(crate) scopes: Vec<Scope>,
+    /// The innermost attribution scope: `App` outside every
+    /// [`ScopeGuard`](crate::ScopeGuard), each of which saves the scope it
+    /// replaces and restores it on drop.
+    pub(crate) scope: Scope,
     pub(crate) done: bool,
     pub(crate) profile: Vec<CycleMatrix>,
     pub(crate) blocked: Option<BlockInfo>,
@@ -102,7 +105,7 @@ impl Proc {
             clock: 0,
             matrix: CycleMatrix::new(),
             counters: Counters::new(),
-            scopes: Vec::new(),
+            scope: Scope::App,
             done: false,
             profile: Vec::new(),
             blocked: None,
@@ -112,27 +115,35 @@ impl Proc {
 
     /// Charges `cycles` of `kind` to the innermost scope, maintaining the
     /// time-resolved profile and the local clock. This is the one charging
-    /// path: [`Cpu::charge`] and [`Sim::charge_callback`] both land here,
-    /// so span/matrix reconciliation holds no matter who charges.
+    /// path: [`Cpu::charge`], [`Sim::charge_callback`] and wait
+    /// completions all land here, so span/matrix reconciliation holds no
+    /// matter who charges.
+    #[inline]
     pub(crate) fn charge(&mut self, kind: Kind, cycles: Cycles, bucket: Option<Cycles>) {
-        let scope = self.scopes.last().copied().unwrap_or(Scope::App);
-        self.matrix.add(scope, kind, cycles);
         if let Some(b) = bucket {
-            // Distribute the charge over the time buckets it spans.
-            let mut t = self.clock;
-            let end = self.clock + cycles;
-            while t < end {
-                let idx = (t / b) as usize;
-                let bucket_end = (t / b + 1) * b;
-                let span = bucket_end.min(end) - t;
-                if self.profile.len() <= idx {
-                    self.profile.resize(idx + 1, CycleMatrix::new());
-                }
-                self.profile[idx].add(scope, kind, span);
-                t += span;
-            }
+            self.profile_charge(kind, cycles, b);
         }
+        self.matrix.add(self.scope, kind, cycles);
         self.clock += cycles;
+    }
+
+    /// Distributes a charge that starts at the local clock over the
+    /// profile buckets of `b` cycles it spans.
+    #[cold]
+    #[inline(never)]
+    fn profile_charge(&mut self, kind: Kind, cycles: Cycles, b: Cycles) {
+        let mut t = self.clock;
+        let end = self.clock + cycles;
+        while t < end {
+            let idx = (t / b) as usize;
+            let bucket_end = (t / b + 1) * b;
+            let span = bucket_end.min(end) - t;
+            if self.profile.len() <= idx {
+                self.profile.resize(idx + 1, CycleMatrix::new());
+            }
+            self.profile[idx].add(self.scope, kind, span);
+            t += span;
+        }
     }
 }
 
@@ -241,8 +252,9 @@ impl Sim {
         if cycles == 0 {
             return;
         }
-        let bucket = self.config().profile_bucket;
-        self.with_proc(p, |pr| pr.charge(kind, cycles, bucket));
+        let inner = &mut *self.inner.borrow_mut();
+        let bucket = inner.config.profile_bucket;
+        inner.procs[p.index()].charge(kind, cycles, bucket);
     }
 
     /// Asks the fault plan (if any) for the fate of a packet from `src`
@@ -271,7 +283,7 @@ impl Sim {
     pub fn wake_at(&self, p: ProcId, at: Cycles) {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
-        inner.push(at, Action::Resume(p));
+        inner.push(at, Action::Resume(p.index() as u64));
     }
 
     /// Returns the local clock of processor `p`.
@@ -447,14 +459,14 @@ impl Engine {
             match event.action {
                 Action::Resume(p) => {
                     last_resume = event.time;
-                    let i = p.index();
+                    let i = p as usize;
                     let finished = match self.tasks[i].as_mut() {
                         Some(task) => task.as_mut().poll(&mut cx).is_ready(),
                         None => false,
                     };
                     if finished {
                         self.tasks[i] = None;
-                        self.sim.with_proc(p, |proc| proc.done = true);
+                        self.sim.inner.borrow_mut().procs[i].done = true;
                     }
                 }
                 Action::Call(f) => {

@@ -25,12 +25,15 @@ use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::callback::SmallCall;
-use crate::time::{Cycles, ProcId};
+use crate::time::Cycles;
 
 /// A scheduled simulator action.
 pub enum Action {
-    /// Re-poll the task of the given processor.
-    Resume(ProcId),
+    /// Re-poll the task of the processor with this index
+    /// ([`ProcId::index`](crate::ProcId::index)). The index is widened to
+    /// a whole word so every copy of an `Action` splits on word
+    /// boundaries; see the assertion below.
+    Resume(u64),
     /// Run an arbitrary machine-model callback (message delivery,
     /// directory processing, ...). Small captures are stored inline —
     /// see [`SmallCall`].
@@ -40,7 +43,7 @@ pub enum Action {
 impl fmt::Debug for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Action::Resume(p) => write!(f, "Resume({p})"),
+            Action::Resume(p) => write!(f, "Resume(P{p})"),
             Action::Call(_) => f.write_str("Call(..)"),
         }
     }
@@ -140,6 +143,10 @@ const NIL: u32 = u32::MAX;
 
 // A pool node is one sequence number and one action: one 64-byte line.
 const _: () = assert!(std::mem::size_of::<(u64, Action)>() == 64);
+// `Resume`'s payload fills one aligned word. A 2-byte `ProcId` there made
+// LLVM split every 56-byte move of an `Action` at a 2-byte boundary, and
+// the pop's unaligned 16-byte reloads stalled on store forwarding.
+const _: () = assert!(std::mem::size_of::<u64>() == 8 && std::mem::align_of::<u64>() == 8);
 
 /// Which tier of a [`CalendarQueue`] a push landed in.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -477,10 +484,7 @@ impl CalendarQueue {
             }
         }
         self.ring_len -= 1;
-        let (seq, action) = std::mem::replace(
-            &mut self.nodes[n as usize],
-            (0, Action::Resume(ProcId::new(0))),
-        );
+        let (seq, action) = std::mem::replace(&mut self.nodes[n as usize], (0, Action::Resume(0)));
         Some(Event { time, seq, action })
     }
 }
@@ -492,8 +496,8 @@ mod tests {
 
     use super::*;
 
-    fn resume(p: usize) -> Action {
-        Action::Resume(ProcId::new(p))
+    fn resume(p: u64) -> Action {
+        Action::Resume(p)
     }
 
     #[test]
@@ -512,9 +516,9 @@ mod tests {
         for i in 0..5 {
             q.push(100, resume(i));
         }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.action {
-                Action::Resume(p) => p.index(),
+                Action::Resume(p) => p,
                 Action::Call(_) => unreachable!(),
             })
             .collect();

@@ -138,8 +138,8 @@ fn gauss_mp_flat_work_is_pinned() {
         gauss_work(TreeShape::Flat),
         Work {
             events: 21067,
-            allocs: 690,
-            peak_bytes: 729664
+            allocs: 682,
+            peak_bytes: 729408
         }
     );
 }
@@ -150,8 +150,8 @@ fn gauss_mp_binary_work_is_pinned() {
         gauss_work(TreeShape::Binary),
         Work {
             events: 19747,
-            allocs: 536,
-            peak_bytes: 697624
+            allocs: 528,
+            peak_bytes: 697368
         }
     );
 }
@@ -162,8 +162,8 @@ fn gauss_mp_lopsided_work_is_pinned() {
         gauss_work(TreeShape::Lopsided),
         Work {
             events: 19156,
-            allocs: 524,
-            peak_bytes: 694104
+            allocs: 516,
+            peak_bytes: 693848
         }
     );
 }
@@ -181,8 +181,8 @@ fn lcp_mp_async_work_is_pinned() {
         work,
         Work {
             events: 24270,
-            allocs: 1036,
-            peak_bytes: 520844
+            allocs: 1032,
+            peak_bytes: 520716
         }
     );
 }
@@ -194,8 +194,8 @@ fn gauss_sm_work_is_pinned() {
         work,
         Work {
             events: 15473,
-            allocs: 2787,
-            peak_bytes: by_profile(642752, 642816)
+            allocs: 2779,
+            peak_bytes: by_profile(642496, 642560)
         }
     );
 }
@@ -207,8 +207,8 @@ fn em3d_sm_work_is_pinned() {
         work,
         Work {
             events: 10797,
-            allocs: 317,
-            peak_bytes: 485341
+            allocs: 313,
+            peak_bytes: 485213
         }
     );
 }
@@ -220,8 +220,8 @@ fn em3d_mp_work_is_pinned() {
         work,
         Work {
             events: 2380,
-            allocs: 484,
-            peak_bytes: 524245
+            allocs: 480,
+            peak_bytes: 524117
         }
     );
 }
@@ -233,8 +233,8 @@ fn mse_mp_work_is_pinned() {
         work,
         Work {
             events: 1752,
-            allocs: 526,
-            peak_bytes: 374556
+            allocs: 522,
+            peak_bytes: 374428
         }
     );
 }
@@ -246,8 +246,8 @@ fn mse_sm_work_is_pinned() {
         work,
         Work {
             events: 2503,
-            allocs: 364,
-            peak_bytes: by_profile(355224, 355256)
+            allocs: 361,
+            peak_bytes: by_profile(355104, 355136)
         }
     );
 }
@@ -265,8 +265,8 @@ fn lcp_mp_sync_work_is_pinned() {
         work,
         Work {
             events: 18537,
-            allocs: 1077,
-            peak_bytes: 510284
+            allocs: 1073,
+            peak_bytes: 510156
         }
     );
 }
@@ -284,8 +284,8 @@ fn lcp_sm_sync_work_is_pinned() {
         work,
         Work {
             events: 12767,
-            allocs: 1637,
-            peak_bytes: by_profile(469044, 469076)
+            allocs: 1633,
+            peak_bytes: by_profile(468916, 468948)
         }
     );
 }
@@ -303,8 +303,8 @@ fn lcp_sm_async_work_is_pinned() {
         work,
         Work {
             events: 25060,
-            allocs: 7494,
-            peak_bytes: by_profile(464804, 464836)
+            allocs: 7490,
+            peak_bytes: by_profile(464676, 464708)
         }
     );
 }
