@@ -7,8 +7,13 @@
 //!   cycles out — all within the calendar's ring, all `Resume`s.
 //! * MP-like: message-passing senders run ahead of global time between
 //!   polls, so most packet deliveries land 5k–130k cycles out, in the
-//!   calendar's second level, and carry a `Call` payload that must move
-//!   through the queue; the rest are one-latency deliveries and re-polls.
+//!   calendar's second level, and carry a `Call` payload; the rest are
+//!   one-latency deliveries and re-polls.
+//!
+//! The calendar runs the engine's path: each push builds its action in
+//! its pool node ([`CalendarQueue::push_with`]), and each pop frees the
+//! node and runs the action from there ([`CalendarQueue::pop_in_place`]).
+//! The heap moves every event in and out by value.
 
 use std::cell::Cell;
 use std::hint::black_box;
@@ -16,7 +21,8 @@ use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use wwt_sim::event::{Action, CalendarQueue, Event, EventQueue};
+use wwt_sim::event::{Action, CalendarQueue, EventQueue};
+use wwt_sim::Cycles;
 use wwt_sim::SmallCall;
 
 const NPROCS: usize = 32;
@@ -65,28 +71,23 @@ const MP: Stream = Stream {
     },
 };
 
-/// Pop-schedule churn on one scheduler (given as its empty queue and its
-/// `push`/`pop` methods): each popped event runs (a `Call` names its
-/// processor through `last`) and schedules its chain's next event.
-/// Returns an order-sensitive checksum of the pop sequence.
-fn churn<Q>(
-    stream: &Stream,
-    mut q: Q,
-    push: impl Fn(&mut Q, u64, Action),
-    pop: impl Fn(&mut Q) -> Option<Event>,
-) -> u64 {
-    let last = Rc::new(Cell::new(0));
-    for c in 0..stream.chains {
-        push(&mut q, c as u64, Action::Resume((c % NPROCS) as u64));
+/// What the churn needs of a scheduler.
+trait Scheduler: Default {
+    /// Schedules the action `make` builds at `time`.
+    fn schedule(&mut self, time: Cycles, make: impl FnOnce() -> Action);
+    /// Runs the earliest event and returns its time and processor (a
+    /// `Call` names its processor through `last`).
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)>;
+}
+
+/// The reference: every event moves in and out by value.
+impl Scheduler for EventQueue {
+    fn schedule(&mut self, time: Cycles, make: impl FnOnce() -> Action) {
+        self.push(time, make());
     }
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut fold = 0u64;
-    for _ in 0..EVENTS {
-        let ev = pop(&mut q).expect("queue never drains");
-        fold = fold
-            .rotate_left(7)
-            .wrapping_add(ev.time)
-            .wrapping_add(ev.seq);
+
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)> {
+        let ev = self.pop()?;
         let p = match ev.action {
             Action::Resume(p) => p,
             Action::Call(f) => {
@@ -94,31 +95,54 @@ fn churn<Q>(
                 last.get()
             }
         };
-        let (delay, call) = (stream.next)(&mut rng);
-        let action = if call {
-            let last = Rc::clone(&last);
-            Action::Call(SmallCall::new(move || last.set(p)))
-        } else {
-            Action::Resume(p)
+        Some((ev.time, p))
+    }
+}
+
+/// The engine's path: build in the node, run from the freed node.
+impl Scheduler for CalendarQueue {
+    fn schedule(&mut self, time: Cycles, make: impl FnOnce() -> Action) {
+        self.push_with(time, make);
+    }
+
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)> {
+        let (time, action) = self.pop_in_place()?;
+        let p = match action {
+            Action::Resume(p) => *p,
+            Action::Call(f) => {
+                f.invoke_in_place();
+                last.get()
+            }
         };
-        push(&mut q, ev.time + delay, action);
+        Some((time, p))
+    }
+}
+
+/// Pop-schedule churn on one scheduler: each popped event runs and
+/// schedules its chain's next event. Returns an order-sensitive checksum
+/// of the popped times and processors.
+fn churn<Q: Scheduler>(stream: &Stream) -> u64 {
+    let mut q = Q::default();
+    let last = Rc::new(Cell::new(0));
+    for c in 0..stream.chains {
+        q.schedule(c as u64, || Action::Resume((c % NPROCS) as u64));
+    }
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut fold = 0u64;
+    for _ in 0..EVENTS {
+        let (time, p) = q.run_next(&last).expect("queue never drains");
+        fold = fold.rotate_left(7).wrapping_add(time).wrapping_add(p);
+        let (delay, call) = (stream.next)(&mut rng);
+        if call {
+            let last = Rc::clone(&last);
+            q.schedule(time + delay, || {
+                Action::Call(SmallCall::new(move || last.set(p)))
+            });
+        } else {
+            q.schedule(time + delay, || Action::Resume(p));
+        }
     }
     fold
-}
-
-fn churn_heap(stream: &Stream) -> u64 {
-    churn(stream, EventQueue::new(), EventQueue::push, EventQueue::pop)
-}
-
-fn churn_calendar(stream: &Stream) -> u64 {
-    churn(
-        stream,
-        CalendarQueue::new(),
-        |q, time, action| {
-            q.push(time, action);
-        },
-        CalendarQueue::pop,
-    )
 }
 
 fn bench_schedulers(c: &mut Criterion) {
@@ -127,15 +151,19 @@ fn bench_schedulers(c: &mut Criterion) {
         // sequences (and therefore identical simulations) — the bench only
         // compares their speed.
         assert_eq!(
-            churn_heap(stream),
-            churn_calendar(stream),
+            churn::<EventQueue>(stream),
+            churn::<CalendarQueue>(stream),
             "calendar pop order diverged on the {name} stream"
         );
 
         let mut g = c.benchmark_group(&format!("scheduler/{name}"));
         g.sample_size(10);
-        g.bench_function("binary-heap", |b| b.iter(|| black_box(churn_heap(stream))));
-        g.bench_function("calendar", |b| b.iter(|| black_box(churn_calendar(stream))));
+        g.bench_function("binary-heap", |b| {
+            b.iter(|| black_box(churn::<EventQueue>(stream)))
+        });
+        g.bench_function("calendar", |b| {
+            b.iter(|| black_box(churn::<CalendarQueue>(stream)))
+        });
         g.finish();
     }
 }

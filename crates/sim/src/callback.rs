@@ -10,7 +10,7 @@
 //! larger captures, so the common case allocates nothing.
 
 use std::fmt;
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
+use std::mem::{align_of, size_of, MaybeUninit};
 
 /// Inline capture budget, in bytes. The hot callbacks capture an
 /// `Rc<Machine>`, a block address, a completion cell, and a couple of
@@ -30,13 +30,16 @@ const _: () = assert!(size_of::<crate::event::Action>() == 56);
 ///
 /// Closures whose captures fit [`INLINE_BYTES`] and are at most
 /// `u64`-aligned live directly in the struct; larger or stricter-aligned
-/// ones are boxed transparently. Either way the closure runs exactly once
-/// via [`SmallCall::invoke`], and is dropped without running if the
-/// `SmallCall` is dropped unconsumed (e.g. a queue torn down mid-run).
+/// ones are boxed transparently. The closure runs at most once: running
+/// it ([`SmallCall::invoke`], [`SmallCall::invoke_in_place`], or the
+/// engine's run from a calendar node) first takes it out of the
+/// container, which leaves an inert `SmallCall` whose drop does nothing.
+/// A `SmallCall` dropped with its closure still in it (e.g. a queue torn
+/// down mid-run) drops the closure unrun.
 pub struct SmallCall {
     data: [MaybeUninit<u64>; WORDS],
     /// Consumes the closure in `data`: runs it when `run` is true, drops
-    /// it unrun otherwise.
+    /// it unrun otherwise. `op_inert` once the closure was taken out.
     op: unsafe fn(*mut u64, bool),
 }
 
@@ -66,19 +69,61 @@ impl SmallCall {
     }
 
     /// Runs the closure, consuming the container.
-    pub fn invoke(self) {
-        let mut this = ManuallyDrop::new(self);
-        // SAFETY: `this` is never dropped, so the closure is consumed
-        // exactly once — here, by its matching thunk.
-        unsafe { (this.op)(this.data.as_mut_ptr() as *mut u64, true) }
+    pub fn invoke(mut self) {
+        self.invoke_in_place();
+    }
+
+    /// Runs the closure from where it is stored, leaving this container
+    /// inert. Does nothing if the closure was already taken out.
+    pub fn invoke_in_place(&mut self) {
+        let taken = self.take();
+        // SAFETY: `self` stays mutably borrowed until the thunk returns,
+        // so nothing writes, moves or frees the storage it reads from.
+        unsafe { taken.run() }
+    }
+
+    /// Takes the closure out of the container and leaves an inert one in
+    /// its place, whose drop does nothing. The closure's bytes stay in
+    /// this container's storage until the returned [`Taken`] runs them.
+    pub(crate) fn take(&mut self) -> Taken {
+        Taken {
+            op: std::mem::replace(&mut self.op, op_inert),
+            data: self.data.as_mut_ptr() as *mut u64,
+        }
     }
 }
 
 impl Drop for SmallCall {
     fn drop(&mut self) {
-        // SAFETY: `invoke` wraps `self` in ManuallyDrop, so reaching this
-        // Drop means the closure is still live in `data`.
+        // SAFETY: `op` is the thunk `new` stored, whose closure is still
+        // live in `data`, or `op_inert` once `take` moved it out.
         unsafe { (self.op)(self.data.as_mut_ptr() as *mut u64, false) }
+    }
+}
+
+/// A closure taken out of a [`SmallCall`] by [`SmallCall::take`]: its thunk
+/// and the address of the storage the thunk moves the closure out of.
+/// Dropping a `Taken` unrun leaks the closure's captures.
+#[must_use = "dropping a taken closure unrun leaks its captures"]
+pub(crate) struct Taken {
+    op: unsafe fn(*mut u64, bool),
+    data: *mut u64,
+}
+
+impl Taken {
+    /// Moves the closure out of its storage and runs it. The storage is
+    /// read before the closure starts, so the closure may overwrite or
+    /// free it.
+    ///
+    /// # Safety
+    ///
+    /// Nothing has written, moved or freed the `SmallCall` this was taken
+    /// from since [`SmallCall::take`].
+    pub(crate) unsafe fn run(self) {
+        // SAFETY: the caller guarantees the storage still holds the closure
+        // `take` left there; `take` made the container inert, so this is
+        // the closure's only consumer.
+        unsafe { (self.op)(self.data, true) }
     }
 }
 
@@ -93,7 +138,7 @@ impl fmt::Debug for SmallCall {
 /// # Safety
 ///
 /// `p` points at storage holding a live `F`, written by
-/// [`SmallCall::new`], which is never touched again after this call.
+/// [`SmallCall::new`], which this call moves out before it runs it.
 unsafe fn op_inline<F: FnOnce()>(p: *mut u64, run: bool) {
     // SAFETY: the caller guarantees a live `F` at `p`, read exactly once.
     let f = unsafe { (p as *mut F).read() };
@@ -118,6 +163,10 @@ unsafe fn op_boxed<F: FnOnce()>(p: *mut u64, run: bool) {
         (*b)();
     }
 }
+
+/// The thunk of a `SmallCall` whose closure was taken out: nothing left
+/// to run or drop.
+unsafe fn op_inert(_: *mut u64, _: bool) {}
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use std::task::{Context, RawWaker, RawWakerVTable, Waker};
 
 use crate::account::{Counter, Counters, CycleMatrix, Kind, Scope};
-use crate::callback::SmallCall;
+use crate::callback::{SmallCall, Taken};
 use crate::cpu::Cpu;
 use crate::error::{BlockedProc, SimError, StallReport, WaitTarget};
 use crate::event::{Action, CalendarQueue, Tier};
@@ -161,8 +161,10 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    fn push(&mut self, at: Cycles, action: Action) {
-        let tier = self.queue.push(at, action);
+    /// Schedules the action `make` builds straight into its queue node.
+    #[inline]
+    fn push(&mut self, at: Cycles, make: impl FnOnce() -> Action) {
+        let tier = self.queue.push_with(at, make);
         if self.obs {
             wwt_obs::count(wwt_obs::Ctr::SimEventsPushed, 1);
             match tier {
@@ -241,7 +243,7 @@ impl Sim {
         if at < inner.now {
             return Err(SimError::PastEvent { at, now: inner.now });
         }
-        inner.push(at, Action::Call(SmallCall::new(f)));
+        inner.push(at, || Action::Call(SmallCall::new(f)));
         Ok(())
     }
 
@@ -283,7 +285,7 @@ impl Sim {
     pub fn wake_at(&self, p: ProcId, at: Cycles) {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
-        inner.push(at, Action::Resume(p.index() as u64));
+        inner.push(at, || Action::Resume(p.index() as u64));
     }
 
     /// Returns the local clock of processor `p`.
@@ -349,6 +351,18 @@ impl Sim {
 }
 
 type Task = Pin<Box<dyn Future<Output = ()>>>;
+
+/// What [`Engine::try_run`] does with a popped event once it has released
+/// the `Sim` borrow.
+enum Step {
+    /// Poll this processor's task.
+    Resume(usize),
+    /// Run a callback taken out of its freed queue node.
+    Call(Taken),
+    /// The watchdog tripped: report a livelock, dropping this popped
+    /// callback unrun.
+    Livelock(Action),
+}
 
 /// The simulation engine: owns the per-processor tasks and drives the event
 /// loop to completion.
@@ -441,25 +455,39 @@ impl Engine {
         let mut last_resume: Cycles = 0;
 
         loop {
-            let event = {
-                let mut inner = self.sim.inner.borrow_mut();
-                match inner.queue.pop() {
-                    Some(e) => {
-                        if inner.obs {
-                            wwt_obs::count(wwt_obs::Ctr::SimEventsPopped, 1);
-                        }
-                        inner.now = e.time;
-                        inner.events_processed += 1;
-                        e
+            // The popped node is already free when the borrow ends, so a
+            // push from the callback below reuses it. Everything the step
+            // needs leaves the node first: a `Resume`'s index, or a
+            // `Call`'s thunk, which leaves the node's `SmallCall` inert.
+            let step = {
+                let inner = &mut *self.sim.inner.borrow_mut();
+                let Some((time, action)) = inner.queue.pop_in_place() else {
+                    break;
+                };
+                if inner.obs {
+                    wwt_obs::count(wwt_obs::Ctr::SimEventsPopped, 1);
+                }
+                inner.now = time;
+                inner.events_processed += 1;
+                match action {
+                    Action::Resume(p) => {
+                        last_resume = time;
+                        Step::Resume(*p as usize)
                     }
-                    None => break,
+                    // Machine events that never resume a task (for example
+                    // a retransmit timer endlessly re-arming itself toward
+                    // a dead receiver) are what the watchdog exists for.
+                    Action::Call(_)
+                        if watchdog && time.saturating_sub(last_resume) > WATCHDOG_CYCLES =>
+                    {
+                        Step::Livelock(std::mem::replace(action, Action::Resume(0)))
+                    }
+                    Action::Call(call) => Step::Call(call.take()),
                 }
             };
 
-            match event.action {
-                Action::Resume(p) => {
-                    last_resume = event.time;
-                    let i = p as usize;
+            match step {
+                Step::Resume(i) => {
                     let finished = match self.tasks[i].as_mut() {
                         Some(task) => task.as_mut().poll(&mut cx).is_ready(),
                         None => false,
@@ -469,15 +497,12 @@ impl Engine {
                         self.sim.inner.borrow_mut().procs[i].done = true;
                     }
                 }
-                Action::Call(f) => {
-                    // Machine events that never resume a task (for example
-                    // a retransmit timer endlessly re-arming itself toward
-                    // a dead receiver) are what the watchdog exists for.
-                    if watchdog && event.time.saturating_sub(last_resume) > WATCHDOG_CYCLES {
-                        return Err(SimError::Livelock(self.stall_report()));
-                    }
-                    f.invoke();
-                }
+                // SAFETY: no push has happened since `take`, so the freed
+                // node still holds the closure. `run` moves it out before
+                // the closure starts, so the closure's own pushes may
+                // reuse the node or reallocate the pool.
+                Step::Call(taken) => unsafe { taken.run() },
+                Step::Livelock(_unrun) => return Err(SimError::Livelock(self.stall_report())),
             }
         }
 
@@ -565,6 +590,7 @@ fn noop_waker() -> Waker {
 mod tests {
     use super::*;
     use crate::account::Kind;
+    use std::cell::Cell;
 
     #[test]
     fn empty_task_finishes_at_time_zero() {
@@ -830,6 +856,236 @@ mod tests {
             ]
         );
         assert_eq!(data.metrics.get(Metric::BarrierWait).sum(), 55);
+    }
+
+    /// Schedules callbacks through a [`Sim`] and mirrors every push into
+    /// the reference [`EventQueue`]. Each callback pops the reference when
+    /// it runs and checks that it is the event the reference pops, so the
+    /// engine must run every event exactly once, in `(time, seq)` order.
+    /// Every push of the run must go through [`Mirror::call_at`].
+    struct Mirror {
+        sim: Rc<Sim>,
+        reference: RefCell<crate::event::EventQueue>,
+        scheduled: Cell<u64>,
+        ran: Cell<u64>,
+        rng: Cell<u64>,
+    }
+
+    impl Mirror {
+        fn new(sim: &Rc<Sim>, seed: u64) -> Rc<Self> {
+            Rc::new(Mirror {
+                sim: Rc::clone(sim),
+                reference: RefCell::default(),
+                scheduled: Cell::new(0),
+                ran: Cell::new(0),
+                rng: Cell::new(seed),
+            })
+        }
+
+        /// A deterministic LCG draw.
+        fn draw(&self) -> u64 {
+            let x = self
+                .rng
+                .get()
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.rng.set(x);
+            x >> 33
+        }
+
+        /// Schedules a checked callback at `at` that then runs `then`.
+        fn call_at(self: &Rc<Self>, at: Cycles, then: impl FnOnce(&Rc<Mirror>) + 'static) {
+            let id = self.scheduled.get();
+            self.scheduled.set(id + 1);
+            self.reference.borrow_mut().push(at, Action::Resume(id));
+            let m = Rc::clone(self);
+            self.sim
+                .call_at(at, move || {
+                    let e = m
+                        .reference
+                        .borrow_mut()
+                        .pop()
+                        .expect("the reference drained first");
+                    let Action::Resume(want) = e.action else {
+                        unreachable!("the reference holds ids only")
+                    };
+                    assert_eq!((m.sim.now(), id), (e.time, want), "ran out of order");
+                    m.ran.set(m.ran.get() + 1);
+                    then(&m);
+                })
+                .expect("scheduled at or after now");
+        }
+    }
+
+    /// Grows a random schedule of about `budget` callbacks: each one that
+    /// runs schedules up to two more, at delays that reach every tier of
+    /// the calendar (same cycle, ring, second level, overflow heap, block
+    /// edges), until `budget` have been scheduled. Half the children
+    /// capture a 64-byte pad and so take the boxed `SmallCall` path.
+    /// Returns how many callbacks ran.
+    fn engine_differential(budget: u64, seed: u64) -> u64 {
+        fn grow(m: &Rc<Mirror>, budget: u64) {
+            let children = if m.reference.borrow().len() < 64 {
+                2
+            } else {
+                m.draw() % 3
+            };
+            for _ in 0..children {
+                if m.scheduled.get() >= budget {
+                    return;
+                }
+                let now = m.sim.now();
+                let r = m.draw();
+                let delay = match r % 16 {
+                    0 | 1 => 0,
+                    2..=6 => r % 300,
+                    7 | 8 => r % 4_096,
+                    // The first cycle of a block a few blocks out.
+                    9 => (((now >> 12) + 1 + r % 64) << 12) - now,
+                    10..=13 => 4_096 + r % 262_144,
+                    _ => 266_240 + r % 4_000_000,
+                };
+                if r.is_multiple_of(2) {
+                    m.call_at(now + delay, move |m| grow(m, budget));
+                } else {
+                    let pad = [r; 8];
+                    m.call_at(now + delay, move |m| {
+                        assert_eq!(pad[7], r);
+                        grow(m, budget);
+                    });
+                }
+            }
+        }
+        let e = Engine::new(1, SimConfig::default());
+        let m = Mirror::new(e.sim(), seed);
+        m.call_at(0, move |m| grow(m, budget));
+        e.try_run().expect("callbacks only: nothing to block");
+        assert!(m.reference.borrow().is_empty(), "the engine skipped events");
+        assert_eq!(m.ran.get(), m.scheduled.get());
+        m.ran.get()
+    }
+
+    #[test]
+    fn engine_runs_callbacks_in_reference_order() {
+        assert_eq!(engine_differential(30_000, 0x853c_49e6_748f_ea9b), 30_000);
+    }
+
+    /// The long engine-level differential: about 2M callback-scheduled
+    /// events against `EventQueue`. Run with `cargo test --release -p
+    /// wwt-sim -- --ignored`.
+    #[test]
+    #[ignore = "long; run in release with --ignored"]
+    fn engine_runs_callbacks_in_reference_order_long() {
+        assert_eq!(
+            engine_differential(2_000_000, 0xda3e_39cb_94b9_5bdb),
+            2_000_000
+        );
+    }
+
+    #[test]
+    fn a_callback_that_reallocates_the_pool_runs_every_event_once_in_order() {
+        let e = Engine::new(1, SimConfig::default());
+        let m = Mirror::new(e.sim(), 0x2545_f491_4f6c_dd1d);
+        m.call_at(5, |m| {
+            assert_eq!(m.sim.inner.borrow().queue.pool_len(), 1);
+            // The running closure has left its node, so thousands of
+            // pushes may move the pool while it runs; some children push
+            // again from their own runs.
+            for i in 0..3_000u64 {
+                let delay = match i % 4 {
+                    0 => 0,
+                    1 => m.draw() % 4_096,
+                    2 => 4_096 + m.draw() % 262_144,
+                    _ => 300_000 + m.draw() % 1_000_000,
+                };
+                let at = m.sim.now() + delay;
+                if i % 10 == 0 {
+                    m.call_at(at, |m| {
+                        let now = m.sim.now();
+                        m.call_at(now, |_| {});
+                        m.call_at(now + 1, |_| {});
+                    });
+                } else {
+                    m.call_at(at, |_| {});
+                }
+            }
+            assert_eq!(m.sim.inner.borrow().queue.pool_len(), 3_000);
+        });
+        let sim = Rc::clone(e.sim());
+        e.try_run().expect("callbacks only: nothing to block");
+        assert!(m.reference.borrow().is_empty(), "the engine skipped events");
+        assert_eq!((m.scheduled.get(), m.ran.get()), (3_601, 3_601));
+        // The first child runs with 2,999 events pending and pushes two.
+        assert_eq!(sim.inner.borrow().queue.pool_len(), 3_001);
+    }
+
+    #[test]
+    fn a_callback_chain_reuses_one_pool_node() {
+        // A callback's node is freed before it runs, so the push that
+        // schedules the next link reuses it.
+        fn link(sim: &Rc<Sim>, left: u32, ran: Rc<Cell<u32>>) {
+            let next = Rc::clone(sim);
+            sim.call_at(sim.now() + 1 + u64::from(left % 7), move || {
+                ran.set(ran.get() + 1);
+                if left > 0 {
+                    link(&next, left - 1, ran);
+                }
+                assert_eq!(next.inner.borrow().queue.pool_len(), 1);
+            })
+            .expect("scheduled in the future");
+        }
+        let e = Engine::new(1, SimConfig::default());
+        let sim = Rc::clone(e.sim());
+        let ran = Rc::new(Cell::new(0));
+        link(&sim, 9_999, Rc::clone(&ran));
+        e.try_run().expect("callbacks only: nothing to block");
+        assert_eq!(ran.get(), 10_000);
+        assert_eq!(sim.inner.borrow().queue.pool_len(), 1);
+    }
+
+    /// Runs callbacks that each capture an `Rc` and a `PAD`-word array
+    /// until one panics mid-run, inside `catch_unwind`, then drops the
+    /// `Sim`. With `PAD = 8` the captures exceed the inline budget and
+    /// take the boxed path.
+    fn panic_mid_run<const PAD: usize>() {
+        let (ran, running, pending) = (Rc::new(()), Rc::new(()), Rc::new(()));
+        let e = Engine::new(1, SimConfig::default());
+        let sim = Rc::clone(e.sim());
+        let call = |at: Cycles, rc: &Rc<()>, panics: bool| {
+            let (rc, pad) = (Rc::clone(rc), [0u64; PAD]);
+            sim.call_at(at, move || {
+                assert!(Rc::strong_count(&rc) > 1 && pad == [0; PAD]);
+                assert!(!panics, "callback panics mid-run");
+            })
+            .expect("scheduled in the future");
+        };
+        call(10, &ran, false);
+        call(20, &ran, false);
+        call(30, &running, true);
+        for at in [30, 40, 5_000, 1_000_000] {
+            call(at, &pending, false);
+        }
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.try_run()));
+        assert!(run.is_err(), "the callback's panic reaches the caller");
+        assert_eq!(
+            Rc::strong_count(&pending),
+            5,
+            "pending captures stay queued"
+        );
+        drop(sim);
+        assert_eq!(Rc::strong_count(&ran), 1, "already-run captures");
+        assert_eq!(Rc::strong_count(&running), 1, "the running capture");
+        assert_eq!(Rc::strong_count(&pending), 1, "pending captures");
+    }
+
+    #[test]
+    fn a_panicking_callback_drops_every_capture_once() {
+        panic_mid_run::<1>();
+    }
+
+    #[test]
+    fn a_panicking_boxed_callback_drops_every_capture_once() {
+        panic_mid_run::<8>();
     }
 
     #[test]

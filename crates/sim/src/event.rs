@@ -15,7 +15,9 @@
 //!   almost every push and pop is O(1) instead of the heap's O(log n).
 //!   Every payload lives in one pool of 64-byte nodes; the slots,
 //!   buckets and heap hold node indices, so moving an event between
-//!   tiers relinks it and never copies its action.
+//!   tiers relinks it and never copies its action. A push builds the
+//!   action straight into its node ([`CalendarQueue::push_with`]), and
+//!   the engine runs it from there ([`CalendarQueue::pop_in_place`]).
 //! * [`EventQueue`] — the original `BinaryHeap` scheduler, kept as the
 //!   reference implementation and the baseline for the scheduler benches
 //!   (`benches/scheduler.rs`).
@@ -179,8 +181,8 @@ const EMPTY: Slot = Slot {
 /// Every pending payload lives in one node pool: `nodes` holds a
 /// `(seq, Action)` per node, and the parallel `next` links each node to
 /// the next one in its ring slot or in the LIFO free list. A payload is
-/// written once on push and moved once on pop; the tiers below only
-/// ever move node indices.
+/// built in its node on push and, on the engine's path, read or run in
+/// place on pop; the tiers below only ever move node indices.
 ///
 /// The near future — `RING` cycles from the cursor — is a ring of
 /// per-cycle slots, each a `head`/`tail` list of nodes in sequence order.
@@ -198,8 +200,10 @@ const EMPTY: Slot = Slot {
 /// approaches. Both pours and migrations splice into their slot's list by
 /// sequence number, preserving the global FIFO tie-break.
 pub struct CalendarQueue {
-    /// The node pool. Free nodes hold a `Resume(0)` placeholder, so
-    /// dropping the queue drops every pending `Call` exactly once.
+    /// The node pool. Free nodes hold an inert payload — a `Resume`, or a
+    /// `Call` whose closure was taken out — so a push overwrites one
+    /// without dropping it, and dropping the queue drops every pending
+    /// `Call` exactly once.
     nodes: Vec<(u64, Action)>,
     /// Per node: the next node in its slot or in the free list, or `NIL`.
     next: Vec<u32>,
@@ -277,14 +281,54 @@ impl CalendarQueue {
         self.len() == 0
     }
 
-    /// Schedules `action` at absolute time `time`, which must not precede
-    /// the last popped event (the engine rejects past events before they
-    /// get here). Returns the tier the event landed in.
+    /// Schedules `action` at absolute time `time`; see
+    /// [`CalendarQueue::push_with`].
     pub fn push(&mut self, time: Cycles, action: Action) -> Tier {
+        self.push_with(time, || action)
+    }
+
+    /// Schedules the action `make` builds at absolute time `time`, which
+    /// must not precede the last popped event (the engine rejects past
+    /// events before they get here). `make` runs once, after a node is
+    /// chosen, so the action is written straight into the node rather
+    /// than built on the caller's stack and copied in. Returns the tier
+    /// the event landed in.
+    #[inline]
+    pub fn push_with(&mut self, time: Cycles, make: impl FnOnce() -> Action) -> Tier {
         debug_assert!(time >= self.cursor, "event at {time} behind the cursor");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let n = self.alloc(seq, action);
+        let n = self.alloc();
+        // The node's payload is inert, so it is overwritten without its
+        // drop glue (an indirect call for an emptied `Call`).
+        std::mem::forget(std::mem::replace(
+            &mut self.nodes[n as usize],
+            (seq, make()),
+        ));
+        self.link(time, seq, n)
+    }
+
+    /// Takes the most recently freed node, or a fresh one holding a
+    /// `Resume(0)`.
+    fn alloc(&mut self) -> u32 {
+        let n = self.free;
+        if n != NIL {
+            self.free = self.next[n as usize];
+            self.next[n as usize] = NIL;
+            return n;
+        }
+        let n = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&n| n != NIL)
+            .expect("fewer than 2^32 - 1 pending events");
+        self.nodes.push((0, Action::Resume(0)));
+        self.next.push(NIL);
+        n
+    }
+
+    /// Links the pushed node `n`, whose sequence number `seq` is the
+    /// newest, into the tier its `time` falls in.
+    fn link(&mut self, time: Cycles, seq: u64, n: u32) -> Tier {
         if time - self.cursor < RING as u64 {
             // The newest sequence number: always the slot's last.
             let idx = (time & RING_MASK) as usize;
@@ -306,24 +350,6 @@ impl CalendarQueue {
         }
         self.overflow.push(Reverse((time, seq, n)));
         Tier::Overflow
-    }
-
-    /// Stores a payload in a node, reusing the most recently freed one.
-    fn alloc(&mut self, seq: u64, action: Action) -> u32 {
-        let n = self.free;
-        if n != NIL {
-            self.free = self.next[n as usize];
-            self.next[n as usize] = NIL;
-            self.nodes[n as usize] = (seq, action);
-            return n;
-        }
-        let n = u32::try_from(self.nodes.len())
-            .ok()
-            .filter(|&n| n != NIL)
-            .expect("fewer than 2^32 - 1 pending events");
-        self.nodes.push((seq, action));
-        self.next.push(NIL);
-        n
     }
 
     /// Makes node `n` the only node of the empty slot `idx` (the caller
@@ -455,8 +481,37 @@ impl CalendarQueue {
         }
     }
 
-    /// Removes and returns the earliest event.
+    /// Removes and returns the earliest event, leaving a `Resume(0)` in
+    /// its freed node. The reference differentials use this; the engine
+    /// runs events in place with [`CalendarQueue::pop_in_place`].
     pub fn pop(&mut self) -> Option<Event> {
+        let (time, n) = self.unlink_first()?;
+        let (seq, action) = std::mem::replace(&mut self.nodes[n as usize], (0, Action::Resume(0)));
+        Some(Event { time, seq, action })
+    }
+
+    /// Removes the earliest event and returns its time and its action,
+    /// still in its node. The node is already back on the free list, so
+    /// the caller must leave the action inert before the next push
+    /// reuses the node: read a `Resume` as it is, and take a `Call`'s
+    /// closure out ([`SmallCall::invoke_in_place`], or the engine's
+    /// take-then-run). A `Call` left live there is leaked by that push.
+    #[inline]
+    pub fn pop_in_place(&mut self) -> Option<(Cycles, &mut Action)> {
+        let (time, n) = self.unlink_first()?;
+        Some((time, &mut self.nodes[n as usize].1))
+    }
+
+    /// Number of nodes in the pool, free or holding a pending event.
+    #[cfg(test)]
+    pub(crate) fn pool_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Unlinks the earliest event's node, puts it on the free list and
+    /// returns its time and index.
+    #[inline]
+    fn unlink_first(&mut self) -> Option<(Cycles, u32)> {
         self.migrate_overflow();
         let mut next = self.next_slot();
         if let Some(block) = self.first_far_block() {
@@ -484,8 +539,7 @@ impl CalendarQueue {
             }
         }
         self.ring_len -= 1;
-        let (seq, action) = std::mem::replace(&mut self.nodes[n as usize], (0, Action::Resume(0)));
-        Some(Event { time, seq, action })
+        Some((time, n))
     }
 }
 
@@ -729,14 +783,30 @@ mod tests {
                 tiers[q.push(now + delay, Action::Call(call)) as usize] += 1;
                 peak = peak.max(q.len());
             }
-            for _ in 0..pops {
-                let Some(e) = q.pop() else { break };
-                now = e.time;
-                // Invoke every other popped call; drop the rest unrun.
-                if let Action::Call(f) = e.action {
-                    if e.seq % 2 == 0 {
-                        f.invoke();
-                        invoked += 1;
+            for k in 0..pops {
+                // Invoke every other popped call and drop the rest unrun,
+                // popping by value or in place by turns.
+                if (step + k) % 2 == 0 {
+                    let Some(e) = q.pop() else { break };
+                    now = e.time;
+                    if let Action::Call(f) = e.action {
+                        if e.seq % 2 == 0 {
+                            f.invoke();
+                            invoked += 1;
+                        }
+                    }
+                } else {
+                    let Some((time, action)) = q.pop_in_place() else {
+                        break;
+                    };
+                    now = time;
+                    match action {
+                        // Leaves an inert `Call` in the free node.
+                        Action::Call(f) if time % 2 == 0 => {
+                            f.invoke_in_place();
+                            invoked += 1;
+                        }
+                        a => drop(std::mem::replace(a, Action::Resume(0))),
                     }
                 }
             }
