@@ -75,9 +75,9 @@ const MP: Stream = Stream {
 trait Scheduler: Default {
     /// Schedules the action `make` builds at `time`.
     fn schedule(&mut self, time: Cycles, make: impl FnOnce() -> Action);
-    /// Runs the earliest event and returns its time and processor (a
-    /// `Call` names its processor through `last`).
-    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)>;
+    /// Runs the earliest event and returns its time, its sequence number
+    /// and its processor (a `Call` names its processor through `last`).
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64, u64)>;
 }
 
 /// The reference: every event moves in and out by value.
@@ -86,7 +86,7 @@ impl Scheduler for EventQueue {
         self.push(time, make());
     }
 
-    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)> {
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64, u64)> {
         let ev = self.pop()?;
         let p = match ev.action {
             Action::Resume(p) => p,
@@ -95,7 +95,7 @@ impl Scheduler for EventQueue {
                 last.get()
             }
         };
-        Some((ev.time, p))
+        Some((ev.time, ev.seq, p))
     }
 }
 
@@ -105,8 +105,8 @@ impl Scheduler for CalendarQueue {
         self.push_with(time, make);
     }
 
-    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64)> {
-        let (time, action) = self.pop_in_place()?;
+    fn run_next(&mut self, last: &Cell<u64>) -> Option<(Cycles, u64, u64)> {
+        let (time, seq, action) = self.pop_in_place()?;
         let p = match action {
             Action::Resume(p) => *p,
             Action::Call(f) => {
@@ -114,13 +114,13 @@ impl Scheduler for CalendarQueue {
                 last.get()
             }
         };
-        Some((time, p))
+        Some((time, seq, p))
     }
 }
 
 /// Pop-schedule churn on one scheduler: each popped event runs and
 /// schedules its chain's next event. Returns an order-sensitive checksum
-/// of the popped times and processors.
+/// of the pop sequence.
 fn churn<Q: Scheduler>(stream: &Stream) -> u64 {
     let mut q = Q::default();
     let last = Rc::new(Cell::new(0));
@@ -130,8 +130,8 @@ fn churn<Q: Scheduler>(stream: &Stream) -> u64 {
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     let mut fold = 0u64;
     for _ in 0..EVENTS {
-        let (time, p) = q.run_next(&last).expect("queue never drains");
-        fold = fold.rotate_left(7).wrapping_add(time).wrapping_add(p);
+        let (time, seq, p) = q.run_next(&last).expect("queue never drains");
+        fold = fold.rotate_left(7).wrapping_add(time).wrapping_add(seq);
         let (delay, call) = (stream.next)(&mut rng);
         if call {
             let last = Rc::clone(&last);

@@ -82,6 +82,12 @@ impl SmallCall {
         unsafe { taken.run() }
     }
 
+    /// Whether the closure was taken out, so dropping or overwriting this
+    /// container releases nothing.
+    pub(crate) fn is_inert(&self) -> bool {
+        std::ptr::fn_addr_eq(self.op, op_inert as unsafe fn(*mut u64, bool))
+    }
+
     /// Takes the closure out of the container and leaves an inert one in
     /// its place, whose drop does nothing. The closure's bytes stay in
     /// this container's storage until the returned [`Taken`] runs them.

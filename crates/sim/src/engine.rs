@@ -461,7 +461,7 @@ impl Engine {
             // `Call`'s thunk, which leaves the node's `SmallCall` inert.
             let step = {
                 let inner = &mut *self.sim.inner.borrow_mut();
-                let Some((time, action)) = inner.queue.pop_in_place() else {
+                let Some((time, _, action)) = inner.queue.pop_in_place() else {
                     break;
                 };
                 if inner.obs {

@@ -299,6 +299,13 @@ impl CalendarQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let n = self.alloc();
+        debug_assert!(
+            match &self.nodes[n as usize].1 {
+                Action::Resume(_) => true,
+                Action::Call(f) => f.is_inert(),
+            },
+            "a freed node still holds a live `Call`, which this push would leak"
+        );
         // The node's payload is inert, so it is overwritten without its
         // drop glue (an indirect call for an emptied `Call`).
         std::mem::forget(std::mem::replace(
@@ -490,16 +497,18 @@ impl CalendarQueue {
         Some(Event { time, seq, action })
     }
 
-    /// Removes the earliest event and returns its time and its action,
-    /// still in its node. The node is already back on the free list, so
-    /// the caller must leave the action inert before the next push
-    /// reuses the node: read a `Resume` as it is, and take a `Call`'s
-    /// closure out ([`SmallCall::invoke_in_place`], or the engine's
-    /// take-then-run). A `Call` left live there is leaked by that push.
+    /// Removes the earliest event and returns its time, its sequence
+    /// number and its action, still in its node. The node is already back
+    /// on the free list, so the caller must leave the action inert before
+    /// the next push reuses the node: read a `Resume` as it is, and take a
+    /// `Call`'s closure out ([`SmallCall::invoke_in_place`], or the
+    /// engine's take-then-run). A `Call` left live there would be leaked
+    /// by that push, which debug builds catch with an assertion.
     #[inline]
-    pub fn pop_in_place(&mut self) -> Option<(Cycles, &mut Action)> {
+    pub fn pop_in_place(&mut self) -> Option<(Cycles, u64, &mut Action)> {
         let (time, n) = self.unlink_first()?;
-        Some((time, &mut self.nodes[n as usize].1))
+        let (seq, action) = &mut self.nodes[n as usize];
+        Some((time, *seq, action))
     }
 
     /// Number of nodes in the pool, free or holding a pending event.
@@ -796,13 +805,13 @@ mod tests {
                         }
                     }
                 } else {
-                    let Some((time, action)) = q.pop_in_place() else {
+                    let Some((time, seq, action)) = q.pop_in_place() else {
                         break;
                     };
                     now = time;
                     match action {
                         // Leaves an inert `Call` in the free node.
-                        Action::Call(f) if time % 2 == 0 => {
+                        Action::Call(f) if seq % 2 == 0 => {
                             f.invoke_in_place();
                             invoked += 1;
                         }
@@ -821,6 +830,17 @@ mod tests {
         assert!(ledger.ran.borrow().iter().all(|&r| r <= 1));
         assert_eq!(ledger.ran.borrow().iter().sum::<u32>(), invoked);
         assert_eq!(Rc::strong_count(&ledger), 1, "every capture released");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "still holds a live `Call`")]
+    fn a_push_over_a_live_call_left_in_place_panics() {
+        let mut q = CalendarQueue::new();
+        q.push(1, Action::Call(SmallCall::new(|| {})));
+        // Read in place without taking the closure out.
+        assert!(matches!(q.pop_in_place(), Some((1, 0, Action::Call(_)))));
+        q.push(2, Action::Resume(0));
     }
 
     #[test]

@@ -20,12 +20,12 @@ after the leaf and the lines read `??:0`:
 
 Usage:
 
-    fpsample.py [--hz N] [--seconds S] [--top K] --pid PID
-    fpsample.py [--hz N] [--seconds S] [--top K] [--runs R] -- COMMAND [ARG...]
+    fpsample.py [--runs R] [--hz N] -- COMMAND [ARG...]
 
-The second form starts COMMAND R times, samples each run until it exits
-or S seconds pass, and merges the samples. Only the main thread is
-sampled. A runtime address inside the executable becomes a file address
+It starts COMMAND R times (default 1), samples each run at N Hz
+(default 500) until it exits or `MAX_SECONDS` pass, merges the samples
+and prints the top `TOP` rows of each table. Only the main thread is
+sampled, and the walk stops after `DEPTH` frames. A runtime address inside the executable becomes a file address
 by subtracting the start of the executable's mapping at file offset 0
 (for a position-independent executable; nothing is subtracted for a
 fixed-address one). Addresses in shared libraries are counted as
@@ -51,6 +51,7 @@ WALL = 0x40000000
 # Indices into `struct user_regs_struct` on x86-64.
 REG_RBP, REG_RIP, NREGS = 4, 16, 27
 OUTSIDE = -1
+MAX_SECONDS, DEPTH, TOP = 60, 64, 25
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.restype = ctypes.c_long
@@ -105,12 +106,12 @@ def stop(pid):
         ptrace(PTRACE_CONT, pid, 0, sig)
 
 
-def walk(pid, mem, depth):
+def walk(pid, mem):
     """The stopped thread's stack, leaf first, as runtime addresses."""
     regs = (ctypes.c_ulong * NREGS)()
     ptrace(PTRACE_GETREGS, pid, 0, ctypes.addressof(regs))
     stack, fp = [regs[REG_RIP]], regs[REG_RBP]
-    for _ in range(depth):
+    for _ in range(DEPTH):
         if fp == 0 or fp % 8:
             break
         try:
@@ -131,20 +132,20 @@ def walk(pid, mem, depth):
     return stack
 
 
-def sample(pid, hz, seconds, depth, stacks):
+def sample(pid, hz, stacks):
     """Samples `pid` into `stacks` (keyed by tuples of file addresses)
-    until it exits or `seconds` pass. Returns the executable's path."""
+    until it exits or `MAX_SECONDS` pass. Returns the executable's path."""
     exe, base, ranges = executable_layout(pid)
     to_file = lambda a: a - base if any(s <= a < e for s, e in ranges) else OUTSIDE
     ptrace(PTRACE_SEIZE, pid)
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
-    end = time.monotonic() + seconds
+    end = time.monotonic() + MAX_SECONDS
     try:
         while time.monotonic() < end:
             time.sleep(1 / hz)
             if not stop(pid):
                 break
-            stacks[tuple(to_file(a) for a in walk(pid, mem, depth))] += 1
+            stacks[tuple(to_file(a) for a in walk(pid, mem))] += 1
             ptrace(PTRACE_CONT, pid)
     finally:
         os.close(mem)
@@ -175,7 +176,7 @@ def symbolize(exe, addrs):
     return result
 
 
-def report(stacks, exe, top):
+def report(stacks, exe):
     total = sum(stacks.values())
     if not total:
         raise SystemExit("fpsample: no samples")
@@ -190,40 +191,31 @@ def report(stacks, exe, top):
     pct = lambda n: f"{100 * n / total:5.1f}%"
     print(f"{total} samples of {exe}")
     print("\nself, by line:")
-    for (func, loc), n in by_line.most_common(top):
+    for (func, loc), n in by_line.most_common(TOP):
         print(f"  {pct(n)}  {loc}  {func[:100]}")
     print("\nself, by instruction (a stalled load shows on the next one):")
-    for a, n in by_addr.most_common(top):
+    for a, n in by_addr.most_common(TOP):
         chain = syms.get(a, unknown)
         # The innermost frame's line, and the outermost frame: the symbol
         # `objdump -d` shows the instruction in.
         print(f"  {pct(n)}  {a:#x}  {chain[0][1]}  {chain[-1][0][:80]}")
     print("\ninclusive, by function (code outside the executable excluded):")
-    for func, n in inclusive.most_common(top):
+    for func, n in inclusive.most_common(TOP):
         print(f"  {pct(n)}  {func[:110]}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--pid", type=int)
     ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--hz", type=float, default=500)
-    ap.add_argument("--seconds", type=float, default=60)
-    ap.add_argument("--depth", type=int, default=64)
-    ap.add_argument("--top", type=int, default=25)
-    ap.add_argument("command", nargs="*")
+    ap.add_argument("command", nargs="+")
     args = ap.parse_args()
-    if bool(args.pid) == bool(args.command):
-        ap.error("give either --pid PID or -- COMMAND")
     stacks = collections.Counter()
-    if args.pid:
-        exe = sample(args.pid, args.hz, args.seconds, args.depth, stacks)
-    for _ in range(args.runs if args.command else 0):
+    for _ in range(args.runs):
         child = subprocess.Popen(args.command, stdout=subprocess.DEVNULL)
-        exe = sample(child.pid, args.hz, args.seconds, args.depth, stacks)
+        exe = sample(child.pid, args.hz, stacks)
         child.wait()
-    report(stacks, exe, args.top)
-
+    report(stacks, exe)
 
 if __name__ == "__main__":
     sys.exit(main())
